@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -282,6 +283,85 @@ def test_same_seed_identical_reports():
     assert r1.disclosed_indices == r2.disclosed_indices
     assert r1.eve_symbols == r2.eve_symbols
     assert r1.ledger.as_dict() == r2.ledger.as_dict()
+
+
+_CNOT = cnot_entangler()
+GOLDEN_SESSIONS = {
+    "per_block-none": (ProtocolConfig(4, 60, "per_block", 0.05, seed=301), None, None),
+    "per_qubit-none": (ProtocolConfig(4, 60, "per_qubit", 0.05, seed=302), None, None),
+    "per_block-intercept_qubit": (
+        ProtocolConfig(4, 60, "per_block", 0.02, seed=303),
+        BlockAttackSpec.intercept(0.4, "per_qubit"),
+        None,
+    ),
+    "per_qubit-intercept_qubit": (
+        ProtocolConfig(4, 60, "per_qubit", 0.02, seed=304),
+        BlockAttackSpec.intercept(0.4, "per_qubit"),
+        None,
+    ),
+    "per_block-intercept_block": (
+        ProtocolConfig(4, 60, "per_block", 0.02, seed=305),
+        BlockAttackSpec.intercept(0.4, "per_block"),
+        None,
+    ),
+    "per_qubit-intercept_block": (
+        ProtocolConfig(4, 60, "per_qubit", 0.02, seed=306),
+        BlockAttackSpec.intercept(0.4, "per_block"),
+        None,
+    ),
+    "unitary-delayed": (
+        ProtocolConfig(2, 60, "per_block", 0.03, seed=307),
+        BlockAttackSpec.unitary(_CNOT, 2, 1, delayed=True),
+        None,
+    ),
+    "unitary-immediate": (
+        ProtocolConfig(2, 60, "per_block", 0.03, seed=308),
+        BlockAttackSpec.unitary(_CNOT, 2, 1, delayed=False),
+        None,
+    ),
+    "forced-shared-basis": (
+        ProtocolConfig(4, 60, "per_block", 0.05, seed=309),
+        BlockAttackSpec.intercept(0.4, "per_qubit"),
+        Basis.X,
+    ),
+}
+GOLDEN_DIGESTS = {
+    "per_block-none": "bb7d8ed61d5c34bd5369c4d8530f40721fdb126289d400721c0037554cc246c1",
+    "per_qubit-none": "5f6be289bb6b818b9c689246afbadf6577abc72537cc367c8e064247011768ab",
+    "per_block-intercept_qubit": "e52dc5d0333f07168cd2ae52b3b8778b57239300b1e854692083526ef15d87e3",
+    "per_qubit-intercept_qubit": "3ba0488c011f98be080378eee273a2590b85a69826ff119b3681a33165fb09ee",
+    "per_block-intercept_block": "e8a60126f3d812027e1463ebc1778820e42341ac5db70e6d8a474e2397e308d8",
+    "per_qubit-intercept_block": "415cd8346c123101e50d386fb521c6ece34cbd22152f58ab3ddb1a1d89367808",
+    "unitary-delayed": "756db0700774070b21e5ffb224b00aa3588614cbb7e78b83b2c7df06f9af5541",
+    "unitary-immediate": "8bbee12a649aea8196bc4b62e69a29ba641a371dfb04426096ee532a06d8c983",
+    "forced-shared-basis": "1591f4f12957d1ed6b1e5a1701bdb4a5dd6cc00196282bfd37c08f48e207796c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SESSIONS))
+def test_session_outputs_match_golden_digests(name):
+    """Fixed sessions reproduce the digests recorded for package 0.2.0.
+
+    The digest covers both sifted keys (dtype and bytes), kept_blocks, the
+    disclosed indices, Eve's symbols (by repr, so their Python types count)
+    and the ledger entries. A refactor must leave every digest as it is; a
+    deliberate change of the random-stream layout updates these digests
+    together with ``__version__``.
+    """
+    config, attack, forced = GOLDEN_SESSIONS[name]
+    report = run_session(config, attack, force_shared_basis=forced)
+    h = hashlib.sha256()
+    for key in (report.alice_key, report.bob_key):
+        h.update(key.dtype.str.encode())
+        h.update(key.tobytes())
+    summary = (
+        report.kept_blocks,
+        report.disclosed_indices,
+        report.eve_symbols,
+        sorted(report.ledger.counts.items()),
+    )
+    h.update(repr(summary).encode())
+    assert h.hexdigest() == GOLDEN_DIGESTS[name]
 
 
 def test_report_invariants():
