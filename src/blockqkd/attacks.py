@@ -146,8 +146,7 @@ class EveRecord:
 
     For intercept_resend: per-qubit mask, bases and outcomes. For
     unitary_block: either immediate guessed-basis results or a kept
-    register measured at announcement. `symbols` is filled in at
-    announcement processing; afterwards no unmeasured state remains.
+    register, measured once the basis is announced.
     """
 
     attacked: np.ndarray | None = None
@@ -155,7 +154,6 @@ class EveRecord:
     bits: np.ndarray | None = None
     guess_basis: int | None = None
     kept: "EntangledBlock | SimulatedBlock | None" = None
-    symbols: tuple | None = None
 
 
 @dataclass

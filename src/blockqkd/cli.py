@@ -101,7 +101,7 @@ def load_experiment(path: Path | None, args: argparse.Namespace) -> ExperimentCo
             text = parser.get(section, key)
             try:
                 if isinstance(default, bool):
-                    return text.strip().lower() in ("1", "true", "yes", "on")
+                    return parser.getboolean(section, key)
                 return type(default)(text)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {text!r}") from exc
@@ -196,24 +196,21 @@ def _build_attack(cfg: ExperimentConfig, block_size: int) -> BlockAttackSpec:
 
 
 def _session_json(config, attack, report, rates, result, margin) -> dict:
+    """One session's JSON report; result is None when nothing was sifted."""
     ledger_entries = {
         f"{party}.{stage}": report.ledger.get(party, stage)
         for party in PARTIES
         for stage in STAGES
         if report.ledger.get(party, stage)
     }
-    return {
-        "config": {
-            "block_size": config.block_size,
-            "num_blocks": config.num_blocks,
-            "mode": config.mode,
-            "channel_flip_prob": config.channel_flip_prob,
-            "sample_fraction": config.sample_fraction,
-            "seed": config.seed,
-            "attack": attack.label,
-            "safety_margin": margin,
-        },
-        "results": {
+    if result is None:
+        results = {
+            "raw_qubits": report.raw_qubits,
+            "sifted_bits": 0,
+            "reason": "no_sifted_bits",
+        }
+    else:
+        results = {
             "raw_qubits": report.raw_qubits,
             "kept_blocks": report.kept_blocks,
             "sifted_bits": report.sifted_bits,
@@ -243,7 +240,19 @@ def _session_json(config, attack, report, rates, result, margin) -> dict:
             "final_key_len": len(result.final_key),
             "final_key_hex": np.packbits(result.final_key).tobytes().hex(),
             "reason": result.reason,
+        }
+    return {
+        "config": {
+            "block_size": config.block_size,
+            "num_blocks": config.num_blocks,
+            "mode": config.mode,
+            "channel_flip_prob": config.channel_flip_prob,
+            "sample_fraction": config.sample_fraction,
+            "seed": config.seed,
+            "attack": attack.label,
+            "safety_margin": margin,
         },
+        "results": results,
         "ledger": {
             "stages": report.ledger.as_dict(),
             "entries": ledger_entries,
@@ -265,10 +274,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         for flip in cfg.flip_probs
         for rep in range(cfg.repetitions)
     ]
+    attacks = {n: _build_attack(cfg, n) for n in cfg.block_sizes}
     rows = []
     json_payloads = []
     for index, (n, flip, rep) in enumerate(points):
-        attack = _build_attack(cfg, n)
+        attack = attacks[n]
         try:
             config = ProtocolConfig(
                 block_size=n,
@@ -313,43 +323,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 **{f"bits_{stage}": stage_totals[stage] for stage in STAGES},
             }
         )
-        if result is not None:
-            json_payloads.append(
-                (index, _session_json(config, attack, report, rates, result, cfg.safety_margin))
-            )
-        else:
-            json_payloads.append(
-                (
-                    index,
-                    {
-                        "config": {
-                            "block_size": n,
-                            "num_blocks": config.num_blocks,
-                            "mode": config.mode,
-                            "channel_flip_prob": flip,
-                            "sample_fraction": config.sample_fraction,
-                            "seed": config.seed,
-                            "attack": attack.label,
-                            "safety_margin": cfg.safety_margin,
-                        },
-                        "results": {
-                            "raw_qubits": report.raw_qubits,
-                            "sifted_bits": 0,
-                            "reason": "no_sifted_bits",
-                        },
-                        "ledger": {
-                            "stages": report.ledger.as_dict(),
-                            "entries": {},
-                            "total": report.ledger.total(),
-                        },
-                        "versions": {
-                            "package": __version__,
-                            "python": platform.python_version(),
-                            "numpy": np.__version__,
-                        },
-                    },
-                )
-            )
+        json_payloads.append(
+            (index, _session_json(config, attack, report, rates, result, cfg.safety_margin))
+        )
 
     cfg.csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(cfg.csv_path, "w", encoding="utf-8", newline="") as fh:

@@ -135,11 +135,11 @@ class ParitySpan:
 
 def _ledgered_permutation(n: int, source: BitSource) -> np.ndarray:
     """Uniform shuffle whose index draws are charged to ec_permutation."""
-    perm = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = source.randbelow("shared", "ec_permutation", i + 1)
+    perm = list(range(n))
+    draws = source.randbelow_each("shared", "ec_permutation", range(n, 1, -1))
+    for i, j in zip(range(n - 1, 0, -1), draws):
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=np.int64)
 
 
 def _parity(key: np.ndarray, idx: np.ndarray) -> int:

@@ -9,7 +9,9 @@ basis mismatch discards the entire block.
 A session is deterministic given (config, attack): protocol randomness
 comes from one ledgered BitSource seeded with config.seed, channel noise
 from a separate plain stream seeded with "{seed}/channel" (noise is the
-environment's randomness, not a bit any party paid for).
+environment's randomness, not a bit any party paid for). That stream is
+read as n uniforms per block, in block order, whatever the attack, so the
+whole session's flip mask is drawn from it up front.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attacks as attacks_mod
-from .attacks import BlockAttackSpec, EntangledBlock, EveRecord
+from .attacks import BlockAttackSpec, EntangledBlock
 from .infotheory import RateReport, ck_rate, empirical_joint, mutual_information
 from .quantum import (
     PAULI_X,
@@ -71,30 +73,6 @@ class ProtocolConfig:
 
 
 @dataclass
-class ProductBlock:
-    """An unentangled block in flight: one (amplitude pair, basis) per qubit.
-
-    prep_bases tracks the basis each qubit is currently prepared in (Alice's
-    choice, or Eve's after a resend); channel flips act in that basis.
-    """
-
-    rows: np.ndarray
-    prep_bases: np.ndarray
-
-
-@dataclass
-class BlockRecord:
-    """Everything both ends know about one block after announcement."""
-
-    alice_bits: np.ndarray
-    alice_bases: np.ndarray
-    bob_bases: np.ndarray
-    bob_outcomes: np.ndarray
-    sifted: bool | np.ndarray
-    eve_record: EveRecord | None = None
-
-
-@dataclass
 class SessionReport:
     """Outcome of one session; everything downstream processing needs.
 
@@ -133,12 +111,12 @@ def alice_prepare_block(
     config: ProtocolConfig,
     source: BitSource,
     forced_value: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, ProductBlock]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw basis and data bits for one block and encode the qubits.
 
-    per_block charges 1 basis bit + n data bits; per_qubit charges n + n.
-    forced_value (test hook) replaces the drawn basis values after the
-    draw, before encoding.
+    Returns (bases, bits, amplitude rows). per_block charges 1 basis bit +
+    n data bits; per_qubit charges n + n. forced_value (test hook) replaces
+    the drawn basis values after the draw, before encoding.
     """
     n = config.block_size
     if config.mode == "per_block":
@@ -149,18 +127,18 @@ def alice_prepare_block(
     if forced_value is not None:
         bases[:] = forced_value
     bits = source.draw_bits("alice", "alice_bits", n)
-    rows = bb84_rows(bits, bases)
-    return bases, bits, ProductBlock(rows=rows, prep_bases=bases.copy())
+    return bases, bits, bb84_rows(bits, bases)
 
 
 def bob_measure_block(
-    block: ProductBlock | EntangledBlock,
+    block: np.ndarray | EntangledBlock,
     config: ProtocolConfig,
     source: BitSource,
     forced_value: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw Bob's basis (1 bit per block, or n) and measure the block.
 
+    `block` is a product block's amplitude rows or an entangled register.
     Basis bits are charged to bob_basis; Born-rule sampling to
     bob_measurement. An entangled block is measured in place so Eve's
     ancillas keep the collapsed state. forced_value (test hook) replaces
@@ -175,8 +153,8 @@ def bob_measure_block(
     if forced_value is not None:
         bases[:] = forced_value
     coin = source.for_stage("bob", "bob_measurement")
-    if isinstance(block, ProductBlock):
-        outcomes, _ = measure_rows(block.rows, bases, coin)
+    if not isinstance(block, EntangledBlock):
+        outcomes, _ = measure_rows(block, bases, coin)
         return bases, outcomes
     outcomes = np.empty(n, dtype=np.uint8)
     for i in range(n):
@@ -184,58 +162,6 @@ def bob_measure_block(
         block.state = post
         outcomes[i] = outcome
     return bases, outcomes
-
-
-def transmit(
-    block: ProductBlock | EntangledBlock,
-    channel_flip_prob: float,
-    rng: random.Random,
-) -> ProductBlock | EntangledBlock:
-    """Independent bit-flip noise on each qubit, in its preparation basis.
-
-    A flip swaps the two eigenstates of the basis the qubit was last
-    prepared in (X gate for Z-prepared, Z gate for X-prepared qubits);
-    entangled blocks use the sender's encoding basis per qubit.
-    """
-    if channel_flip_prob <= 0.0:
-        return block
-    if isinstance(block, ProductBlock):
-        n = len(block.rows)
-        mask = np.array([rng.random() < channel_flip_prob for _ in range(n)])
-        block.rows = flip_rows(block.rows, mask, block.prep_bases)
-        return block
-    for i in range(block.num_block_qubits):
-        if rng.random() < channel_flip_prob:
-            gate = _FLIP_GATES[int(block.prep_bases[i])]
-            block.state = apply_unitary(block.state, gate, (i,))
-    return block
-
-
-def sift(
-    records: list[BlockRecord], mode: str
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Keep matching-basis data: whole blocks in per_block mode (a block
-    with mismatched bases contributes nothing), positions in per_qubit
-    mode. Returns (alice key, bob key, contributing block count)."""
-    alice_parts: list[np.ndarray] = []
-    bob_parts: list[np.ndarray] = []
-    kept = 0
-    for record in records:
-        if mode == "per_block":
-            if record.sifted:
-                kept += 1
-                alice_parts.append(record.alice_bits)
-                bob_parts.append(record.bob_outcomes)
-        else:
-            mask = record.sifted
-            if mask.any():
-                kept += 1
-                alice_parts.append(record.alice_bits[mask])
-                bob_parts.append(record.bob_outcomes[mask])
-    if not alice_parts:
-        empty = np.zeros(0, dtype=np.uint8)
-        return empty, empty.copy(), 0
-    return np.concatenate(alice_parts), np.concatenate(bob_parts), kept
 
 
 def estimate_qber(
@@ -259,8 +185,9 @@ def estimate_qber(
         )
     k = max(1, round(sample_fraction * length))
     indices = np.arange(length)
-    for i in range(k):
-        j = i + source.randbelow("shared", "sampling", length - i)
+    offsets = source.randbelow_each("shared", "sampling", range(length, length - k, -1))
+    for i, offset in enumerate(offsets):
+        j = i + offset
         indices[i], indices[j] = indices[j], indices[i]
     disclosed = np.sort(indices[:k])
     mismatches = int(np.count_nonzero(alice_key[disclosed] != bob_key[disclosed]))
@@ -272,13 +199,21 @@ def run_session(
     attack: BlockAttackSpec | None = None,
     force_shared_basis: Basis | None = None,
 ) -> SessionReport:
-    """Execute prepare -> attack -> transmit -> measure -> sift -> estimate.
+    """Execute prepare -> attack -> channel -> measure -> sift -> estimate.
 
-    Announcement is processed per block, after Bob measured it: both bases
-    become public, Eve finishes any delayed measurement in the announced
-    basis, and the block is kept or discarded. force_shared_basis is a test
-    hook that overrides every drawn basis value after the draw (ledger
-    counts are unchanged), forcing all blocks to be kept.
+    One pass per block: Alice prepares it, Eve attacks it, the channel
+    flips it, Bob measures it, and the announcement follows at once. Both
+    bases become public, Eve finishes any delayed measurement in the
+    announced basis (kept block or not), and the positions where the bases
+    agree join the keys. In per_block mode both bases are constant over a
+    block, so that mask keeps or drops the block whole. The channel's flip
+    mask is drawn up front, n uniforms per block in block order. The loop
+    over blocks stays: every other draw comes from one ledgered stream in
+    the order Alice, Eve, Bob, Eve's delayed measurement, and how many bits
+    each takes depends on the outcomes before it, so drawing them in bulk
+    would change the outputs. force_shared_basis is a test hook that
+    overrides every drawn basis value after the draw (ledger counts are
+    unchanged), forcing all blocks to be kept.
     """
     attack = attack or BlockAttackSpec.none()
     if attack.variant == "unitary_block":
@@ -290,47 +225,76 @@ def run_session(
                 f"config uses {config.block_size}"
             )
     source = BitSource(config.seed)
-    channel_rng = random.Random(f"{config.seed}/channel")
     eve_coin = source.for_stage("eve", "attack")
     forced = None if force_shared_basis is None else force_shared_basis.value
+    flips = _channel_flips(config)
 
-    records: list[BlockRecord] = []
-    for _ in range(config.num_blocks):
-        alice_bases, alice_bits, block = alice_prepare_block(
+    alice_parts: list[np.ndarray] = []
+    bob_parts: list[np.ndarray] = []
+    symbols: list = []
+    kept_blocks = 0
+    for index in range(config.num_blocks):
+        alice_bases, alice_bits, rows = alice_prepare_block(
             config, source, forced_value=forced
         )
-        record_eve: EveRecord | None = None
-        carrier: ProductBlock | EntangledBlock = block
+        carrier: np.ndarray | EntangledBlock = rows
+        prep_bases = alice_bases
         if attack.variant == "intercept_resend":
-            rows, bases, record_eve = attacks_mod.intercept_resend(
-                block.rows, block.prep_bases, attack, eve_coin
+            carrier, prep_bases, record = attacks_mod.intercept_resend(
+                rows, alice_bases, attack, eve_coin
             )
-            carrier = ProductBlock(rows=rows, prep_bases=bases)
         elif attack.variant == "unitary_block":
-            carrier, record_eve = attacks_mod.unitary_block_attack(
-                block.rows, block.prep_bases, attack, eve_coin
+            carrier, record = attacks_mod.unitary_block_attack(
+                rows, alice_bases, attack, eve_coin
             )
-        carrier = transmit(carrier, config.channel_flip_prob, channel_rng)
+        if flips is not None:
+            if isinstance(carrier, EntangledBlock):
+                for i in np.flatnonzero(flips[index]):
+                    gate = _FLIP_GATES[int(prep_bases[i])]
+                    carrier.state = apply_unitary(carrier.state, gate, (int(i),))
+            else:
+                carrier = flip_rows(carrier, flips[index], prep_bases)
         bob_bases, outcomes = bob_measure_block(
             carrier, config, source, forced_value=forced
         )
-        if config.mode == "per_block":
-            sifted: bool | np.ndarray = bool(alice_bases[0] == bob_bases[0])
-        else:
-            sifted = alice_bases == bob_bases
-        record = BlockRecord(
-            alice_bits=alice_bits,
-            alice_bases=alice_bases,
-            bob_bases=bob_bases,
-            bob_outcomes=outcomes,
-            sifted=sifted,
-            eve_record=record_eve,
-        )
-        _process_announcement(record, attack, eve_coin)
-        records.append(record)
+        if attack.variant == "unitary_block":
+            announced = int(alice_bases[0])
+            if attack.delayed:
+                _, ancilla_bits = attacks_mod.delayed_measurement(
+                    record.kept, Basis(announced), eve_coin
+                )
+                symbol = (announced, tuple(int(b) for b in ancilla_bits))
+            else:
+                symbol = (
+                    record.guess_basis == announced,
+                    tuple(int(b) for b in record.bits),
+                )
+        kept = alice_bases == bob_bases
+        if not kept.any():
+            continue
+        kept_blocks += 1
+        alice_parts.append(alice_bits[kept])
+        bob_parts.append(outcomes[kept])
+        if attack.variant == "intercept_resend":
+            # '?' where Eve stayed out, else (her bit, whether her basis
+            # matched the announced one).
+            symbols.extend(
+                (int(record.bits[i]), bool(record.bases[i] == alice_bases[i]))
+                if record.attacked[i]
+                else "?"
+                for i in np.flatnonzero(kept)
+            )
+        elif attack.variant == "unitary_block":
+            # One symbol per block, the same for each of its kept bits:
+            # the announced basis (or guess-match flag) and her ancilla bits.
+            symbols.extend([symbol] * config.block_size)
 
-    alice_key, bob_key, kept_blocks = sift(records, config.mode)
-    eve_symbols = _sifted_symbols(records, config.mode, attack)
+    if alice_parts:
+        alice_key = np.concatenate(alice_parts)
+        bob_key = np.concatenate(bob_parts)
+    else:
+        alice_key = np.zeros(0, dtype=np.uint8)
+        bob_key = alice_key.copy()
     sifted_bits = len(alice_key)
     if sifted_bits:
         qber_true = int(np.count_nonzero(alice_key != bob_key)) / sifted_bits
@@ -355,67 +319,25 @@ def run_session(
         disclosed_indices=disclosed,
         alice_key=alice_key,
         bob_key=bob_key,
-        eve_symbols=eve_symbols,
+        eve_symbols=None if attack.variant == "none" else tuple(symbols),
         ledger=source.ledger,
         source=source,
     )
 
 
-def _process_announcement(
-    record: BlockRecord, attack: BlockAttackSpec, eve_coin
-) -> None:
-    """Fill Eve's post-announcement view of one block.
+def _channel_flips(config: ProtocolConfig) -> np.ndarray | None:
+    """(num_blocks, n) mask of channel bit flips; None when noiseless.
 
-    Intercept symbols are per qubit: '?' where she stayed out, otherwise
-    (her bit, whether her basis matched the announced one). unitary_block
-    symbols are one per block: the announced basis (or guess-match flag)
-    plus her ancilla outcome tuple.
+    A flip swaps the two eigenstates of the basis the qubit was last
+    prepared in: Alice's, or Eve's after a resend (X gate for Z-prepared,
+    Z gate for X-prepared qubits); an entangled block flips in Alice's
+    encoding basis.
     """
-    rec = record.eve_record
-    if rec is None:
-        return
-    if attack.variant == "intercept_resend":
-        symbols = []
-        for i in range(len(record.alice_bits)):
-            if rec.attacked[i]:
-                matched = bool(rec.bases[i] == record.alice_bases[i])
-                symbols.append((int(rec.bits[i]), matched))
-            else:
-                symbols.append("?")
-        rec.symbols = tuple(symbols)
-        return
-    announced = Basis(int(record.alice_bases[0]))
-    if attack.delayed:
-        _, ancilla_bits = attacks_mod.delayed_measurement(rec.kept, announced, eve_coin)
-        rec.bits = ancilla_bits
-        rec.kept = None
-        rec.symbols = ((announced.value, tuple(int(b) for b in ancilla_bits)),)
-    else:
-        matched = bool(rec.guess_basis == announced.value)
-        rec.symbols = ((matched, tuple(int(b) for b in rec.bits)),)
-
-
-def _sifted_symbols(
-    records: list[BlockRecord], mode: str, attack: BlockAttackSpec
-) -> tuple | None:
-    """Eve's symbol stream aligned with the sifted key positions."""
-    if attack.variant == "none":
+    if config.channel_flip_prob <= 0.0:
         return None
-    out: list = []
-    for record in records:
-        rec = record.eve_record
-        if mode == "per_block":
-            if not record.sifted:
-                continue
-            if attack.variant == "intercept_resend":
-                out.extend(rec.symbols)
-            else:
-                out.extend(rec.symbols * len(record.alice_bits))
-        else:
-            mask = record.sifted
-            for i in np.flatnonzero(mask):
-                out.append(rec.symbols[i])
-    return tuple(out)
+    rng = random.Random(f"{config.seed}/channel")
+    draws = np.array([rng.random() for _ in range(config.raw_qubits)])
+    return (draws < config.channel_flip_prob).reshape(config.num_blocks, -1)
 
 
 def empirical_rates(report: SessionReport) -> RateReport:

@@ -7,6 +7,8 @@ bit-exact:
 
 - ``randbelow(n)`` draws ceil(log2 n) bits and rejects out-of-range values,
   re-drawing until accepted; every drawn bit is counted, rejected or not.
+  ``randbelow_each`` does the same for a sequence of bounds (a shuffle's
+  indices) and charges the bits in one ledger record.
 - ``bernoulli(p)`` refines a uniform binary expansion one bit at a time and
   stops as soon as the outcome is decided. A deterministic branch
   (p within 1e-12 of 0 or 1) consumes no bits; p = 1/2 consumes exactly one.
@@ -121,16 +123,33 @@ class BitSource:
 
     def randbelow(self, party: str, stage: str, n: int) -> int:
         """Uniform integer in [0, n) from ceil(log2 n)-bit draws with rejection."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if n == 1:
-            return 0
-        width = (n - 1).bit_length()
-        while True:
-            self.ledger.record(party, stage, width)
-            value = self._rng.getrandbits(width)
-            if value < n:
-                return value
+        return self.randbelow_each(party, stage, (n,))[0]
+
+    def randbelow_each(self, party: str, stage: str, bounds) -> list[int]:
+        """``randbelow(party, stage, b)`` for each b in `bounds`, in order.
+
+        The draws, the values and the bits charged are the loop's; the bits
+        go to the ledger in one record (none when no bit was drawn).
+        """
+        getrandbits = self._rng.getrandbits
+        values = []
+        drawn = 0
+        try:
+            for n in bounds:
+                if n <= 0:
+                    raise ValueError("n must be positive")
+                value = 0
+                width = (n - 1).bit_length()  # 0 when n == 1: nothing to draw
+                while width:
+                    drawn += width
+                    value = getrandbits(width)
+                    if value < n:
+                        break
+                values.append(value)
+        finally:
+            if drawn:
+                self.ledger.record(party, stage, drawn)
+        return values
 
     def bernoulli(self, party: str, stage: str, p: float) -> int:
         """Return 1 with probability p, consuming the minimum number of bits.

@@ -106,6 +106,9 @@ def test_run_bad_values_exit_2(tmp_path):
         "[protocol]\nmode = per_photon\n",
     )
     assert main(["run", config]) == 2
+    # booleans are strict: a misspelt value must not silently mean false
+    config = write_config(tmp_path / "typo.ini", "[attack]\ndelayed = ture\n")
+    assert main(["run", config, "--output", str(csv_path)]) == 2
 
 
 def test_run_flag_overrides_config(tmp_path):
@@ -245,6 +248,9 @@ def test_run_empty_session_json(tmp_path):
             )
             assert payload["results"]["reason"] == "no_sifted_bits"
             assert int(rows[0]["final_key_len"]) == 0
+            ledger = payload["ledger"]
+            assert ledger["total"] > 0
+            assert sum(ledger["entries"].values()) == ledger["total"]
             return
     pytest.fail("no discarded single-block session in 50 seeds")
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random as pyrandom
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ from blockqkd.attacks import BlockAttackSpec, cnot_entangler
 from blockqkd.infotheory import JointDistribution
 from blockqkd.protocol import (
     ProtocolConfig,
+    _channel_flips,
     alice_prepare_block,
     bob_measure_block,
     estimate_qber,
     run_session,
-    sift,
-    transmit,
     empirical_rates,
 )
 from blockqkd.quantum import (
@@ -75,11 +75,11 @@ def test_config_validation():
 def test_prepare_ledger_per_block():
     source = BitSource(1)
     config = ProtocolConfig(block_size=4, num_blocks=1, mode="per_block")
-    bases, bits, block = alice_prepare_block(config, source)
+    bases, bits, rows = alice_prepare_block(config, source)
     assert source.ledger.get("alice", "alice_basis") == 1
     assert source.ledger.get("alice", "alice_bits") == 4
     assert len(set(bases.tolist())) == 1
-    assert block.rows.shape == (4, 2)
+    assert rows.shape == (4, 2)
 
 
 def test_prepare_ledger_per_qubit():
@@ -105,17 +105,17 @@ def test_prepare_ledger_single_qubit_modes_coincide(mode):
 def test_measure_ledger_per_block():
     source = BitSource(4)
     config = ProtocolConfig(block_size=8, num_blocks=1, mode="per_block")
-    _, _, block = alice_prepare_block(config, source)
+    _, _, rows = alice_prepare_block(config, source)
     before = source.ledger.get("bob", "bob_basis")
-    bob_measure_block(block, config, source)
+    bob_measure_block(rows, config, source)
     assert source.ledger.get("bob", "bob_basis") - before == 1
 
 
 def test_matched_basis_reads_alice_bits_exactly():
     source = BitSource(5)
     config = ProtocolConfig(block_size=64, num_blocks=1, mode="per_block")
-    _, bits, block = alice_prepare_block(config, source, forced_value=0)
-    _, outcomes = bob_measure_block(block, config, source, forced_value=0)
+    _, bits, rows = alice_prepare_block(config, source, forced_value=0)
+    _, outcomes = bob_measure_block(rows, config, source, forced_value=0)
     assert np.array_equal(outcomes, bits)
     assert source.ledger.get("bob", "bob_measurement") == 0
 
@@ -128,8 +128,8 @@ def test_mismatched_basis_outcomes_uniform():
     assert dist.prob((0,)) == pytest.approx(0.5, abs=1e-12)
     source = BitSource(6)
     config = ProtocolConfig(block_size=4000, num_blocks=1, mode="per_block")
-    _, _, block = alice_prepare_block(config, source, forced_value=0)
-    _, outcomes = bob_measure_block(block, config, source, forced_value=1)
+    _, _, rows = alice_prepare_block(config, source, forced_value=0)
+    _, outcomes = bob_measure_block(rows, config, source, forced_value=1)
     mean = outcomes.mean()
     sigma = math.sqrt(0.25 / 4000)
     assert abs(mean - 0.5) <= 5 * sigma
@@ -139,15 +139,13 @@ def test_mismatched_basis_outcomes_uniform():
 # --- channel ------------------------------------------------------------------
 
 
-def test_transmit_zero_keeps_rows():
-    import random as pyrandom
-
-    source = BitSource(7)
-    config = ProtocolConfig(block_size=16, num_blocks=1)
-    _, _, block = alice_prepare_block(config, source)
-    before = block.rows.copy()
-    transmit(block, 0.0, pyrandom.Random(0))
-    assert np.array_equal(block.rows, before)
+def test_noiseless_channel_draws_no_flips():
+    assert _channel_flips(ProtocolConfig(block_size=16, num_blocks=3, seed=7)) is None
+    # A noisy channel reads n uniforms per block, in block order.
+    config = ProtocolConfig(block_size=16, num_blocks=3, channel_flip_prob=0.3, seed=7)
+    rng = pyrandom.Random("7/channel")
+    expected = [[rng.random() < 0.3 for _ in range(16)] for _ in range(3)]
+    assert np.array_equal(_channel_flips(config), expected)
 
 
 def test_full_noise_flips_everything():
@@ -196,11 +194,6 @@ def test_sift_per_qubit_fraction():
     report = run_session(config)
     sigma = math.sqrt(10_000 * 0.25)
     assert abs(report.sifted_bits - 5000) <= 5 * sigma
-
-
-def test_sift_empty_records():
-    alice, bob, kept = sift([], "per_block")
-    assert len(alice) == 0 and len(bob) == 0 and kept == 0
 
 
 # --- estimation ---------------------------------------------------------------
@@ -460,6 +453,8 @@ def test_rates_empty_session():
         config = ProtocolConfig(block_size=4, num_blocks=1, seed=seed)
         report = run_session(config)
         if report.sifted_bits == 0:
+            assert report.kept_blocks == 0
+            assert len(report.alice_key) == 0 and len(report.bob_key) == 0
             rates = empirical_rates(report)
             assert rates.ck_rate == 0.0
             assert not rates.distillable

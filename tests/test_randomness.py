@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockqkd.randomness import (
@@ -169,6 +169,36 @@ def test_randbelow_in_range(n):
     source = BitSource(37)
     for _ in range(5):
         assert 0 <= source.randbelow("shared", "sampling", n) < n
+
+
+def _randbelow_reference(source, party, stage, n):
+    """Per-draw rejection sampling, one ledger record per attempt."""
+    if n == 1:
+        return 0
+    width = (n - 1).bit_length()
+    while True:
+        source.ledger.record(party, stage, width)
+        value = source._rng.getrandbits(width)
+        if value < n:
+            return value
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.integers(min_value=1, max_value=5000), max_size=40),
+)
+@example(seed=0, bounds=[1, 1, 1])
+@settings(max_examples=100)
+def test_randbelow_each_matches_per_draw_loop(seed, bounds):
+    batch, single, reference = BitSource(seed), BitSource(seed), BitSource(seed)
+    values = batch.randbelow_each("shared", "ec_permutation", bounds)
+    assert values == [single.randbelow("shared", "ec_permutation", n) for n in bounds]
+    assert values == [
+        _randbelow_reference(reference, "shared", "ec_permutation", n) for n in bounds
+    ]
+    for twin in (single, reference):
+        assert batch.ledger.counts == twin.ledger.counts
+        assert batch._rng.getstate() == twin._rng.getstate()
 
 
 def test_stage_source_charges_its_stage():
