@@ -105,17 +105,17 @@ def test_prepare_ledger_single_qubit_modes_coincide(mode):
 def test_measure_ledger_per_block():
     source = BitSource(4)
     config = ProtocolConfig(block_size=8, num_blocks=1, mode="per_block")
-    _, _, rows = alice_prepare_block(config, source)
+    _, _, block = alice_prepare_block(config, source)
     before = source.ledger.get("bob", "bob_basis")
-    bob_measure_block(rows, config, source)
+    bob_measure_block(block, config, source)
     assert source.ledger.get("bob", "bob_basis") - before == 1
 
 
 def test_matched_basis_reads_alice_bits_exactly():
     source = BitSource(5)
     config = ProtocolConfig(block_size=64, num_blocks=1, mode="per_block")
-    _, bits, rows = alice_prepare_block(config, source, forced_value=0)
-    _, outcomes = bob_measure_block(rows, config, source, forced_value=0)
+    _, bits, block = alice_prepare_block(config, source, forced_value=0)
+    _, outcomes = bob_measure_block(block, config, source, forced_value=0)
     assert np.array_equal(outcomes, bits)
     assert source.ledger.get("bob", "bob_measurement") == 0
 
@@ -128,8 +128,8 @@ def test_mismatched_basis_outcomes_uniform():
     assert dist.prob((0,)) == pytest.approx(0.5, abs=1e-12)
     source = BitSource(6)
     config = ProtocolConfig(block_size=4000, num_blocks=1, mode="per_block")
-    _, _, rows = alice_prepare_block(config, source, forced_value=0)
-    _, outcomes = bob_measure_block(rows, config, source, forced_value=1)
+    _, _, block = alice_prepare_block(config, source, forced_value=0)
+    _, outcomes = bob_measure_block(block, config, source, forced_value=1)
     mean = outcomes.mean()
     sigma = math.sqrt(0.25 / 4000)
     assert abs(mean - 0.5) <= 5 * sigma
