@@ -196,6 +196,18 @@ def test_sift_per_qubit_fraction():
     assert abs(report.sifted_bits - 5000) <= 5 * sigma
 
 
+def test_sift_empty_records():
+    # Sifting a session whose every block is discarded keeps nothing.
+    for seed in range(100):
+        config = ProtocolConfig(block_size=4, num_blocks=1, seed=seed)
+        report = run_session(config)
+        if report.kept_blocks == 0:
+            assert report.sifted_bits == 0
+            assert len(report.alice_key) == 0 and len(report.bob_key) == 0
+            return
+    pytest.fail("no discarded block in 100 seeds")
+
+
 # --- estimation ---------------------------------------------------------------
 
 
@@ -453,8 +465,6 @@ def test_rates_empty_session():
         config = ProtocolConfig(block_size=4, num_blocks=1, seed=seed)
         report = run_session(config)
         if report.sifted_bits == 0:
-            assert report.kept_blocks == 0
-            assert len(report.alice_key) == 0 and len(report.bob_key) == 0
             rates = empirical_rates(report)
             assert rates.ck_rate == 0.0
             assert not rates.distillable
