@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -391,3 +393,79 @@ def test_csv_floats_roundtrip(tmp_path):
     # repr-format floats survive the trip exactly
     assert float(row["qber_true"]) == payload["results"]["qber_true"]
     assert float(row["ck_rate"]) == payload["results"]["ck_rate"]
+
+
+# --- golden outputs -----------------------------------------------------------------
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+
+
+def _golden_argv(name, tmp_path):
+    """argv of one golden run; every run writes tmp_path/out.csv."""
+    output = ["--output", str(tmp_path / "out.csv")]
+    u_path = tmp_path / "cnot.txt"
+    save_unitary(u_path, cnot_entangler())
+    unitary = ["--num-blocks", "200", "--flip-prob", "0.02", "--seed", "5"]
+    if name == "example":
+        return ["run", str(EXAMPLE_CONFIG), "--num-blocks", "300", *output]
+    if name == "intercept_per_block":
+        return ["run", "--attack", "intercept_resend", "--fraction", "0.5",
+                "--granularity", "per_block", *output]
+    if name == "unitary_delayed":
+        return ["run", "--attack", "unitary_block", "--unitary-file", str(u_path),
+                "--num-ancillas", "1", "--block-size", "2", *unitary, *output]
+    if name == "unitary_immediate":
+        config = write_config(
+            tmp_path / "immediate.ini",
+            f"""
+[protocol]
+block_size = 2
+
+[attack]
+variant = unitary_block
+delayed = no
+unitary_file = {u_path}
+num_ancillas = 1
+
+[output]
+csv = {tmp_path / "out.csv"}
+""",
+        )
+        return ["run", config, *unitary]
+    if name == "per_qubit":
+        return ["run", "--mode", "per_qubit", "--sample-fraction", "0.3",
+                "--safety-margin", "10", "--repetitions", "3", *output]
+    assert name == "empty_session"
+    return ["run", "--block-size", "4", "--num-blocks", "1", "--seed", "1", *output]
+
+
+def _output_digest(csv_path):
+    """sha256 over the CSV bytes and each session JSON's bytes up to its
+    "versions" block, which holds the Python and numpy versions."""
+    h = hashlib.sha256(csv_path.read_bytes())
+    for path in sorted((csv_path.parent / f"{csv_path.stem}_sessions").glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        assert list(json.loads(text))[-1] == "versions"
+        head, sep, _ = text.partition(',\n  "versions": ')
+        assert sep
+        h.update(path.name.encode())
+        h.update(head.encode())
+    return h.hexdigest()
+
+
+GOLDEN_CLI_DIGESTS = {
+    "empty_session": "de6260e23b91a6fc8229a9545fa67c8797d35153c1d8c21c5a29377f16134b29",
+    "example": "e8e7dc978a26f6baac1d55e5c3818188bdcba51f447180d105f55a7479e36015",
+    "intercept_per_block": "46f06c5a8c64a7125674aadf9920785523a3ade36052fbc34b8d2d0df26be9ba",
+    "per_qubit": "9423aab47a457b75242908e86fe0f0ad537133df7ae8877824dd9ac3225e9c1e",
+    "unitary_delayed": "b145974007933400192d35dd05f363ef71b908e2edd5b94a11cd324fdda7f354",
+    "unitary_immediate": "55a7a74fd56d983314615bca052b3b90828b5c8c15309fc65a0718c187761b83",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLI_DIGESTS))
+def test_run_outputs_match_golden_digests(name, tmp_path):
+    """Fixed `blockqkd run` invocations reproduce the digests recorded for
+    package 0.2.0. A refactor of the command must leave them as they are."""
+    assert main(_golden_argv(name, tmp_path)) == 0
+    assert _output_digest(tmp_path / "out.csv") == GOLDEN_CLI_DIGESTS[name]
