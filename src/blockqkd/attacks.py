@@ -153,45 +153,27 @@ class EveRecord:
     bases: np.ndarray | None = None
     bits: np.ndarray | None = None
     guess_basis: int | None = None
-    kept: "EntangledBlock | SimulatedBlock | None" = None
+    kept: "EntangledBlock | None" = None
 
 
 @dataclass
 class EntangledBlock:
-    """Block qubits 0..n-1 plus Eve's ancillas n..n+m-1 in one register.
+    """Block qubits 0..n-1, then Eve's kept qubits, then her ancillas, in
+    one register.
 
-    prep_bases keeps the sender's encoding basis per block qubit; channel
-    flips act in that basis even after Eve's unitary.
+    A real block attacked by unitary_block_attack keeps nothing. In the
+    singlet-built block of singlet_simulation, Alice's real qubit sits at
+    alice_slot, every other block slot holds one singlet half, and
+    kept_slots hold Eve's partner halves in the same order as
+    partner_slots.
     """
 
     state: StateVector
-    prep_bases: np.ndarray
     num_block_qubits: int
+    alice_slot: int = 0
+    partner_slots: tuple[int, ...] = ()
     kept_slots: tuple[int, ...] = ()
     ancilla_slots: tuple[int, ...] = ()
-    eve_measured: bool = False
-
-    @property
-    def block_slots(self) -> tuple[int, ...]:
-        return tuple(range(self.num_block_qubits))
-
-
-@dataclass
-class SimulatedBlock:
-    """Register layout of the singlet-built block.
-
-    Slots 0..n-1 are the simulated block qubits (Alice's real qubit sits at
-    alice_slot, every other slot holds one singlet half); kept_slots hold
-    Eve's partner halves, in the same order as partner_slots; ancilla_slots
-    follow.
-    """
-
-    state: StateVector
-    num_block_qubits: int
-    alice_slot: int
-    partner_slots: tuple[int, ...]
-    kept_slots: tuple[int, ...]
-    ancilla_slots: tuple[int, ...]
     eve_measured: bool = False
 
     @property
@@ -238,7 +220,6 @@ def intercept_resend(
 
 def unitary_block_attack(
     rows: np.ndarray,
-    prep_bases: np.ndarray,
     spec: BlockAttackSpec,
     coin: StageSource,
 ) -> tuple[EntangledBlock, EveRecord]:
@@ -259,12 +240,7 @@ def unitary_block_attack(
         ancillas[0] = 1.0
         state = tensor(state, StateVector(m, ancillas))
     state = apply_unitary(state, spec.u, range(n + m))
-    block = EntangledBlock(
-        state=state,
-        prep_bases=prep_bases.copy(),
-        num_block_qubits=n,
-        ancilla_slots=tuple(range(n, n + m)),
-    )
+    block = EntangledBlock(state, num_block_qubits=n, ancilla_slots=tuple(range(n, n + m)))
     if spec.delayed:
         return block, EveRecord(kept=block)
     guess = coin.bit()
@@ -284,7 +260,7 @@ def singlet_simulation(
     u: UnitarySpec,
     num_ancillas: int,
     alice_slot: int = 0,
-) -> SimulatedBlock:
+) -> EntangledBlock:
     """Build Eve's stand-in for an n-qubit block and attack it with `u`.
 
     The register holds Alice's one real qubit at alice_slot, one singlet
@@ -323,7 +299,7 @@ def singlet_simulation(
     destinations.extend(range(2 * n - 1, total))
     state = permute_qubits(state, destinations)
     state = apply_unitary(state, u, list(range(n)) + list(range(2 * n - 1, total)))
-    return SimulatedBlock(
+    return EntangledBlock(
         state=state,
         num_block_qubits=n,
         alice_slot=alice_slot,
@@ -334,7 +310,7 @@ def singlet_simulation(
 
 
 def delayed_measurement(
-    register: EntangledBlock | SimulatedBlock,
+    register: EntangledBlock,
     announced_basis: Basis,
     coin: StageSource,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -373,22 +349,16 @@ class EquivalenceReport:
     tolerance: float = REDUCTION_TOL
 
 
-def verify_reduction(
-    u: UnitarySpec,
-    n: int,
-    m: int,
-    alice_input_distribution: dict[int, float] | None = None,
-) -> EquivalenceReport:
+def verify_reduction(u: UnitarySpec, n: int, m: int) -> EquivalenceReport:
     """Check that attacking the singlet-built block equals attacking a real one.
 
-    For every basis, Alice bit (with positive weight in
-    alice_input_distribution, default uniform), slot placement, and
-    kept-half outcome pattern: conditioning the simulated register on the
-    pattern must leave the forwarded block + ancillas in exactly the state
-    `u` produces from the real bit pattern (Alice's bit at her slot, the
-    complement of each kept outcome elsewhere), with every branch weight
-    exactly 2^-(n-1). Passes iff all density-matrix entries agree within
-    1e-9 and all weights do too.
+    For every basis, Alice bit, slot placement, and kept-half outcome
+    pattern: conditioning the simulated register on the pattern must leave
+    the forwarded block + ancillas in exactly the state `u` produces from
+    the real bit pattern (Alice's bit at her slot, the complement of each
+    kept outcome elsewhere), with every branch weight exactly 2^-(n-1).
+    Passes iff all density-matrix entries agree within 1e-9 and all
+    weights do too.
     """
     if n not in (2, 3):
         raise ValueError("block size must be 2 or 3")
@@ -399,17 +369,13 @@ def verify_reduction(
         raise ValueError(
             f"unitary dimension {u.dimension} does not match n={n}, m={m}"
         )
-    weights = alice_input_distribution or {0: 0.5, 1: 0.5}
-    alice_bits = [bit for bit, w in sorted(weights.items()) if w > 0.0]
-    if any(bit not in (0, 1) for bit in weights):
-        raise ValueError("alice_input_distribution is over a single bit")
     expected_weight = 2.0 ** -(n - 1)
     max_dev = 0.0
     max_weight_dev = 0.0
     cases = 0
     branches = 0
     for basis, alice_bit, alice_slot in product(
-        (Basis.Z, Basis.X), alice_bits, range(n)
+        (Basis.Z, Basis.X), (0, 1), range(n)
     ):
         cases += 1
         sim = singlet_simulation(

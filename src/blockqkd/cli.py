@@ -10,9 +10,11 @@ Subcommands:
   print one max-deviation line per case.
 - report: pretty-print a session JSON report.
 
-Configuration is a flat key = value file with [bracketed] sections; any
-flag overrides its config key. Wall-clock timings go to stderr only, so
-the files an experiment writes are identical across reruns.
+Configuration is a flat key = value file with [bracketed] sections. Each
+`run` setting is declared once, in SETTINGS, with its flag; a flag
+overrides its config key, and an unknown key or a bad value is a
+configuration error (exit code 2). Wall-clock timings go to stderr only,
+so the files an experiment writes are identical across reruns.
 """
 
 from __future__ import annotations
@@ -23,13 +25,20 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .attacks import BlockAttackSpec, load_unitary, reduction_corpus, verify_reduction
+from .attacks import (
+    ATTACK_VARIANTS,
+    GRANULARITIES,
+    BlockAttackSpec,
+    CorpusCase,
+    load_unitary,
+    reduction_corpus,
+    verify_reduction,
+)
 from .postprocess import DEFAULT_SAFETY_MARGIN, pipeline
 from .protocol import MODES, ProtocolConfig, empirical_rates, run_session
 from .randomness import PARTIES, STAGES
@@ -56,26 +65,6 @@ class ConfigError(Exception):
     """Anything wrong with the requested configuration (exit code 2)."""
 
 
-@dataclass
-class ExperimentConfig:
-    block_sizes: list[int]
-    num_blocks: int
-    mode: str
-    flip_probs: list[float]
-    sample_fraction: float
-    seed: int
-    repetitions: int
-    attack_variant: str
-    attack_fraction: float
-    attack_granularity: str
-    attack_delayed: bool
-    unitary_file: str | None
-    num_ancillas: int
-    csv_path: Path
-    json_dir: Path
-    safety_margin: int
-
-
 def _parse_list(text: str, convert):
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
@@ -86,7 +75,51 @@ def _parse_list(text: str, convert):
         raise ConfigError(f"bad list value {text!r}: {exc}") from exc
 
 
-def load_experiment(path: Path | None, args: argparse.Namespace) -> ExperimentConfig:
+# Every `run` setting: (section, key, type or tuple of choices, default,
+# flag); [type] is a comma-separated list. A flag beats the file and the
+# file beats the default. A [sweep] list replaces its [protocol] scalar
+# unless the scalar's flag is given.
+SETTINGS = (
+    ("protocol", "block_size", int, 4, "--block-size"),
+    ("protocol", "num_blocks", int, 100, "--num-blocks"),
+    ("protocol", "mode", MODES, "per_block", "--mode"),
+    ("protocol", "channel_flip_prob", float, 0.0, "--flip-prob"),
+    ("protocol", "sample_fraction", float, 0.2, "--sample-fraction"),
+    ("protocol", "seed", int, 0, "--seed"),
+    ("sweep", "block_sizes", [int], None, None),
+    ("sweep", "flip_probs", [float], None, None),
+    ("sweep", "repetitions", int, 1, "--repetitions"),
+    ("attack", "variant", ATTACK_VARIANTS, "none", "--attack"),
+    ("attack", "fraction", float, 0.0, "--fraction"),
+    ("attack", "granularity", GRANULARITIES, "per_qubit", "--granularity"),
+    ("attack", "delayed", bool, True, None),
+    ("attack", "unitary_file", str, "", "--unitary-file"),
+    ("attack", "num_ancillas", int, 0, "--num-ancillas"),
+    ("output", "csv", str, "results.csv", "--output"),
+    ("output", "json_dir", str, "", "--json-dir"),
+    ("output", "safety_margin", int, DEFAULT_SAFETY_MARGIN, "--safety-margin"),
+)
+
+
+def _read_setting(parser: configparser.ConfigParser, section: str, key: str, kind):
+    try:
+        text = parser.get(section, key)
+    except configparser.InterpolationError as exc:  # a stray '%'
+        raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+    if isinstance(kind, list):
+        return _parse_list(text, kind[0])
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ConfigError(f"[{section}] {key} must be one of {kind}, not {text!r}")
+        return text
+    try:
+        return parser.getboolean(section, key) if kind is bool else kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for [{section}] {key}: {text!r}") from exc
+
+
+def load_experiment(path: Path | None, args: argparse.Namespace) -> dict:
+    """The `run` settings by key, from the file at `path` and the flags."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is not None:
         if not path.is_file():
@@ -95,104 +128,56 @@ def load_experiment(path: Path | None, args: argparse.Namespace) -> ExperimentCo
             parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    known = {(section, key) for section, key, *_ in SETTINGS}
+    for section in (parser.default_section, *parser.sections()):
+        for key in parser[section]:
+            if (section, key) not in known:
+                raise ConfigError(f"unknown key [{section}] {key}")
 
-    def get(section: str, key: str, default):
-        if parser.has_option(section, key):
-            text = parser.get(section, key)
-            try:
-                if isinstance(default, bool):
-                    return parser.getboolean(section, key)
-                return type(default)(text)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {text!r}") from exc
-        return default
-
-    block_sizes = [get("protocol", "block_size", 4)]
-    if parser.has_option("sweep", "block_sizes"):
-        block_sizes = _parse_list(parser.get("sweep", "block_sizes"), int)
-    flip_probs = [get("protocol", "channel_flip_prob", 0.0)]
-    if parser.has_option("sweep", "flip_probs"):
-        flip_probs = _parse_list(parser.get("sweep", "flip_probs"), float)
-
-    cfg = ExperimentConfig(
-        block_sizes=block_sizes,
-        num_blocks=get("protocol", "num_blocks", 100),
-        mode=get("protocol", "mode", "per_block"),
-        flip_probs=flip_probs,
-        sample_fraction=get("protocol", "sample_fraction", 0.2),
-        seed=get("protocol", "seed", 0),
-        repetitions=get("sweep", "repetitions", 1),
-        attack_variant=get("attack", "variant", "none"),
-        attack_fraction=get("attack", "fraction", 0.0),
-        attack_granularity=get("attack", "granularity", "per_qubit"),
-        attack_delayed=get("attack", "delayed", True),
-        unitary_file=get("attack", "unitary_file", "") or None,
-        num_ancillas=get("attack", "num_ancillas", 0),
-        csv_path=Path(get("output", "csv", "results.csv")),
-        json_dir=Path(get("output", "json_dir", "")) if get("output", "json_dir", "") else None,
-        safety_margin=get("output", "safety_margin", DEFAULT_SAFETY_MARGIN),
-    )
-
-    overrides = {
-        "block_size": ("block_sizes", lambda v: [v]),
-        "num_blocks": ("num_blocks", None),
-        "mode": ("mode", None),
-        "flip_prob": ("flip_probs", lambda v: [v]),
-        "sample_fraction": ("sample_fraction", None),
-        "seed": ("seed", None),
-        "repetitions": ("repetitions", None),
-        "attack": ("attack_variant", None),
-        "fraction": ("attack_fraction", None),
-        "granularity": ("attack_granularity", None),
-        "unitary_file": ("unitary_file", None),
-        "num_ancillas": ("num_ancillas", None),
-        "output": ("csv_path", Path),
-        "json_dir": ("json_dir", Path),
-        "safety_margin": ("safety_margin", None),
-    }
-    for flag, (attr, convert) in overrides.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, convert(value) if convert else value)
-
-    if cfg.json_dir is None:
-        cfg.json_dir = cfg.csv_path.parent / (cfg.csv_path.stem + "_sessions")
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}")
-    if cfg.repetitions < 1:
+    cfg = {}
+    for section, key, kind, default, flag in SETTINGS:
+        if flag and getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+        elif parser.has_option(section, key):
+            cfg[key] = _read_setting(parser, section, key, kind)
+        else:
+            cfg[key] = default
+    for scalar, listed in (("block_size", "block_sizes"), ("channel_flip_prob", "flip_probs")):
+        if cfg[listed] is None or getattr(args, scalar) is not None:
+            cfg[listed] = [cfg[scalar]]
+    cfg["csv"] = Path(cfg["csv"])
+    cfg["json_dir"] = Path(cfg["json_dir"] or cfg["csv"].parent / f"{cfg['csv'].stem}_sessions")
+    if cfg["repetitions"] < 1:
         raise ConfigError("repetitions must be >= 1")
-    if not cfg.block_sizes or not cfg.flip_probs:
-        raise ConfigError("sweep lists must be nonempty")
+    if cfg["safety_margin"] < 0:
+        raise ConfigError("safety_margin must be >= 0")
     return cfg
 
 
-def _build_attack(cfg: ExperimentConfig, block_size: int) -> BlockAttackSpec:
-    if cfg.attack_variant == "none":
+def _build_attack(cfg: dict, block_size: int) -> BlockAttackSpec:
+    if cfg["variant"] == "none":
         return BlockAttackSpec.none()
-    if cfg.attack_variant == "intercept_resend":
+    if cfg["variant"] == "intercept_resend":
         try:
-            return BlockAttackSpec.intercept(cfg.attack_fraction, cfg.attack_granularity)
+            return BlockAttackSpec.intercept(cfg["fraction"], cfg["granularity"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if cfg.attack_variant == "unitary_block":
-        if not cfg.unitary_file:
-            raise ConfigError("unitary_block attack needs unitary_file")
-        try:
-            u = load_unitary(cfg.unitary_file)
-        except OSError as exc:
-            raise ConfigError(f"cannot read unitary file: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"bad unitary file: {exc}") from exc
-        n = u.num_qubits - cfg.num_ancillas
-        if n != block_size:
-            raise ConfigError(
-                f"unitary covers {n} block qubits but the sweep uses n={block_size}"
-            )
-        try:
-            return BlockAttackSpec.unitary(u, n, cfg.num_ancillas, cfg.attack_delayed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown attack variant {cfg.attack_variant!r}")
+    if not cfg["unitary_file"]:
+        raise ConfigError("unitary_block attack needs unitary_file")
+    try:
+        u = load_unitary(cfg["unitary_file"])
+    except OSError as exc:
+        raise ConfigError(f"cannot read unitary file: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad unitary file: {exc}") from exc
+    m = cfg["num_ancillas"]
+    n = u.num_qubits - m
+    if n != block_size:
+        raise ConfigError(f"unitary covers {n} block qubits but the sweep uses n={block_size}")
+    try:
+        return BlockAttackSpec.unitary(u, n, m, cfg["delayed"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _session_json(config, attack, report, rates, result, margin) -> dict:
@@ -270,76 +255,76 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_experiment(args.config, args)
     points = [
         (n, flip, rep)
-        for n in cfg.block_sizes
-        for flip in cfg.flip_probs
-        for rep in range(cfg.repetitions)
+        for n in cfg["block_sizes"]
+        for flip in cfg["flip_probs"]
+        for rep in range(cfg["repetitions"])
     ]
-    attacks = {n: _build_attack(cfg, n) for n in cfg.block_sizes}
-    rows = []
-    json_payloads = []
+    attacks = {n: _build_attack(cfg, n) for n in cfg["block_sizes"]}
+    margin = cfg["safety_margin"]
+    payloads = []
     for index, (n, flip, rep) in enumerate(points):
         attack = attacks[n]
         try:
             config = ProtocolConfig(
                 block_size=n,
-                num_blocks=cfg.num_blocks,
-                mode=cfg.mode,
+                num_blocks=cfg["num_blocks"],
+                mode=cfg["mode"],
                 channel_flip_prob=flip,
-                sample_fraction=cfg.sample_fraction,
-                seed=cfg.seed + index,
+                sample_fraction=cfg["sample_fraction"],
+                seed=cfg["seed"] + index,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         started = time.perf_counter()
         report = run_session(config, attack)
         rates = empirical_rates(report)
-        if report.sifted_bits:
-            result = pipeline(report, rates, cfg.safety_margin)
-        else:
-            result = None
+        result = pipeline(report, rates, margin) if report.sifted_bits else None
         elapsed = time.perf_counter() - started
         print(
             f"point {index}: n={n} flip={flip:g} rep={rep} "
             f"sifted={report.sifted_bits} ({elapsed:.2f}s)",
             file=sys.stderr,
         )
-        stage_totals = report.ledger.as_dict()
-        rows.append(
-            {
-                "mode": config.mode,
-                "n": n,
-                "num_blocks": config.num_blocks,
-                "seed": config.seed,
-                "attack": attack.label,
-                "flip_prob": flip,
-                "sifted_bits": report.sifted_bits,
-                "qber_true": report.qber_true,
-                "qber_estimated": report.qber_estimated,
-                "i_ab": rates.i_ab,
-                "i_ea": rates.i_ea,
-                "i_eb": rates.i_eb,
-                "ck_rate": rates.ck_rate,
-                "final_key_len": 0 if result is None else len(result.final_key),
-                **{f"bits_{stage}": stage_totals[stage] for stage in STAGES},
-            }
-        )
-        json_payloads.append(
-            (index, _session_json(config, attack, report, rates, result, cfg.safety_margin))
-        )
+        payloads.append(_session_json(config, attack, report, rates, result, margin))
 
-    cfg.csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(cfg.csv_path, "w", encoding="utf-8", newline="") as fh:
+    csv_path, json_dir = cfg["csv"], cfg["json_dir"]
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(row[col]) for col in CSV_COLUMNS) + "\n")
-    cfg.json_dir.mkdir(parents=True, exist_ok=True)
-    for index, payload in json_payloads:
-        out = cfg.json_dir / f"session_{index:04d}.json"
+        for payload in payloads:
+            fh.write(_csv_row(payload) + "\n")
+    json_dir.mkdir(parents=True, exist_ok=True)
+    for index, payload in enumerate(payloads):
+        out = json_dir / f"session_{index:04d}.json"
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    print(f"wrote {cfg.csv_path} and {len(json_payloads)} session reports", file=sys.stderr)
+    print(f"wrote {csv_path} and {len(payloads)} session reports", file=sys.stderr)
     return 0
+
+
+def _csv_row(payload: dict) -> str:
+    """One session's CSV line, in CSV_COLUMNS order, read from its JSON
+    report. An empty session's report has no QBERs, rates or key; its row
+    reads 0.0 for each and 0 for final_key_len."""
+    config, results = payload["config"], payload["results"]
+    stages = payload["ledger"]["stages"]
+    cells = [
+        config["mode"],
+        config["block_size"],
+        config["num_blocks"],
+        config["seed"],
+        config["attack"],
+        config["channel_flip_prob"],
+        results["sifted_bits"],
+        *(
+            results.get(key, 0.0)
+            for key in ("qber_true", "qber_estimated", "i_ab", "i_ea", "i_eb", "ck_rate")
+        ),
+        results.get("final_key_len", 0),
+        *(stages[stage] for stage in STAGES),
+    ]
+    return ",".join(_csv_cell(cell) for cell in cells)
 
 
 def _csv_cell(value) -> str:
@@ -377,8 +362,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"unitary file implies block size {n}, outside the verifiable range"
             )
-        from .attacks import CorpusCase
-
         cases.append(CorpusCase(f"file({args.unitary_file})", u, n, args.file_ancillas))
     failures = 0
     for case in cases:
@@ -444,21 +427,10 @@ def main(argv: list[str] | None = None) -> int:
 
     run_p = sub.add_parser("run", help="execute a configured sweep")
     run_p.add_argument("config", nargs="?", type=Path, help="key = value config file")
-    run_p.add_argument("--block-size", dest="block_size", type=int)
-    run_p.add_argument("--num-blocks", dest="num_blocks", type=int)
-    run_p.add_argument("--mode", choices=MODES)
-    run_p.add_argument("--flip-prob", dest="flip_prob", type=float)
-    run_p.add_argument("--sample-fraction", dest="sample_fraction", type=float)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--repetitions", type=int)
-    run_p.add_argument("--attack", choices=("none", "intercept_resend", "unitary_block"))
-    run_p.add_argument("--fraction", type=float)
-    run_p.add_argument("--granularity", choices=("per_qubit", "per_block"))
-    run_p.add_argument("--unitary-file", dest="unitary_file")
-    run_p.add_argument("--num-ancillas", dest="num_ancillas", type=int)
-    run_p.add_argument("--output", help="aggregate CSV path")
-    run_p.add_argument("--json-dir", dest="json_dir", help="per-session JSON directory")
-    run_p.add_argument("--safety-margin", dest="safety_margin", type=int)
+    for section, key, kind, _, flag in SETTINGS:
+        if flag:
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            run_p.add_argument(flag, dest=key, help=f"[{section}] {key}", **typed)
     run_p.set_defaults(func=cmd_run)
 
     verify_p = sub.add_parser("verify", help="singlet-simulation equivalence corpus")

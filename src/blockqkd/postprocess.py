@@ -274,7 +274,6 @@ def cascade(
     bob_key: np.ndarray,
     qber_estimate: float,
     source: BitSource,
-    passes: int = CASCADE_PASSES,
     block_factor: float = CASCADE_BLOCK_FACTOR,
 ) -> ReconciliationResult:
     """Correct bob_key toward alice_key, counting the independent parities
@@ -349,7 +348,7 @@ def cascade(
                 if mismatched(p2, b2):
                     queue.append((p2, b2))
 
-    for p in range(passes):
+    for p in range(CASCADE_PASSES):
         order = np.arange(n) if p == 0 else _ledgered_permutation(n, source)
         size = min(first_block << p, n)
         orders.append(order)
@@ -365,7 +364,7 @@ def cascade(
     return ReconciliationResult(
         corrected_key=working,
         disclosed_parities=_leak_rank(orders, told),
-        passes=passes,
+        passes=CASCADE_PASSES,
         residual_mismatches=residual,
     )
 
@@ -382,12 +381,15 @@ def toeplitz_pa(
     Output length is max(0, len - leaked_bits - ceil(eve_info_bits) -
     safety_margin). The (len + output - 1)-bit seed is charged to pa_seed;
     output bit j is the parity of key AND seed[j : j + len]. A zero-length
-    output applies no hash and draws no seed.
+    output applies no hash and draws no seed. A negative leak, credit or
+    margin would lengthen the key past its budget and is rejected.
     """
     key = np.asarray(key, dtype=np.uint8)
     length = len(key)
     if length == 0:
         raise ValueError("key must be nonempty")
+    if leaked_bits < 0 or eve_info_bits < 0 or safety_margin < 0:
+        raise ValueError("leaked_bits, eve_info_bits and safety_margin must be >= 0")
     target = length - int(leaked_bits) - math.ceil(eve_info_bits) - int(safety_margin)
     out_len = max(0, target)
     if out_len == 0:
@@ -421,6 +423,8 @@ def pipeline(
     the rate report says a key is distillable, reconciliation ends with
     zero residual mismatches, and the length budget stays positive.
     """
+    if safety_margin < 0:
+        raise ValueError("safety_margin must be >= 0")
     if report.sifted_bits == 0:
         raise ValueError("session produced an empty sifted key")
     if report.source is None:

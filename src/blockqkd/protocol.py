@@ -99,10 +99,6 @@ class SessionReport:
     source: BitSource = field(repr=False, default=None)
 
     @property
-    def sifted_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.alice_key, self.bob_key
-
-    @property
     def consumption(self) -> ConsumptionReport:
         return ConsumptionReport.from_ledger(self.ledger, self.raw_qubits)
 
@@ -244,9 +240,7 @@ def run_session(
                 rows, alice_bases, attack, eve_coin
             )
         elif attack.variant == "unitary_block":
-            carrier, record = attacks_mod.unitary_block_attack(
-                rows, alice_bases, attack, eve_coin
-            )
+            carrier, record = attacks_mod.unitary_block_attack(rows, attack, eve_coin)
         if flips is not None:
             if isinstance(carrier, EntangledBlock):
                 for i in np.flatnonzero(flips[index]):

@@ -69,13 +69,9 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-10:
+        if not abs(norm_sq - 1.0) <= 1e-10:
             raise ValueError(f"state norm^2 is {norm_sq}, not 1")
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm_error(self) -> float:
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -90,11 +86,11 @@ class DensityMatrix:
         rho = np.asarray(self.entries, dtype=complex)
         if rho.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL:
+        if not np.max(np.abs(rho - rho.conj().T)) <= HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-10:
+        if not abs(np.trace(rho).real - 1.0) <= 1e-10:
             raise ValueError(f"trace is {np.trace(rho)}, not 1")
-        if np.min(np.linalg.eigvalsh(rho)) < EIGENVALUE_FLOOR:
+        if not np.min(np.linalg.eigvalsh(rho)) >= EIGENVALUE_FLOOR:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", rho)
 
@@ -113,7 +109,7 @@ class UnitarySpec:
         if u.shape != (self.dimension, self.dimension):
             raise ValueError(f"expected shape {(self.dimension, self.dimension)}")
         deviation = np.max(np.abs(u @ u.conj().T - np.eye(self.dimension)))
-        if deviation > UNITARY_TOL:
+        if not deviation <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (max |UU+ - I| = {deviation:.3e})")
         object.__setattr__(self, "entries", u)
 
@@ -260,12 +256,8 @@ def embed(num_qubits: int, u: UnitarySpec, targets: Sequence[int]) -> UnitarySpe
     dim = 2**num_qubits
     if u.dimension != 2 ** len(targets):
         raise ValueError("unitary dimension does not match targets")
-    columns = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        basis_vec = np.zeros(dim, dtype=complex)
-        basis_vec[col] = 1.0
-        columns[:, col] = _apply_matrix(basis_vec, u.entries, targets, num_qubits)
-    return UnitarySpec(dim, columns)
+    identity = np.eye(dim, dtype=complex)
+    return UnitarySpec(dim, _apply_matrix(identity, u.entries, targets, num_qubits))
 
 
 def apply_unitary(
@@ -288,11 +280,13 @@ def apply_unitary(
 def _apply_matrix(
     amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], n: int
 ) -> np.ndarray:
+    """`matrix` on `targets` of a state, or of each column of a
+    (2^n, k) array of states."""
     t = len(targets)
-    psi = amps.reshape([2] * n)
+    psi = amps.reshape([2] * n + [-1])
     op = matrix.reshape([2] * (2 * t))
     psi = np.tensordot(op, psi, axes=(list(range(t, 2 * t)), list(targets)))
-    return np.moveaxis(psi, range(t), targets).reshape(-1)
+    return np.moveaxis(psi, range(t), targets).reshape(amps.shape)
 
 
 def permute_qubits(state: StateVector, destinations: Sequence[int]) -> StateVector:

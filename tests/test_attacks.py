@@ -164,14 +164,14 @@ def test_unitary_identity_keeps_block_state():
     bases = np.array([0, 0])
     rows = bb84_rows(bits, bases)
     spec = BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=True)
-    register, record = unitary_block_attack(rows, bases, spec, coin)
+    register, record = unitary_block_attack(rows, spec, coin)
     assert register.state.num_qubits == 3
     assert register.ancilla_slots == (2,)
     assert not register.eve_measured
     assert record.kept is register
 
     identity_spec = BlockAttackSpec.unitary(IDENTITY4, 2, 0, delayed=True)
-    register2, _ = unitary_block_attack(rows, bases, identity_spec, coin)
+    register2, _ = unitary_block_attack(rows, identity_spec, coin)
     assert np.allclose(register2.state.amplitudes, rows_to_state(rows).amplitudes)
 
 
@@ -181,7 +181,7 @@ def test_unitary_immediate_measures_now():
     bases = np.array([0, 0])
     rows = bb84_rows(bits, bases)
     spec = BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=False)
-    register, record = unitary_block_attack(rows, bases, spec, coin)
+    register, record = unitary_block_attack(rows, spec, coin)
     assert record.guess_basis in (0, 1)
     assert record.bits is not None and len(record.bits) == 1
     assert register.eve_measured
@@ -329,12 +329,6 @@ def test_verify_random_cases():
         assert report.passed, f"n={n} m={m} deviated by {report.max_deviation}"
 
 
-def test_verify_biased_alice_distribution():
-    report = verify_reduction(np.eye(4), 2, 0, alice_input_distribution={0: 1.0, 1: 0.0})
-    assert report.passed
-    assert report.cases_checked == 4
-
-
 def test_verify_preconditions():
     with pytest.raises(ValueError):
         verify_reduction(np.eye(16), 4, 0)
@@ -380,6 +374,13 @@ def test_load_rejects_wrong_shape(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("dim 2\n1.0,0.0 0.0,0.0\n")
     with pytest.raises(ValueError):
+        load_unitary(path)
+
+
+def test_load_rejects_nan_entry(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("dim 2\nnan,0 0.0,0.0\n0.0,0.0 1.0,0.0\n")
+    with pytest.raises(ValueError, match="not unitary"):
         load_unitary(path)
 
 

@@ -111,6 +111,59 @@ def test_run_bad_values_exit_2(tmp_path):
     # booleans are strict: a misspelt value must not silently mean false
     config = write_config(tmp_path / "typo.ini", "[attack]\ndelayed = ture\n")
     assert main(["run", config, "--output", str(csv_path)]) == 2
+    # '%' starts an interpolation; a stray one is a bad value
+    config = write_config(tmp_path / "pct.ini", f"[output]\ncsv = {tmp_path}/a%b.csv\n")
+    assert main(["run", config]) == 2
+    assert not csv_path.exists()
+
+
+def test_run_unknown_key_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "x.csv"
+    config = write_config(tmp_path / "typo.ini", "[protocol]\nblocksize = 4\n")
+    assert main(["run", config, "--output", str(csv_path)]) == 2
+    assert "unknown key [protocol] blocksize" in capsys.readouterr().err
+    # a known key in the wrong section is unknown there
+    config = write_config(tmp_path / "moved.ini", "[attack]\nseed = 4\n")
+    assert main(["run", config, "--output", str(csv_path)]) == 2
+    assert not csv_path.exists()
+
+
+def test_run_bad_choice_in_file_exits_2(tmp_path, capsys):
+    # checked like the flag's choices, even where the attack ignores it
+    csv_path = tmp_path / "x.csv"
+    config = write_config(
+        tmp_path / "bad.ini", "[attack]\nvariant = none\ngranularity = per_photon\n"
+    )
+    assert main(["run", config, "--output", str(csv_path)]) == 2
+    assert "[attack] granularity" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_run_negative_safety_margin_exits_2(tmp_path):
+    csv_path = tmp_path / "x.csv"
+    base = ["run", "--block-size", "4", "--num-blocks", "300", "--seed", "3"]
+    assert main([*base, "--safety-margin", "-1", "--output", str(csv_path)]) == 2
+    config = write_config(tmp_path / "neg.ini", "[output]\nsafety_margin = -200\n")
+    assert main([*base, config, "--output", str(csv_path)]) == 2
+    assert not csv_path.exists()
+
+
+def nan_unitary_file(tmp_path):
+    """The 2-qubit identity with one NaN entry."""
+    rows = [
+        " ".join("nan,0" if i == j == 0 else f"{int(i == j)},0" for j in range(4))
+        for i in range(4)
+    ]
+    path = tmp_path / "nan.txt"
+    path.write_text("dim 4\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_run_nan_unitary_file_exits_2(tmp_path, capsys):
+    argv = ["run", "--block-size", "2", "--attack", "unitary_block",
+            "--unitary-file", nan_unitary_file(tmp_path), "--output", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert "bad unitary file" in capsys.readouterr().err
 
 
 def test_run_flag_overrides_config(tmp_path):
@@ -273,6 +326,12 @@ def test_verify_rejects_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("dim 2\n1.0,0.0 0.0,0.0\n0.0,0.0 0.5,0.0\n")
     code = main(["verify", "--random-count", "0", "--unitary-file", str(bad)])
+    assert code == 1
+    assert "rejected unitary file" in capsys.readouterr().err
+
+
+def test_verify_rejects_nan_file(tmp_path, capsys):
+    code = main(["verify", "--random-count", "0", "--unitary-file", nan_unitary_file(tmp_path)])
     assert code == 1
     assert "rejected unitary file" in capsys.readouterr().err
 

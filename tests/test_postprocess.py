@@ -297,6 +297,13 @@ def test_toeplitz_rejects_empty_key():
         toeplitz_pa(np.zeros(0, dtype=np.uint8), 0, 0.0, 0, BitSource(61))
 
 
+@pytest.mark.parametrize("leaked, eve_info, margin", [(-1, 0.0, 0), (0, -1.0, 0), (0, 0.0, -1)])
+def test_toeplitz_rejects_negative_budget_terms(leaked, eve_info, margin):
+    # a negative term would lengthen the key past its budget
+    with pytest.raises(ValueError):
+        toeplitz_pa(np.zeros(100, dtype=np.uint8), leaked, eve_info, margin, BitSource(62))
+
+
 # --- pipeline -------------------------------------------------------------------
 
 
@@ -330,6 +337,14 @@ def test_pipeline_full_intercept_not_distillable():
     assert len(result.final_key) == 0
     assert result.reconciliation is None
     assert result.amplification is None
+
+
+def test_pipeline_rejects_negative_margin():
+    # rejected up front, also where the session would end before hashing
+    config = ProtocolConfig(block_size=4, num_blocks=300, mode="per_block", seed=71)
+    report = run_session(config, BlockAttackSpec.intercept(1.0, "per_qubit"))
+    with pytest.raises(ValueError, match="safety_margin"):
+        pipeline(report, empirical_rates(report), -1)
 
 
 def test_pipeline_qber_too_high():

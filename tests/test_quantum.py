@@ -23,6 +23,7 @@ from blockqkd.quantum import (
     RandomCoin,
     StateVector,
     UnitarySpec,
+    _apply_matrix,
     apply_unitary,
     bb84_rows,
     embed,
@@ -83,6 +84,9 @@ def test_statevector_validation():
         StateVector(1, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         StateVector(1, np.array([1.0, 1.0]))
+    # NaN compares false with everything, so the checks must not pass it
+    with pytest.raises(ValueError):
+        StateVector(1, np.array([np.nan, 1.0]))
 
 
 def test_density_matrix_validation():
@@ -90,6 +94,8 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[0.5, 0.5j], [0.5j, 0.5]]))
     with pytest.raises(ValueError):
         DensityMatrix(1, np.eye(2))
+    with pytest.raises(ValueError):
+        DensityMatrix(1, np.array([[np.nan, 0.0], [0.0, 0.5]]))
     valid = DensityMatrix(1, np.eye(2) / 2)
     assert np.allclose(valid.entries, np.eye(2) / 2)
 
@@ -207,11 +213,27 @@ def test_embed_places_gate_on_targets():
     assert np.allclose(u.entries @ amps, amps)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_embed_matches_column_by_column(seed):
+    # embed applies the gate to all identity columns at once; each column
+    # must equal the gate applied to that basis vector alone, bit for bit.
+    u = random_unitary(2, seed)
+    for targets in ((0, 2), (2, 0), (1, 3)):
+        full = embed(4, u, targets)
+        for col in range(16):
+            basis_vec = np.zeros(16, dtype=complex)
+            basis_vec[col] = 1.0
+            column = _apply_matrix(basis_vec, u.entries, targets, 4)
+            assert np.array_equal(full.entries[:, col], column)
+
+
 def test_unitary_spec_rejects_non_unitary():
     with pytest.raises(ValueError):
         UnitarySpec.from_matrix(np.array([[1.0, 0.0], [0.0, 0.5]]))
     with pytest.raises(ValueError):
         UnitarySpec(3, np.eye(3))
+    with pytest.raises(ValueError):
+        UnitarySpec.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_permute_qubits_moves_amplitudes():
