@@ -452,6 +452,8 @@ def reduction_corpus(
 ) -> list[CorpusCase]:
     """Deterministic test corpus: identities, the CNOT entangler, and
     seeded Haar-random unitaries cycling over the (n, m) grid."""
+    if random_count < 0:
+        raise ValueError("random_count must be >= 0")
     cases = []
     combos = [(n, m) for n in block_sizes for m in ancillas]
     if not combos:

@@ -151,6 +151,11 @@ def load_experiment(path: Path | None, args: argparse.Namespace) -> dict:
         raise ConfigError("repetitions must be >= 1")
     if cfg["safety_margin"] < 0:
         raise ConfigError("safety_margin must be >= 0")
+    # checked whatever the variant, like the choices above
+    if not 0.0 <= cfg["fraction"] <= 1.0:
+        raise ConfigError("fraction must lie in [0, 1]")
+    if cfg["num_ancillas"] < 0:
+        raise ConfigError("num_ancillas must be >= 0")
     return cfg
 
 
@@ -158,10 +163,7 @@ def _build_attack(cfg: dict, block_size: int) -> BlockAttackSpec:
     if cfg["variant"] == "none":
         return BlockAttackSpec.none()
     if cfg["variant"] == "intercept_resend":
-        try:
-            return BlockAttackSpec.intercept(cfg["fraction"], cfg["granularity"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return BlockAttackSpec.intercept(cfg["fraction"], cfg["granularity"])
     if not cfg["unitary_file"]:
         raise ConfigError("unitary_block attack needs unitary_file")
     try:
@@ -345,12 +347,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for m in ancillas:
         if m < 0 or m + max(block_sizes) > 8:
             raise ConfigError(f"ancilla count {m} puts the register past 8 qubits")
-    cases = reduction_corpus(
-        random_count=args.random_count,
-        seed=args.seed,
-        block_sizes=tuple(block_sizes),
-        ancillas=tuple(ancillas),
-    )
+    try:
+        cases = reduction_corpus(
+            random_count=args.random_count,
+            seed=args.seed,
+            block_sizes=tuple(block_sizes),
+            ancillas=tuple(ancillas),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.unitary_file:
         try:
             u = load_unitary(args.unitary_file)

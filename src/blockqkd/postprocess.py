@@ -33,7 +33,14 @@ Compression multiplies the reconciled key by a random Toeplitz matrix: a
 (key + output - 1)-bit seed defines rows that slide along it one bit at a
 time. Output length is the key length minus everything an eavesdropper
 may know: disclosed parities, the attack-model information estimate, and
-a safety margin.
+a safety margin. All output bits come from one float64 FFT convolution of
+the seed with the reversed key, in O(L log L) (Tang et al. 2019 do the
+same at scale; Hayashi & Tsurumaru, arXiv:1311.5322, on Toeplitz
+hashing). The transform is the next power of two at or above the seed
+length, since wrap-around lands only outside the output window. Each
+window sum is an integer of at most L, and the float64 error stays many
+orders below 1/2 (about 1e-10 at L = 10^6), so rounding recovers it
+exactly; a residual of 0.25 or more raises instead of returning a key.
 
 Every random draw (permutations, hash seed) is charged to the session
 ledger, continued through the report's live source.
@@ -369,6 +376,25 @@ def cascade(
     )
 
 
+def _window_sums(seed: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """sum(key AND seed[j : j + len(key)]) for j = 0 .. len(seed) - len(key).
+
+    A float64 real FFT convolution of the seed with the reversed key, on
+    the next power of two >= len(seed): wrap-around adds only to outputs
+    below len(key) - 1 or past len(seed) - 1, outside the window read here.
+    Each sum is an integer of at most len(key); a residual of 0.25 from
+    rint would mean rounding may have picked the wrong one, so it raises.
+    """
+    length = len(key)
+    size = 1 << (len(seed) - 1).bit_length()
+    spectrum = np.fft.rfft(seed, size) * np.fft.rfft(key[::-1], size)
+    sums = np.fft.irfft(spectrum, size)[length - 1 : len(seed)]
+    rounded = np.rint(sums)
+    if np.any(np.abs(sums - rounded) >= 0.25):
+        raise ArithmeticError("FFT window sums are not within 0.25 of integers")
+    return rounded.astype(np.int64)
+
+
 def toeplitz_pa(
     key: np.ndarray,
     leaked_bits: int,
@@ -380,9 +406,11 @@ def toeplitz_pa(
 
     Output length is max(0, len - leaked_bits - ceil(eve_info_bits) -
     safety_margin). The (len + output - 1)-bit seed is charged to pa_seed;
-    output bit j is the parity of key AND seed[j : j + len]. A zero-length
-    output applies no hash and draws no seed. A negative leak, credit or
-    margin would lengthen the key past its budget and is rejected.
+    output bit j is the parity of key AND seed[j : j + len], taken from
+    FFT window sums that are rounded exactly or raise (_window_sums). A
+    zero-length output applies no hash and draws no seed. A negative leak,
+    credit or margin would lengthen the key past its budget and is
+    rejected.
     """
     key = np.asarray(key, dtype=np.uint8)
     length = len(key)
@@ -401,8 +429,7 @@ def toeplitz_pa(
         )
     seed_bits = length + out_len - 1
     seed = source.draw_bits("shared", "pa_seed", seed_bits)
-    sums = np.correlate(seed.astype(np.int64), key.astype(np.int64), mode="valid")
-    final = (sums & 1).astype(np.uint8)
+    final = (_window_sums(seed, key) & 1).astype(np.uint8)
     return AmplificationResult(
         final_key=final,
         input_length=length,

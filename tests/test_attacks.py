@@ -350,6 +350,12 @@ def test_corpus_contents():
         assert case.n + case.m <= 8
 
 
+def test_corpus_rejects_negative_random_count():
+    with pytest.raises(ValueError):
+        reduction_corpus(random_count=-1)
+    assert len(reduction_corpus(random_count=0, block_sizes=(2,), ancillas=(0,))) == 1
+
+
 # --- unitary file format ------------------------------------------------------
 
 

@@ -148,6 +148,20 @@ def test_run_negative_safety_margin_exits_2(tmp_path):
     assert not csv_path.exists()
 
 
+def test_run_attack_ranges_checked_for_every_variant(tmp_path, capsys):
+    # the default variant is none, which reads neither value
+    csv_path = tmp_path / "x.csv"
+    assert main(["run", "--fraction", "2", "--output", str(csv_path)]) == 2
+    assert "fraction" in capsys.readouterr().err
+    assert main(["run", "--num-ancillas", "-4", "--output", str(csv_path)]) == 2
+    assert "num_ancillas" in capsys.readouterr().err
+    config = write_config(tmp_path / "neg.ini", "[attack]\nfraction = -0.5\n")
+    assert main(["run", config, "--output", str(csv_path)]) == 2
+    config = write_config(tmp_path / "nan.ini", "[attack]\nfraction = nan\n")
+    assert main(["run", config, "--output", str(csv_path)]) == 2
+    assert not csv_path.exists()
+
+
 def nan_unitary_file(tmp_path):
     """The 2-qubit identity with one NaN entry."""
     rows = [
@@ -357,6 +371,14 @@ def test_verify_accepts_good_file(tmp_path, capsys):
 def test_verify_rejects_unsupported_sizes():
     assert main(["verify", "--block-sizes", "4"]) == 2
     assert main(["verify", "--ancillas", "7"]) == 2
+
+
+def test_verify_negative_random_count_exits_2(capsys):
+    args = ["verify", "--block-sizes", "2", "--ancillas", "0", "--random-count", "-3"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "random_count" in captured.err
+    assert captured.out == ""
 
 
 # --- report ---------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockqkd import postprocess
@@ -12,6 +14,7 @@ from blockqkd.postprocess import (
     MIN_KEY_LENGTH,
     ParitySpan,
     _leak_rank,
+    _window_sums,
     cascade,
     pipeline,
     toeplitz_pa,
@@ -302,6 +305,71 @@ def test_toeplitz_rejects_negative_budget_terms(leaked, eve_info, margin):
     # a negative term would lengthen the key past its budget
     with pytest.raises(ValueError):
         toeplitz_pa(np.zeros(100, dtype=np.uint8), leaked, eve_info, margin, BitSource(62))
+
+
+def _correlate_reference(key, leaked_bits, source):
+    """The direct O(L·out) hash: parity of key AND seed[j : j + L]."""
+    out_len = len(key) - leaked_bits
+    seed = source.draw_bits("shared", "pa_seed", len(key) + out_len - 1)
+    sums = np.correlate(seed.astype(np.int64), key.astype(np.int64), mode="valid")
+    return (sums & 1).astype(np.uint8)
+
+
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(1, 1.0, 0.5, 0)  # one bit in, one bit out
+@example(2, 0.0, 1.0, 1)  # one output bit from an all-ones key
+@example(1024, 1.0, 0.5, 2)  # a 1024-bit seed: the transform has no slack
+@example(513, 0.001, 0.5, 3)  # 513 + 512 - 1 = 1024 seed bits
+@example(3000, 0.0, 0.5, 4)  # no leak: the output is as long as the key
+@settings(max_examples=150, deadline=None)
+def test_toeplitz_matches_correlate_reference(length, leak_share, density, key_seed):
+    leaked = round(leak_share * (length - 1))
+    rng = np.random.default_rng(key_seed)
+    key = (rng.random(length) < density).astype(np.uint8)
+    source, twin = BitSource(key_seed), BitSource(key_seed)
+    amp = toeplitz_pa(key, leaked, 0.0, 0, source)
+    expected = _correlate_reference(key, leaked, twin)
+    assert np.array_equal(amp.final_key, expected)
+    assert amp.output_length == length - leaked
+    assert source.ledger.get("shared", "pa_seed") == twin.ledger.get("shared", "pa_seed")
+    assert source.ledger.get("shared", "pa_seed") == amp.seed_bits_consumed
+
+
+def test_window_sums_exact_at_largest_magnitude():
+    # all ones: every window sums to L, the largest value the FFT must round
+    length = 999_999
+    sums = _window_sums(np.ones(2 * length - 1, dtype=np.uint8), np.ones(length, dtype=np.uint8))
+    assert len(sums) == length
+    assert (sums == length).all()
+    assert ((sums & 1) == (length & 1)).all()
+
+
+def test_toeplitz_million_bit_key_matches_int_parity():
+    length, leaked = 1_000_000, 400_000
+    key = BitSource(63).draw_bits("alice", "alice_bits", length)
+    amp = toeplitz_pa(key, leaked, 0.0, 0, BitSource(64))
+    out = amp.output_length
+    assert out == length - leaked
+    seed = BitSource(64).draw_bits("shared", "pa_seed", amp.seed_bits_consumed)
+    key_int = int("".join(map(str, key.tolist())), 2)
+    seed_int = int("".join(map(str, seed.tolist())), 2)
+    mask = (1 << length) - 1
+    picks = {0, out - 1} | set(random.Random(65).sample(range(out), 64))
+    for j in sorted(picks):
+        window = (seed_int >> (len(seed) - j - length)) & mask
+        assert amp.final_key[j] == (key_int & window).bit_count() & 1, j
+
+
+def test_window_sums_reject_inexact_rounding(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.3)
+    with pytest.raises(ArithmeticError):
+        _window_sums(np.ones(10, dtype=np.uint8), np.ones(4, dtype=np.uint8))
 
 
 # --- pipeline -------------------------------------------------------------------
