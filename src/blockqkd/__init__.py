@@ -52,7 +52,6 @@ from .quantum import (
     UnitarySpec,
     enumerate_outcomes,
     random_unitary,
-    sample_circuit,
 )
 from .randomness import (
     BitSource,
@@ -96,7 +95,6 @@ __all__ = [
     "random_unitary",
     "reduction_corpus",
     "run_session",
-    "sample_circuit",
     "save_unitary",
     "singlet_simulation",
     "toeplitz_pa",

@@ -234,12 +234,7 @@ def unitary_block_attack(
     n, m = spec.num_block_qubits, spec.num_ancillas
     if len(rows) != n:
         raise ValueError(f"attack expects {n} block qubits, got {len(rows)}")
-    state = rows_to_state(rows)
-    if m:
-        ancillas = np.zeros(2**m, dtype=complex)
-        ancillas[0] = 1.0
-        state = tensor(state, StateVector(m, ancillas))
-    state = apply_unitary(state, spec.u, range(n + m))
+    state = entangle_block(rows, spec.u, m)
     block = EntangledBlock(state, num_block_qubits=n, ancilla_slots=tuple(range(n, n + m)))
     if spec.delayed:
         return block, EveRecord(kept=block)
@@ -252,6 +247,17 @@ def unitary_block_attack(
     block.eve_measured = True
     record = EveRecord(guess_basis=guess, bits=np.array(bits, dtype=np.uint8))
     return block, record
+
+
+def entangle_block(rows: np.ndarray, u: UnitarySpec, num_ancillas: int) -> StateVector:
+    """The block's qubits, then `num_ancillas` ancillas in |0>, after `u`
+    on all of them."""
+    state = rows_to_state(rows)
+    if num_ancillas:
+        ancillas = np.zeros(2**num_ancillas, dtype=complex)
+        ancillas[0] = 1.0
+        state = tensor(state, StateVector(num_ancillas, ancillas))
+    return apply_unitary(state, u, range(state.num_qubits))
 
 
 def singlet_simulation(
@@ -419,12 +425,7 @@ def _bb84_state(bit: int, basis: Basis) -> StateVector:
 def _real_block_density(
     u: UnitarySpec, bits: np.ndarray, basis: Basis, m: int
 ) -> np.ndarray:
-    state = rows_to_state(bb84_rows(bits, basis))
-    if m:
-        anc = np.zeros(2**m, dtype=complex)
-        anc[0] = 1.0
-        state = tensor(state, StateVector(m, anc))
-    state = apply_unitary(state, u, range(state.num_qubits))
+    state = entangle_block(bb84_rows(bits, basis), u, m)
     return np.outer(state.amplitudes, state.amplitudes.conj())
 
 

@@ -76,9 +76,10 @@ def _parse_list(text: str, convert):
 
 
 # Every `run` setting: (section, key, type or tuple of choices, default,
-# flag); [type] is a comma-separated list. A flag beats the file and the
-# file beats the default. A [sweep] list replaces its [protocol] scalar
-# unless the scalar's flag is given.
+# flag); [type] is a comma-separated list, and a bool's flag is a pair of
+# flags that set it true and false. A flag beats the file and the file
+# beats the default. A [sweep] list replaces its [protocol] scalar unless
+# the scalar's flag is given.
 SETTINGS = (
     ("protocol", "block_size", int, 4, "--block-size"),
     ("protocol", "num_blocks", int, 100, "--num-blocks"),
@@ -92,7 +93,7 @@ SETTINGS = (
     ("attack", "variant", ATTACK_VARIANTS, "none", "--attack"),
     ("attack", "fraction", float, 0.0, "--fraction"),
     ("attack", "granularity", GRANULARITIES, "per_qubit", "--granularity"),
-    ("attack", "delayed", bool, True, None),
+    ("attack", "delayed", bool, True, ("--delayed", "--immediate")),
     ("attack", "unitary_file", str, "", "--unitary-file"),
     ("attack", "num_ancillas", int, 0, "--num-ancillas"),
     ("output", "csv", str, "results.csv", "--output"),
@@ -433,7 +434,13 @@ def main(argv: list[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="execute a configured sweep")
     run_p.add_argument("config", nargs="?", type=Path, help="key = value config file")
     for section, key, kind, _, flag in SETTINGS:
-        if flag:
+        if kind is bool:
+            on, off = flag
+            run_p.add_argument(on, dest=key, action=argparse.BooleanOptionalAction,
+                               help=f"[{section}] {key}")
+            run_p.add_argument(off, dest=key, action="store_false", default=None,
+                               help=f"[{section}] {key} = false")
+        elif flag:
             typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             run_p.add_argument(flag, dest=key, help=f"[{section}] {key}", **typed)
     run_p.set_defaults(func=cmd_run)

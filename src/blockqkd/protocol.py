@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attacks as attacks_mod
-from .attacks import BlockAttackSpec, EntangledBlock
-from .infotheory import RateReport, ck_rate, empirical_joint, mutual_information
+from .attacks import BlockAttackSpec, entangle_block
+from .infotheory import JointDistribution, RateReport, ck_rate, mutual_information
 from .quantum import (
     PAULI_X,
     PAULI_Z,
@@ -32,9 +32,10 @@ from .quantum import (
     UnitarySpec,
     apply_unitary,
     bb84_rows,
-    measure,
-    measure_rows,
+    collapse,
     flip_rows,
+    measure_rows,
+    outcome_probability,
 )
 from .randomness import BitSource, ConsumptionReport, RandomnessLedger
 
@@ -44,6 +45,10 @@ _FLIP_GATES = {
     0: UnitarySpec(2, PAULI_X),  # swaps the Z-basis eigenstates
     1: UnitarySpec(2, PAULI_Z),  # swaps the X-basis eigenstates
 }
+
+# At about 100 bytes a node, a session's register memo stays under 7 MB
+# however few of its blocks repeat; past this size it stops growing.
+_MEMO_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,50 +119,111 @@ def alice_prepare_block(
     n data bits; per_qubit charges n + n. forced_value (test hook) replaces
     the drawn basis values after the draw, before encoding.
     """
-    n = config.block_size
-    if config.mode == "per_block":
-        bases = np.full(n, source.draw_bits("alice", "alice_basis", 1)[0])
-    else:
-        bases = source.draw_bits("alice", "alice_basis", n)
-    bases = bases.astype(np.int64)
-    if forced_value is not None:
-        bases[:] = forced_value
-    bits = source.draw_bits("alice", "alice_bits", n)
+    bases = _draw_bases(config, source, "alice", "alice_basis", forced_value)
+    bits = source.draw_bits("alice", "alice_bits", config.block_size)
     return bases, bits, bb84_rows(bits, bases)
 
 
 def bob_measure_block(
-    block: np.ndarray | EntangledBlock,
+    rows: np.ndarray,
     config: ProtocolConfig,
     source: BitSource,
     forced_value: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw Bob's basis (1 bit per block, or n) and measure the block.
+    """Draw Bob's basis (1 bit per block, or n) and measure a product block.
 
-    `block` is a product block's amplitude rows or an entangled register.
     Basis bits are charged to bob_basis; Born-rule sampling to
-    bob_measurement. An entangled block is measured in place so Eve's
-    ancillas keep the collapsed state. forced_value (test hook) replaces
-    the drawn basis values after the draw, before measuring.
+    bob_measurement. forced_value (test hook) replaces the drawn basis
+    values after the draw, before measuring.
     """
+    bases = _draw_bases(config, source, "bob", "bob_basis", forced_value)
+    outcomes, _ = measure_rows(rows, bases, source.for_stage("bob", "bob_measurement"))
+    return bases, outcomes
+
+
+def _draw_bases(
+    config: ProtocolConfig,
+    source: BitSource,
+    party: str,
+    stage: str,
+    forced_value: int | None,
+) -> np.ndarray:
+    """One party's basis values for a block: one drawn bit repeated n times
+    (per_block) or n bits, each replaced by forced_value when given."""
     n = config.block_size
     if config.mode == "per_block":
-        bases = np.full(n, source.draw_bits("bob", "bob_basis", 1)[0])
+        bases = np.full(n, source.draw_bits(party, stage, 1)[0])
     else:
-        bases = source.draw_bits("bob", "bob_basis", n)
+        bases = source.draw_bits(party, stage, n)
     bases = bases.astype(np.int64)
     if forced_value is not None:
         bases[:] = forced_value
-    coin = source.for_stage("bob", "bob_measurement")
-    if not isinstance(block, EntangledBlock):
-        outcomes, _ = measure_rows(block, bases, coin)
-        return bases, outcomes
-    outcomes = np.empty(n, dtype=np.uint8)
-    for i in range(n):
-        outcome, post = measure(block.state, i, Basis(int(bases[i])), coin)
-        block.state = post
-        outcomes[i] = outcome
-    return bases, outcomes
+    return bases
+
+
+class _RegisterPaths:
+    """Exact register path of a session's unitary_block blocks, memoized.
+
+    `probs` maps a block's path so far (Alice's basis value and bits, then
+    each flip and each measurement's qubit, basis and outcome) and its next
+    measured (qubit, basis) to the snapped probability of outcome 1 that
+    `measure` would hand the coin. Only keys and floats outlive a block; on
+    a miss its register is rebuilt by replaying its path.
+    """
+
+    def __init__(self, config, attack, source, forced):
+        self.config, self.attack, self.source, self.forced = config, attack, source, forced
+        self.eve_coin = source.for_stage("eve", "attack")
+        self.bob_coin = source.for_stage("bob", "bob_measurement")
+        self.probs: dict[bytes, float] = {}
+
+    def run_block(self, alice_bases, alice_bits, rows, flip_mask):
+        """Eve's attack, the channel, Bob's measurement and Eve's delayed
+        measurement on one block: (Bob's bases, his outcomes, Eve's symbol)."""
+        attack, eve_coin = self.attack, self.eve_coin
+        n = attack.num_block_qubits
+        ancillas = range(n, n + attack.num_ancillas)
+        announced = int(alice_bases[0])
+        self.path = bytes((announced,)) + alice_bits.tobytes()
+        self.steps, self.rows, self.state, self.moved = [], rows, None, None
+        if not attack.delayed:
+            guess = eve_coin.bit()
+            eve_bits = tuple(self._measure(q, guess, eve_coin) for q in ancillas)
+            symbol = (guess == announced, eve_bits)
+        flipped = [] if flip_mask is None else np.flatnonzero(flip_mask).tolist()
+        self.path += bytes(128 + i for i in flipped)
+        self.steps += [(i,) for i in flipped]
+        bob_bases = _draw_bases(self.config, self.source, "bob", "bob_basis", self.forced)
+        outcomes = [self._measure(i, int(bob_bases[i]), self.bob_coin) for i in range(n)]
+        if attack.delayed:
+            symbol = (announced, tuple(self._measure(q, announced, eve_coin) for q in ancillas))
+        self.rows = self.state = self.moved = None
+        return bob_bases, np.array(outcomes, dtype=np.uint8), symbol
+
+    def _measure(self, qubit: int, basis: int, coin) -> int:
+        key = self.path + bytes((2 * qubit + basis,))
+        p1 = self.probs.get(key)
+        if p1 is None:
+            if self.state is None:
+                self.state = entangle_block(self.rows, self.attack.u, self.attack.num_ancillas)
+                self.applied = 0
+            for step in self.steps[self.applied:]:
+                if len(step) == 1:  # a flip in Alice's basis
+                    self.state = apply_unitary(self.state, _FLIP_GATES[self.path[0]], step)
+                else:
+                    q, b, outcome, prob = step
+                    if self.moved is None:  # the state was not rotated for this step
+                        _, self.moved = outcome_probability(self.state, q, Basis(b))
+                    self.state = collapse(self.moved, q, Basis(b), outcome, prob)
+                self.moved = None
+            self.applied = len(self.steps)
+            p1, self.moved = outcome_probability(self.state, qubit, Basis(basis))
+            if len(self.probs) < _MEMO_NODES:
+                self.probs[key] = p1
+        outcome = coin.bernoulli(p1) if 0.0 < p1 < 1.0 else int(p1)
+        self.path += bytes((4 * qubit + 2 * basis + outcome,))
+        self.steps.append((qubit, basis, outcome, p1 if outcome else 1.0 - p1))
+        return outcome
 
 
 def estimate_qber(
@@ -207,9 +273,15 @@ def run_session(
     over blocks stays: every other draw comes from one ledgered stream in
     the order Alice, Eve, Bob, Eve's delayed measurement, and how many bits
     each takes depends on the outcomes before it, so drawing them in bulk
-    would change the outputs. force_shared_basis is a test hook that
-    overrides every drawn basis value after the draw (ledger counts are
-    unchanged), forcing all blocks to be kept.
+    would change the outputs.
+
+    A per_block n-qubit block is prepared in only 2 * 2^n ways, so on small
+    blocks a unitary_block attack repeats the same evolution: such blocks
+    walk a per-session memo of outcome probabilities keyed by the block's
+    path so far (_RegisterPaths), with the register's own draws.
+    force_shared_basis is a test hook that overrides every drawn basis
+    value after the draw (ledger counts are unchanged), forcing all blocks
+    to be kept.
     """
     attack = attack or BlockAttackSpec.none()
     if attack.variant == "unitary_block":
@@ -224,6 +296,9 @@ def run_session(
     eve_coin = source.for_stage("eve", "attack")
     forced = None if force_shared_basis is None else force_shared_basis.value
     flips = _channel_flips(config)
+    register = None
+    if attack.variant == "unitary_block":
+        register = _RegisterPaths(config, attack, source, forced)
 
     alice_parts: list[np.ndarray] = []
     bob_parts: list[np.ndarray] = []
@@ -233,36 +308,22 @@ def run_session(
         alice_bases, alice_bits, rows = alice_prepare_block(
             config, source, forced_value=forced
         )
-        carrier: np.ndarray | EntangledBlock = rows
-        prep_bases = alice_bases
-        if attack.variant == "intercept_resend":
-            carrier, prep_bases, record = attacks_mod.intercept_resend(
-                rows, alice_bases, attack, eve_coin
+        flip_mask = None if flips is None else flips[index]
+        if register is not None:
+            bob_bases, outcomes, symbol = register.run_block(
+                alice_bases, alice_bits, rows, flip_mask
             )
-        elif attack.variant == "unitary_block":
-            carrier, record = attacks_mod.unitary_block_attack(rows, attack, eve_coin)
-        if flips is not None:
-            if isinstance(carrier, EntangledBlock):
-                for i in np.flatnonzero(flips[index]):
-                    gate = _FLIP_GATES[int(prep_bases[i])]
-                    carrier.state = apply_unitary(carrier.state, gate, (int(i),))
-            else:
-                carrier = flip_rows(carrier, flips[index], prep_bases)
-        bob_bases, outcomes = bob_measure_block(
-            carrier, config, source, forced_value=forced
-        )
-        if attack.variant == "unitary_block":
-            announced = int(alice_bases[0])
-            if attack.delayed:
-                _, ancilla_bits = attacks_mod.delayed_measurement(
-                    record.kept, Basis(announced), eve_coin
+        else:
+            prep_bases = alice_bases
+            if attack.variant == "intercept_resend":
+                rows, prep_bases, record = attacks_mod.intercept_resend(
+                    rows, alice_bases, attack, eve_coin
                 )
-                symbol = (announced, tuple(int(b) for b in ancilla_bits))
-            else:
-                symbol = (
-                    record.guess_basis == announced,
-                    tuple(int(b) for b in record.bits),
-                )
+            if flip_mask is not None:
+                rows = flip_rows(rows, flip_mask, prep_bases)
+            bob_bases, outcomes = bob_measure_block(
+                rows, config, source, forced_value=forced
+            )
         kept = alice_bases == bob_bases
         if not kept.any():
             continue
@@ -343,17 +404,35 @@ def empirical_rates(report: SessionReport) -> RateReport:
     """
     if report.sifted_bits == 0:
         return RateReport(0.0, 0.0, 0.0, 0.0, False)
-    a = [int(b) for b in report.alice_key]
-    b = [int(b) for b in report.bob_key]
+    keys = [report.alice_key, report.bob_key]
     if report.eve_symbols is None:
-        joint = empirical_joint(list(zip(a, b)), ("alice", "bob"))
-        i_ab = mutual_information(joint, "alice", "bob")
-        return ck_rate(i_ab, 0.0, 0.0)
-    joint = empirical_joint(
-        list(zip(a, b, report.eve_symbols)), ("alice", "bob", "eve")
-    )
+        joint = _joint_counts(keys, ("alice", "bob"))
+        return ck_rate(mutual_information(joint, "alice", "bob"), 0.0, 0.0)
+    joint = _joint_counts(keys + [report.eve_symbols], ("alice", "bob", "eve"))
     return ck_rate(
         mutual_information(joint, "alice", "bob"),
         mutual_information(joint, "eve", "alice"),
         mutual_information(joint, "eve", "bob"),
     )
+
+
+def _joint_counts(columns: list, variables: tuple[str, ...]) -> JointDistribution:
+    """empirical_joint over the rows of `columns` (0/1 key arrays, then
+    Eve's symbols if any), counted with numpy: the same outcome tuples, in
+    order of first occurrence, with the same frequencies."""
+    length = len(columns[0])
+    code = np.zeros(length, dtype=np.int32)
+    for column in columns:
+        if not isinstance(column, np.ndarray):
+            index: dict = {}
+            column = np.fromiter(
+                (index.setdefault(s, len(index)) for s in column), np.int32, length
+            )
+        code = code * (int(column.max()) + 1) + column
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    table = {}
+    for k in np.argsort(first):
+        i = first[k]
+        outcome = tuple(int(c[i]) if isinstance(c, np.ndarray) else c[i] for c in columns)
+        table[outcome] = int(counts[k]) / length
+    return JointDistribution(variables, table)

@@ -16,7 +16,6 @@ Conventions, fixed across the package:
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -198,28 +197,40 @@ def measure(
     `coin` is any object with ``bernoulli(p) -> 0|1``; it is consulted only
     when both outcomes have nonzero probability.
     """
+    p1, moved = outcome_probability(state, qubit_index, basis)
+    outcome = coin.bernoulli(p1) if 0.0 < p1 < 1.0 else int(p1)
+    prob = p1 if outcome == 1 else 1.0 - p1
+    return outcome, collapse(moved, qubit_index, basis, outcome, prob)
+
+
+def outcome_probability(
+    state: StateVector, qubit_index: int, basis: Basis
+) -> tuple[float, np.ndarray]:
+    """Probability that measuring one qubit in `basis` gives 1, snapped to
+    0, 1/2 or 1 within 1e-12 (the value `measure` hands to the coin), and
+    the amplitudes in that basis with the qubit on axis 0, for `collapse`."""
     n = state.num_qubits
     if not 0 <= qubit_index < n:
         raise IndexError(f"qubit {qubit_index} out of range for {n} qubits")
     amps = state.amplitudes
     if basis is Basis.X:
         amps = _apply_matrix(amps, HADAMARD, (qubit_index,), n)
-    psi = amps.reshape([2] * n)
-    moved = np.moveaxis(psi, qubit_index, 0)
-    p1 = _snap_probability(float(np.sum(np.abs(moved[1]) ** 2)))
-    if p1 == 0.0:
-        outcome = 0
-    elif p1 == 1.0:
-        outcome = 1
-    else:
-        outcome = coin.bernoulli(p1)
-    prob = p1 if outcome == 1 else 1.0 - p1
+    moved = np.moveaxis(amps.reshape([2] * n), qubit_index, 0)
+    return _snap_probability(float(np.sum(np.abs(moved[1]) ** 2))), moved
+
+
+def collapse(
+    moved: np.ndarray, qubit_index: int, basis: Basis, outcome: int, prob: float
+) -> StateVector:
+    """Post-measurement state for `outcome`, of probability `prob`, from the
+    amplitudes `outcome_probability` returned for that qubit and basis."""
+    n = moved.ndim
     projected = np.zeros_like(moved)
     projected[outcome] = moved[outcome]
     post = np.moveaxis(projected, 0, qubit_index).reshape(-1) / math.sqrt(prob)
     if basis is Basis.X:
         post = _apply_matrix(post, HADAMARD, (qubit_index,), n)
-    return outcome, StateVector(n, post)
+    return StateVector(n, post)
 
 
 def project(
@@ -230,24 +241,13 @@ def project(
     Returns (branch probability, normalized post state); the post state is
     None when the branch probability is below the numerical cutoff.
     """
-    n = state.num_qubits
-    if not 0 <= qubit_index < n:
-        raise IndexError(f"qubit {qubit_index} out of range for {n} qubits")
+    _, moved = outcome_probability(state, qubit_index, basis)
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    amps = state.amplitudes
-    if basis is Basis.X:
-        amps = _apply_matrix(amps, HADAMARD, (qubit_index,), n)
-    moved = np.moveaxis(amps.reshape([2] * n), qubit_index, 0)
     prob = float(np.sum(np.abs(moved[outcome]) ** 2))
     if prob <= BRANCH_CUTOFF:
         return 0.0, None
-    projected = np.zeros_like(moved)
-    projected[outcome] = moved[outcome]
-    post = np.moveaxis(projected, 0, qubit_index).reshape(-1) / math.sqrt(prob)
-    if basis is Basis.X:
-        post = _apply_matrix(post, HADAMARD, (qubit_index,), n)
-    return prob, StateVector(n, post)
+    return prob, collapse(moved, qubit_index, basis, outcome, prob)
 
 
 def embed(num_qubits: int, u: UnitarySpec, targets: Sequence[int]) -> UnitarySpec:
@@ -420,58 +420,16 @@ def enumerate_outcomes(circuit: Circuit) -> JointDistribution:
             if not isinstance(op, Measure):
                 amps = _apply_op(amps, op, n)
                 continue
-            work = amps
-            if op.basis is Basis.X:
-                work = _apply_matrix(work, HADAMARD, (op.qubit,), n)
-            moved = np.moveaxis(work.reshape([2] * n), op.qubit, 0)
+            state = StateVector(n, amps)
             for outcome in (0, 1):
-                prob = float(np.sum(np.abs(moved[outcome]) ** 2))
-                if prob <= BRANCH_CUTOFF:
-                    continue
-                projected = np.zeros_like(moved)
-                projected[outcome] = moved[outcome]
-                branch = np.moveaxis(projected, 0, op.qubit).reshape(-1)
-                branch = branch / math.sqrt(prob)
-                if op.basis is Basis.X:
-                    branch = _apply_matrix(branch, HADAMARD, (op.qubit,), n)
-                walk(branch, i + 1, outcomes + (outcome,), weight * prob)
+                prob, branch = project(state, op.qubit, op.basis, outcome)
+                if branch is not None:
+                    walk(branch.amplitudes, i + 1, outcomes + (outcome,), weight * prob)
             return
         table[outcomes] = table.get(outcomes, 0.0) + weight
 
     walk(_initial_state(circuit), 0, (), 1.0)
     return JointDistribution(circuit.measurement_labels(), table)
-
-
-class RandomCoin:
-    """Born sampling from a plain PRNG; for Monte Carlo checks, not ledgered."""
-
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-
-    def bernoulli(self, p: float) -> int:
-        return 1 if self._rng.random() < p else 0
-
-
-def sample_circuit(circuit: Circuit, shots: int, coin) -> list[tuple]:
-    """Sample the circuit `shots` times through the measurement path.
-
-    Independent of enumerate_outcomes: every shot runs real projective
-    measurements driven by `coin`.
-    """
-    n = circuit.num_qubits
-    results = []
-    for _ in range(shots):
-        amps = _initial_state(circuit)
-        outcomes = []
-        for op in circuit.ops:
-            if isinstance(op, Measure):
-                outcome, post = measure(StateVector(n, amps), op.qubit, op.basis, coin)
-                outcomes.append(outcome)
-                amps = post.amplitudes
-            else:
-                amps = _apply_op(amps, op, n)
-        results.append(tuple(outcomes))
-    return results
 
 
 # --- vectorized product-state blocks -------------------------------------

@@ -10,8 +10,9 @@ bit-exact:
   ``randbelow_each`` does the same for a sequence of bounds (a shuffle's
   indices) and charges the bits in one ledger record.
 - ``bernoulli(p)`` refines a uniform binary expansion one bit at a time and
-  stops as soon as the outcome is decided. A deterministic branch
-  (p within 1e-12 of 0 or 1) consumes no bits; p = 1/2 consumes exactly one.
+  stops as soon as the outcome is decided, charging the bits in one ledger
+  record. A deterministic branch (p within 1e-12 of 0 or 1) consumes no
+  bits; p = 1/2 consumes exactly one.
 """
 
 from __future__ import annotations
@@ -91,9 +92,6 @@ class StageSource:
     def bernoulli(self, p: float) -> int:
         return self._source.bernoulli(self.party, self.stage, p)
 
-    def randbelow(self, n: int) -> int:
-        return self._source.randbelow(self.party, self.stage, n)
-
 
 class BitSource:
     """Seeded deterministic generator wrapped in a RandomnessLedger.
@@ -155,7 +153,8 @@ class BitSource:
         """Return 1 with probability p, consuming the minimum number of bits.
 
         Builds a uniform X in [0,1) one binary digit at a time and answers
-        X < p as soon as the remaining interval lies on one side of p.
+        X < p as soon as the remaining interval lies on one side of p. The
+        digits drawn go to the ledger in one record.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError("probability must lie in [0, 1]")
@@ -163,17 +162,19 @@ class BitSource:
             return 0
         if p > 1.0 - DETERMINISTIC_EPS:
             return 1
+        getrandbits = self._rng.getrandbits
         lo = 0.0
         half = 0.5
+        drawn = 1
         while True:
-            self.ledger.record(party, stage, 1)
-            if self._rng.getrandbits(1):
+            if getrandbits(1):
                 lo += half
-            if lo >= p:
-                return 0
-            if lo + half <= p:
-                return 1
+            if lo >= p or lo + half <= p:
+                break
             half *= 0.5
+            drawn += 1
+        self.ledger.record(party, stage, drawn)
+        return 0 if lo >= p else 1
 
 
 def _int_to_bits(value: int, count: int) -> np.ndarray:

@@ -34,13 +34,12 @@ from blockqkd.quantum import (
     Measure,
     Prep,
     PrepSinglet,
-    RandomCoin,
     bb84_rows,
     enumerate_outcomes,
     measure_rows,
-    sample_circuit,
 )
 from blockqkd.randomness import BitSource, consumption_ratio
+from circuit_sampling import RandomCoin, sample_circuit
 
 MC_TRIALS = 100_000
 

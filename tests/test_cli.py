@@ -289,6 +289,42 @@ def test_run_unitary_attack_from_file(tmp_path):
     assert main(base + ["--block-size", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "in_file,flag,expected",
+    [
+        ("no", "--delayed", "delayed"),
+        ("yes", "--immediate", "immediate"),
+        ("yes", "--no-delayed", "immediate"),
+        ("no", None, "immediate"),
+        ("yes", None, "delayed"),
+    ],
+)
+def test_run_delayed_flags_beat_file(tmp_path, in_file, flag, expected):
+    u_path = tmp_path / "cnot.txt"
+    save_unitary(u_path, cnot_entangler())
+    csv_path = tmp_path / "d.csv"
+    config = write_config(
+        tmp_path / "exp.ini",
+        f"""
+[protocol]
+block_size = 2
+num_blocks = 40
+
+[attack]
+variant = unitary_block
+delayed = {in_file}
+unitary_file = {u_path}
+num_ancillas = 1
+
+[output]
+csv = {csv_path}
+""",
+    )
+    assert main(["run", config] + ([flag] if flag else [])) == 0
+    _, rows = read_csv(csv_path)
+    assert rows[0]["attack"] == f"unitary_block(n=2,m=1,{expected})"
+
+
 def test_run_empty_session_json(tmp_path):
     # a single per_block block is discarded for some seed; its JSON
     # reports no sifted bits instead of fabricating results

@@ -1,15 +1,31 @@
 import hashlib
 import math
 import random as pyrandom
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from blockqkd.attacks import BlockAttackSpec, cnot_entangler
-from blockqkd.infotheory import JointDistribution
+from blockqkd import protocol
+from blockqkd.attacks import (
+    BlockAttackSpec,
+    cnot_entangler,
+    delayed_measurement,
+    unitary_block_attack,
+)
+from blockqkd.infotheory import (
+    JointDistribution,
+    ck_rate,
+    empirical_joint,
+    mutual_information,
+)
 from blockqkd.protocol import (
     ProtocolConfig,
     _channel_flips,
+    _joint_counts,
     alice_prepare_block,
     bob_measure_block,
     estimate_qber,
@@ -23,7 +39,10 @@ from blockqkd.quantum import (
     Measure,
     Prep,
     UnitarySpec,
+    apply_unitary,
     enumerate_outcomes,
+    measure,
+    random_unitary,
 )
 from blockqkd.randomness import BitSource
 
@@ -437,7 +456,162 @@ def test_unitary_attack_session_runs():
         assert len(ancilla_bits) == 1
 
 
+def _reference_unitary_session(config, attack, forced):
+    """A unitary_block session block by block on the register itself:
+    unitary_block_attack, the flip gates, Bob's measurement and Eve's
+    delayed measurement, then the estimation sample. Returns what
+    run_session must reproduce, and the session's BitSource."""
+    n = config.block_size
+    source = BitSource(config.seed)
+    eve_coin = source.for_stage("eve", "attack")
+    bob_coin = source.for_stage("bob", "bob_measurement")
+    flips = _channel_flips(config)
+    alice_parts, bob_parts, symbols, kept_blocks = [], [], [], 0
+    for index in range(config.num_blocks):
+        alice_bases, alice_bits, rows = alice_prepare_block(
+            config, source, forced_value=None if forced is None else forced.value
+        )
+        block, record = unitary_block_attack(rows, attack, eve_coin)
+        if flips is not None:
+            for i in np.flatnonzero(flips[index]):
+                gate = FLIP_GATES[Basis(int(alice_bases[i]))]
+                block.state = apply_unitary(block.state, gate, (int(i),))
+        bob_basis = int(source.draw_bits("bob", "bob_basis", 1)[0])
+        if forced is not None:
+            bob_basis = forced.value
+        outcomes = []
+        for i in range(n):
+            outcome, block.state = measure(block.state, i, Basis(bob_basis), bob_coin)
+            outcomes.append(outcome)
+        announced = int(alice_bases[0])
+        if attack.delayed:
+            _, ancilla_bits = delayed_measurement(record.kept, Basis(announced), eve_coin)
+            symbol = (announced, tuple(int(b) for b in ancilla_bits))
+        else:
+            symbol = (record.guess_basis == announced, tuple(int(b) for b in record.bits))
+        if announced == bob_basis:
+            kept_blocks += 1
+            alice_parts.append(alice_bits)
+            bob_parts.append(np.array(outcomes, dtype=np.uint8))
+            symbols.extend([symbol] * n)
+    alice_key = np.concatenate(alice_parts) if alice_parts else np.zeros(0, np.uint8)
+    bob_key = np.concatenate(bob_parts) if bob_parts else np.zeros(0, np.uint8)
+    disclosed = ()
+    if len(alice_key) >= math.ceil(1.0 / config.sample_fraction):
+        _, disclosed = estimate_qber(alice_key, bob_key, config.sample_fraction, source)
+    return alice_key, bob_key, kept_blocks, tuple(symbols), disclosed, source
+
+
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    m=st.sampled_from([0, 1, 2]),
+    unitary_seed=st.integers(0, 2**32 - 1),
+    delayed=st.booleans(),
+    flip=st.sampled_from([0.0, 0.03, 0.5]),
+    forced=st.sampled_from([None, Basis.Z, Basis.X]),
+    seed=st.integers(0, 2**32 - 1),
+    num_blocks=st.integers(1, 40),
+    memo_nodes=st.sampled_from([0, 7, protocol._MEMO_NODES]),
+)
+@example(n=2, m=1, unitary_seed=None, delayed=True, flip=0.03, forced=None,
+         seed=307, num_blocks=60, memo_nodes=protocol._MEMO_NODES)
+@example(n=2, m=1, unitary_seed=None, delayed=False, flip=0.5, forced=Basis.X,
+         seed=308, num_blocks=60, memo_nodes=7)
+@settings(max_examples=100, deadline=None)
+def test_register_memo_matches_per_block_register(
+    n, m, unitary_seed, delayed, flip, forced, seed, num_blocks, memo_nodes
+):
+    """The memoized register path of run_session against the register
+    evolved block by block: same keys, kept blocks, Eve's symbols, ledger
+    and generator state, also with the memo capped or kept empty.
+    unitary_seed None stands for the CNOT entangler."""
+    u = cnot_entangler() if unitary_seed is None else random_unitary(n + m, unitary_seed)
+    attack = BlockAttackSpec.unitary(u, n, m, delayed=delayed)
+    config = ProtocolConfig(n, num_blocks, "per_block", flip, seed=seed)
+    alice_key, bob_key, kept_blocks, symbols, disclosed, source = (
+        _reference_unitary_session(config, attack, forced)
+    )
+    with mock.patch.object(protocol, "_MEMO_NODES", memo_nodes):
+        report = run_session(config, attack, force_shared_basis=forced)
+    assert report.alice_key.dtype == alice_key.dtype
+    assert np.array_equal(report.alice_key, alice_key)
+    assert report.bob_key.dtype == bob_key.dtype
+    assert np.array_equal(report.bob_key, bob_key)
+    assert report.kept_blocks == kept_blocks
+    assert repr(report.eve_symbols) == repr(symbols)
+    assert report.disclosed_indices == disclosed
+    assert list(report.ledger.counts.items()) == list(source.ledger.counts.items())
+    assert report.source._rng.getstate() == source._rng.getstate()
+
+
 # --- empirical rates ----------------------------------------------------------
+
+
+def _rates_reference(report):
+    """empirical_rates through per-bit Python lists and empirical_joint."""
+    a = [int(b) for b in report.alice_key]
+    b = [int(b) for b in report.bob_key]
+    if report.eve_symbols is None:
+        joint = empirical_joint(list(zip(a, b)), ("alice", "bob"))
+        return joint, ck_rate(mutual_information(joint, "alice", "bob"), 0.0, 0.0)
+    joint = empirical_joint(list(zip(a, b, report.eve_symbols)), ("alice", "bob", "eve"))
+    return joint, ck_rate(
+        mutual_information(joint, "alice", "bob"),
+        mutual_information(joint, "eve", "alice"),
+        mutual_information(joint, "eve", "bob"),
+    )
+
+
+_EVE_SYMBOLS = {
+    "none": None,
+    "intercept_resend": st.one_of(
+        st.just("?"), st.tuples(st.integers(0, 1), st.booleans())
+    ),
+    "unitary_delayed": st.tuples(
+        st.integers(0, 1), st.lists(st.integers(0, 1), max_size=2).map(tuple)
+    ),
+    "unitary_immediate": st.tuples(
+        st.booleans(), st.lists(st.integers(0, 1), max_size=2).map(tuple)
+    ),
+}
+
+
+@given(data=st.data(), variant=st.sampled_from(sorted(_EVE_SYMBOLS)),
+       length=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_empirical_rates_match_list_counting(data, variant, length, seed):
+    rng = np.random.default_rng(seed)
+    alice = rng.integers(0, 2, length).astype(np.uint8)
+    bob = rng.integers(0, 2, length).astype(np.uint8)
+    symbols = None
+    if _EVE_SYMBOLS[variant] is not None:
+        alphabet = data.draw(st.lists(_EVE_SYMBOLS[variant], min_size=1, max_size=6))
+        symbols = tuple(alphabet[i] for i in rng.integers(0, len(alphabet), length))
+    report = SimpleNamespace(
+        sifted_bits=length, alice_key=alice, bob_key=bob, eve_symbols=symbols
+    )
+    joint, rates = _rates_reference(report)
+    columns = [alice, bob] + ([] if symbols is None else [symbols])
+    counted = _joint_counts(columns, joint.variables)
+    assert repr(list(counted.probabilities.items())) == repr(list(joint.probabilities.items()))
+    assert empirical_rates(report) == rates
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [
+        BlockAttackSpec.none(),
+        BlockAttackSpec.intercept(0.4, "per_qubit"),
+        BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=True),
+        BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=False),
+    ],
+    ids=lambda attack: attack.label,
+)
+def test_empirical_rates_match_list_counting_on_sessions(attack):
+    config = ProtocolConfig(2, 400, "per_block", 0.03, seed=31)
+    report = run_session(config, attack)
+    assert empirical_rates(report) == _rates_reference(report)[1]
+
 
 
 def test_rates_without_attack():

@@ -20,7 +20,6 @@ from blockqkd.quantum import (
     Measure,
     Prep,
     PrepSinglet,
-    RandomCoin,
     StateVector,
     UnitarySpec,
     _apply_matrix,
@@ -38,10 +37,10 @@ from blockqkd.quantum import (
     random_unitary,
     reduced_density,
     rows_to_state,
-    sample_circuit,
     tensor,
 )
 from blockqkd.randomness import BitSource
+from circuit_sampling import RandomCoin, sample_circuit
 
 S = 1.0 / math.sqrt(2.0)
 

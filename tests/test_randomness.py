@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockqkd.randomness import (
+    DETERMINISTIC_EPS,
     PARTIES,
     STAGES,
     BitSource,
@@ -129,6 +130,50 @@ def test_bernoulli_returns_bit_and_counts(p):
     assert source.ledger.total() >= 0
 
 
+def _bernoulli_reference(source, party, stage, p):
+    """Bit-by-bit sampler, one ledger record per drawn bit."""
+    if p < DETERMINISTIC_EPS:
+        return 0
+    if p > 1.0 - DETERMINISTIC_EPS:
+        return 1
+    lo = 0.0
+    half = 0.5
+    while True:
+        source.ledger.record(party, stage, 1)
+        if source._rng.getrandbits(1):
+            lo += half
+        if lo >= p:
+            return 0
+        if lo + half <= p:
+            return 1
+        half *= 0.5
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(
+        st.tuples(
+            st.sampled_from([("bob", "bob_measurement"), ("eve", "attack")]),
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.sampled_from([0.0, 1e-13, 0.5, 0.5 + 1e-13, 1.0 - 1e-13, 1.0]),
+            ),
+        ),
+        max_size=40,
+    ),
+)
+@example(seed=0, draws=[(("eve", "attack"), 1e-300), (("bob", "bob_measurement"), 0.3)])
+@settings(max_examples=150)
+def test_bernoulli_matches_per_bit_loop(seed, draws):
+    batch, reference = BitSource(seed), BitSource(seed)
+    for (party, stage), p in draws:
+        assert batch.bernoulli(party, stage, p) == _bernoulli_reference(
+            reference, party, stage, p
+        )
+    assert list(batch.ledger.counts.items()) == list(reference.ledger.counts.items())
+    assert batch._rng.getstate() == reference._rng.getstate()
+
+
 def test_bernoulli_rejects_out_of_range():
     with pytest.raises(ValueError):
         BitSource(0).bernoulli("eve", "attack", 1.5)
@@ -207,9 +252,8 @@ def test_stage_source_charges_its_stage():
     coin.bit()
     coin.bits(7)
     coin.bernoulli(0.5)
-    coin.randbelow(4)
-    assert source.ledger.get("eve", "attack") == 1 + 7 + 1 + 2
-    assert source.ledger.total() == 11
+    assert source.ledger.get("eve", "attack") == 1 + 7 + 1
+    assert source.ledger.total() == 9
 
 
 def test_consumption_report_groups_phases():
