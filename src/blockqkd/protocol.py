@@ -12,6 +12,10 @@ from a separate plain stream seeded with "{seed}/channel" (noise is the
 environment's randomness, not a bit any party paid for). That stream is
 read as n uniforms per block, in block order, whatever the attack, so the
 whole session's flip mask is drawn from it up front.
+
+Blocks run in Python-int bit masks (run_session); a block that a
+unitary_block attack entangles walks its exact register path instead
+(_RegisterPaths).
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import attacks as attacks_mod
 from .attacks import BlockAttackSpec, entangle_block
 from .infotheory import JointDistribution, RateReport, ck_rate, mutual_information
 from .quantum import (
@@ -33,11 +36,9 @@ from .quantum import (
     apply_unitary,
     bb84_rows,
     collapse,
-    flip_rows,
-    measure_rows,
     outcome_probability,
 )
-from .randomness import BitSource, ConsumptionReport, RandomnessLedger
+from .randomness import BitSource, ConsumptionReport, RandomnessLedger, bernoulli_draw
 
 MODES = ("per_block", "per_qubit")
 
@@ -45,6 +46,10 @@ _FLIP_GATES = {
     0: UnitarySpec(2, PAULI_X),  # swaps the Z-basis eigenstates
     1: UnitarySpec(2, PAULI_Z),  # swaps the X-basis eigenstates
 }
+
+_ALICE_BASIS, _ALICE_BITS = ("alice", "alice_basis"), ("alice", "alice_bits")
+_BOB_BASIS, _BOB_MEASUREMENT = ("bob", "bob_basis"), ("bob", "bob_measurement")
+_EVE = ("eve", "attack")
 
 # At about 100 bytes a node, a session's register memo stays under 7 MB
 # however few of its blocks repeat; past this size it stops growing.
@@ -108,59 +113,6 @@ class SessionReport:
         return ConsumptionReport.from_ledger(self.ledger, self.raw_qubits)
 
 
-def alice_prepare_block(
-    config: ProtocolConfig,
-    source: BitSource,
-    forced_value: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw basis and data bits for one block and encode the qubits.
-
-    Returns (bases, bits, amplitude rows). per_block charges 1 basis bit +
-    n data bits; per_qubit charges n + n. forced_value (test hook) replaces
-    the drawn basis values after the draw, before encoding.
-    """
-    bases = _draw_bases(config, source, "alice", "alice_basis", forced_value)
-    bits = source.draw_bits("alice", "alice_bits", config.block_size)
-    return bases, bits, bb84_rows(bits, bases)
-
-
-def bob_measure_block(
-    rows: np.ndarray,
-    config: ProtocolConfig,
-    source: BitSource,
-    forced_value: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw Bob's basis (1 bit per block, or n) and measure a product block.
-
-    Basis bits are charged to bob_basis; Born-rule sampling to
-    bob_measurement. forced_value (test hook) replaces the drawn basis
-    values after the draw, before measuring.
-    """
-    bases = _draw_bases(config, source, "bob", "bob_basis", forced_value)
-    outcomes, _ = measure_rows(rows, bases, source.for_stage("bob", "bob_measurement"))
-    return bases, outcomes
-
-
-def _draw_bases(
-    config: ProtocolConfig,
-    source: BitSource,
-    party: str,
-    stage: str,
-    forced_value: int | None,
-) -> np.ndarray:
-    """One party's basis values for a block: one drawn bit repeated n times
-    (per_block) or n bits, each replaced by forced_value when given."""
-    n = config.block_size
-    if config.mode == "per_block":
-        bases = np.full(n, source.draw_bits(party, stage, 1)[0])
-    else:
-        bases = source.draw_bits(party, stage, n)
-    bases = bases.astype(np.int64)
-    if forced_value is not None:
-        bases[:] = forced_value
-    return bases
-
-
 class _RegisterPaths:
     """Exact register path of a session's unitary_block blocks, memoized.
 
@@ -171,41 +123,49 @@ class _RegisterPaths:
     a miss its register is rebuilt by replaying its path.
     """
 
-    def __init__(self, config, attack, source, forced):
-        self.config, self.attack, self.source, self.forced = config, attack, source, forced
+    def __init__(self, attack, source, forced):
+        self.attack, self.forced = attack, forced
         self.eve_coin = source.for_stage("eve", "attack")
+        self.bob_basis_coin = source.for_stage("bob", "bob_basis")
         self.bob_coin = source.for_stage("bob", "bob_measurement")
         self.probs: dict[bytes, float] = {}
 
-    def run_block(self, alice_bases, alice_bits, rows, flip_mask):
+    def run_block(self, announced: int, bits: int, flips: int):
         """Eve's attack, the channel, Bob's measurement and Eve's delayed
-        measurement on one block: (Bob's bases, his outcomes, Eve's symbol)."""
+        measurement on one block, given Alice's basis value and bit and flip
+        masks (position i at bit n-1-i): (Bob's basis value, his outcome
+        mask, Eve's symbol)."""
         attack, eve_coin = self.attack, self.eve_coin
         n = attack.num_block_qubits
         ancillas = range(n, n + attack.num_ancillas)
-        announced = int(alice_bases[0])
-        self.path = bytes((announced,)) + alice_bits.tobytes()
-        self.steps, self.rows, self.state, self.moved = [], rows, None, None
+        self.path = bytes((announced,)) + bits.to_bytes(-(-n // 8), "big")
+        self.bits, self.steps, self.state, self.moved = bits, [], None, None
         if not attack.delayed:
             guess = eve_coin.bit()
             eve_bits = tuple(self._measure(q, guess, eve_coin) for q in ancillas)
             symbol = (guess == announced, eve_bits)
-        flipped = [] if flip_mask is None else np.flatnonzero(flip_mask).tolist()
+        flipped = [i for i in range(n) if flips >> (n - 1 - i) & 1]
         self.path += bytes(128 + i for i in flipped)
         self.steps += [(i,) for i in flipped]
-        bob_bases = _draw_bases(self.config, self.source, "bob", "bob_basis", self.forced)
-        outcomes = [self._measure(i, int(bob_bases[i]), self.bob_coin) for i in range(n)]
+        bob_basis = self.bob_basis_coin.bit()
+        if self.forced is not None:
+            bob_basis = self.forced
+        outcomes = 0
+        for i in range(n):
+            outcomes = outcomes << 1 | self._measure(i, bob_basis, self.bob_coin)
         if attack.delayed:
             symbol = (announced, tuple(self._measure(q, announced, eve_coin) for q in ancillas))
-        self.rows = self.state = self.moved = None
-        return bob_bases, np.array(outcomes, dtype=np.uint8), symbol
+        self.state = self.moved = None
+        return bob_basis, outcomes, symbol
 
     def _measure(self, qubit: int, basis: int, coin) -> int:
         key = self.path + bytes((2 * qubit + basis,))
         p1 = self.probs.get(key)
         if p1 is None:
             if self.state is None:
-                self.state = entangle_block(self.rows, self.attack.u, self.attack.num_ancillas)
+                n = self.attack.num_block_qubits
+                rows = bb84_rows(_unpack([self.bits], n)[0], Basis(self.path[0]))
+                self.state = entangle_block(rows, self.attack.u, self.attack.num_ancillas)
                 self.applied = 0
             for step in self.steps[self.applied:]:
                 if len(step) == 1:  # a flip in Alice's basis
@@ -246,14 +206,14 @@ def estimate_qber(
             f"key of {length} bits is too short to sample at fraction {sample_fraction}"
         )
     k = max(1, round(sample_fraction * length))
-    indices = np.arange(length)
+    indices = list(range(length))
     offsets = source.randbelow_each("shared", "sampling", range(length, length - k, -1))
     for i, offset in enumerate(offsets):
         j = i + offset
         indices[i], indices[j] = indices[j], indices[i]
-    disclosed = np.sort(indices[:k])
+    disclosed = sorted(indices[:k])
     mismatches = int(np.count_nonzero(alice_key[disclosed] != bob_key[disclosed]))
-    return mismatches / k, tuple(int(i) for i in disclosed)
+    return mismatches / k, tuple(disclosed)
 
 
 def run_session(
@@ -269,11 +229,18 @@ def run_session(
     announced basis (kept block or not), and the positions where the bases
     agree join the keys. In per_block mode both bases are constant over a
     block, so that mask keeps or drops the block whole. The channel's flip
-    mask is drawn up front, n uniforms per block in block order. The loop
-    over blocks stays: every other draw comes from one ledgered stream in
-    the order Alice, Eve, Bob, Eve's delayed measurement, and how many bits
-    each takes depends on the outcomes before it, so drawing them in bulk
-    would change the outputs.
+    mask is drawn up front, n uniforms per block in block order.
+
+    A block lives in Python-int bit masks, position i at bit n-1-i (the
+    order draw_bits unpacks a getrandbits(n) value in). An unentangled
+    qubit is a (preparation basis, value) pair: a flip XORs the value, a
+    measurement in that basis reads it, and the fair outcomes of the other
+    basis are one getrandbits(count) placed in index order, as
+    measure_rows places coin.bits(count). The loop over blocks stays: all
+    other draws share one ledgered stream in the order Alice, Eve, Bob,
+    Eve's delayed measurement, and how many bits each takes depends on the
+    outcomes before it, so drawing them in bulk would change the outputs.
+    Each stage is charged once per block, keys in first-charge order.
 
     A per_block n-qubit block is prepared in only 2 * 2^n ways, so on small
     blocks a unitary_block attack repeats the same evolution: such blocks
@@ -292,61 +259,87 @@ def run_session(
                 f"attack is sized for {attack.num_block_qubits}-qubit blocks, "
                 f"config uses {config.block_size}"
             )
-    source = BitSource(config.seed)
-    eve_coin = source.for_stage("eve", "attack")
+    n = config.block_size
+    full = (1 << n) - 1
+    width = 1 if config.mode == "per_block" else n  # basis bits per block
     forced = None if force_shared_basis is None else force_shared_basis.value
-    flips = _channel_flips(config)
+    source = BitSource(config.seed)
+    getrandbits = source.unledgered()
+    spent = source.ledger.counts  # new keys in first-charge order, as record() makes them
     register = None
     if attack.variant == "unitary_block":
-        register = _RegisterPaths(config, attack, source, forced)
+        register = _RegisterPaths(attack, source, forced)
+    intercept = attack.variant == "intercept_resend"
+    flips = _channel_flips(config)
+    flip_masks = [0] * config.num_blocks if flips is None else _pack(flips)
 
-    alice_parts: list[np.ndarray] = []
-    bob_parts: list[np.ndarray] = []
+    def basis_mask(drawn: int) -> int:
+        return -forced & full if forced is not None else -drawn & full if width == 1 else drawn
+
+    kept_rows: list[tuple] = []  # Alice's bits, Bob's outcomes, kept, Eve's masks
     symbols: list = []
-    kept_blocks = 0
-    for index in range(config.num_blocks):
-        alice_bases, alice_bits, rows = alice_prepare_block(
-            config, source, forced_value=forced
-        )
-        flip_mask = None if flips is None else flips[index]
+    attacked = eve_basis = eve_bits = 0
+    for flip in flip_masks:
+        alice_basis = basis_mask(getrandbits(width))
+        alice_bits = getrandbits(n)
+        spent[_ALICE_BASIS] = spent.get(_ALICE_BASIS, 0) + width
+        spent[_ALICE_BITS] = spent.get(_ALICE_BITS, 0) + n
         if register is not None:
-            bob_bases, outcomes, symbol = register.run_block(
-                alice_bases, alice_bits, rows, flip_mask
-            )
+            bob_basis, outcomes, symbol = register.run_block(alice_basis & 1, alice_bits, flip)
+            bob_basis = -bob_basis & full
         else:
-            prep_bases = alice_bases
-            if attack.variant == "intercept_resend":
-                rows, prep_bases, record = attacks_mod.intercept_resend(
-                    rows, alice_bases, attack, eve_coin
-                )
-            if flip_mask is not None:
-                rows = flip_rows(rows, flip_mask, prep_bases)
-            bob_bases, outcomes = bob_measure_block(
-                rows, config, source, forced_value=forced
-            )
-        kept = alice_bases == bob_bases
-        if not kept.any():
+            prep, value = alice_basis, alice_bits
+            if intercept:
+                attacked, eve_basis, eve_bits, eve_spent = 0, 0, 0, 0
+                for _ in range(n):
+                    hit, drawn = bernoulli_draw(getrandbits, attack.fraction)
+                    attacked = attacked << 1 | hit
+                    eve_spent += drawn
+                if attacked:
+                    count = 1 if attack.granularity == "per_block" else attacked.bit_count()
+                    eve_basis = getrandbits(count)  # one basis per block, or per attacked qubit
+                    eve_basis = _deposit(eve_basis, attacked) if count > 1 else -eve_basis & attacked
+                    eve_spent += count
+                    guessed = (eve_basis ^ alice_basis) & attacked  # her fair outcomes
+                    eve_bits = alice_bits & attacked & ~guessed
+                    count = guessed.bit_count()
+                    if count:
+                        eve_bits |= _deposit(getrandbits(count), guessed)
+                        eve_spent += count
+                    prep = prep & ~attacked | eve_basis
+                    value = value & ~attacked | eve_bits
+                if eve_spent:
+                    spent[_EVE] = spent.get(_EVE, 0) + eve_spent
+            value ^= flip
+            bob_basis = basis_mask(getrandbits(width))
+            spent[_BOB_BASIS] = spent.get(_BOB_BASIS, 0) + width
+            guessed = prep ^ bob_basis  # Bob's fair outcomes
+            outcomes = value & ~guessed
+            count = guessed.bit_count()
+            if count:
+                outcomes |= _deposit(getrandbits(count), guessed)
+                spent[_BOB_MEASUREMENT] = spent.get(_BOB_MEASUREMENT, 0) + count
+        kept = full & ~(alice_basis ^ bob_basis)
+        if not kept:
             continue
-        kept_blocks += 1
-        alice_parts.append(alice_bits[kept])
-        bob_parts.append(outcomes[kept])
-        if attack.variant == "intercept_resend":
-            # '?' where Eve stayed out, else (her bit, whether her basis
-            # matched the announced one).
-            symbols.extend(
-                (int(record.bits[i]), bool(record.bases[i] == alice_bases[i]))
-                if record.attacked[i]
-                else "?"
-                for i in np.flatnonzero(kept)
-            )
-        elif attack.variant == "unitary_block":
+        kept_rows.append((alice_bits, outcomes, kept, attacked, eve_bits, eve_basis ^ alice_basis))
+        if register is not None:
             # One symbol per block, the same for each of its kept bits:
             # the announced basis (or guess-match flag) and her ancilla bits.
-            symbols.extend([symbol] * config.block_size)
+            symbols.extend([symbol] * n)
 
-    if alice_parts:
-        alice_key = np.concatenate(alice_parts)
-        bob_key = np.concatenate(bob_parts)
+    if kept_rows:
+        columns = list(zip(*kept_rows))
+        keep = _unpack(columns[2], n).astype(bool)
+        alice_key, bob_key = (_unpack(column, n)[keep] for column in columns[:2])
+        if intercept:
+            # '?' where Eve stayed out, else (her bit, whether her basis
+            # matched the announced one).
+            attacked, eve_bits, differs = (_unpack(c, n)[keep].tolist() for c in columns[3:])
+            symbols = [
+                (bit, not differ) if hit else "?"
+                for hit, bit, differ in zip(attacked, eve_bits, differs)
+            ]
     else:
         alice_key = np.zeros(0, dtype=np.uint8)
         bob_key = alice_key.copy()
@@ -367,7 +360,7 @@ def run_session(
         config=config,
         attack=attack,
         raw_qubits=config.raw_qubits,
-        kept_blocks=kept_blocks,
+        kept_blocks=len(kept_rows),
         sifted_bits=sifted_bits,
         qber_true=qber_true,
         qber_estimated=qber_estimated,
@@ -380,18 +373,51 @@ def run_session(
     )
 
 
+def _deposit(value: int, mask: int) -> int:
+    """The low bits of `value` at the set bits of `mask`, lowest first, so a
+    drawn value's first (top) bit lands at the first position in index order."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        if value & 1:
+            out |= low
+        value >>= 1
+        mask ^= low
+    return out
+
+
+def _pack(rows: np.ndarray) -> list[int]:
+    """Each row of an (m, n) 0/1 array as an int, position i at bit n-1-i."""
+    packed = np.packbits(rows, axis=1)
+    raw, step, pad = packed.tobytes(), packed.shape[1], -rows.shape[1] % 8
+    return [int.from_bytes(raw[k : k + step], "big") >> pad for k in range(0, len(raw), step)]
+
+
+def _unpack(values, n: int) -> np.ndarray:
+    """(len(values), n) uint8 bits of n-bit ints, position i from bit n-1-i."""
+    step = -(-n // 8)
+    raw = b"".join(v.to_bytes(step, "big") for v in values)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).reshape(len(values), 8 * step)
+    return bits[:, 8 * step - n :]
+
+
 def _channel_flips(config: ProtocolConfig) -> np.ndarray | None:
     """(num_blocks, n) mask of channel bit flips; None when noiseless.
 
     A flip swaps the two eigenstates of the basis the qubit was last
     prepared in: Alice's, or Eve's after a resend (X gate for Z-prepared,
     Z gate for X-prepared qubits); an entangled block flips in Alice's
-    encoding basis.
+    encoding basis. The uniforms are rng.random()'s, built in bulk: that is
+    ((a >> 5) * 2^26 + (b >> 6)) * 2^-53 for two consecutive 32-bit words
+    a, b, which getrandbits(64 * count) returns least significant first.
     """
     if config.channel_flip_prob <= 0.0:
         return None
     rng = random.Random(f"{config.seed}/channel")
-    draws = np.array([rng.random() for _ in range(config.raw_qubits)])
+    count = config.raw_qubits
+    raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    words = np.frombuffer(raw, dtype="<u4")
+    draws = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
     return (draws < config.channel_flip_prob).reshape(config.num_blocks, -1)
 
 

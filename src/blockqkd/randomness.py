@@ -153,28 +153,40 @@ class BitSource:
         """Return 1 with probability p, consuming the minimum number of bits.
 
         Builds a uniform X in [0,1) one binary digit at a time and answers
-        X < p as soon as the remaining interval lies on one side of p. The
-        digits drawn go to the ledger in one record.
+        X < p as soon as the remaining interval lies on one side of p
+        (`bernoulli_draw`). The digits drawn go to the ledger in one record.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError("probability must lie in [0, 1]")
-        if p < DETERMINISTIC_EPS:
-            return 0
-        if p > 1.0 - DETERMINISTIC_EPS:
-            return 1
-        getrandbits = self._rng.getrandbits
-        lo = 0.0
-        half = 0.5
-        drawn = 1
-        while True:
-            if getrandbits(1):
-                lo += half
-            if lo >= p or lo + half <= p:
-                break
-            half *= 0.5
-            drawn += 1
-        self.ledger.record(party, stage, drawn)
-        return 0 if lo >= p else 1
+        outcome, drawn = bernoulli_draw(self._rng.getrandbits, p)
+        if drawn:
+            self.ledger.record(party, stage, drawn)
+        return outcome
+
+    def unledgered(self):
+        """The generator's ``getrandbits``, for a caller that charges every
+        bit it draws to ``self.ledger`` itself."""
+        return self._rng.getrandbits
+
+
+def bernoulli_draw(getrandbits, p: float) -> tuple[int, int]:
+    """One exact Bernoulli(p) trial on ``getrandbits(1)`` digits: (outcome,
+    digits drawn). No digit is drawn when p is within 1e-12 of 0 or 1."""
+    if p < DETERMINISTIC_EPS:
+        return 0, 0
+    if p > 1.0 - DETERMINISTIC_EPS:
+        return 1, 0
+    lo = 0.0
+    half = 0.5
+    drawn = 1
+    while True:
+        if getrandbits(1):
+            lo += half
+        if lo >= p or lo + half <= p:
+            break
+        half *= 0.5
+        drawn += 1
+    return (0 if lo >= p else 1), drawn
 
 
 def _int_to_bits(value: int, count: int) -> np.ndarray:

@@ -61,8 +61,9 @@ def test_spec_validation():
         BlockAttackSpec.intercept(0.5, "per_banana")
     with pytest.raises(ValueError):
         BlockAttackSpec.unitary(IDENTITY4, 3, 0)  # dimension mismatch
-    with pytest.raises(ValueError):
-        BlockAttackSpec.unitary(random_unitary(11, seed=1), 9, 2)  # past cap
+    # The cap is checked before the dimension, so a small unitary reaches it.
+    with pytest.raises(ValueError, match="capped at 10 qubits"):
+        BlockAttackSpec.unitary(IDENTITY4, 9, 2)  # past cap
 
 
 def test_spec_labels():

@@ -14,6 +14,7 @@ from blockqkd.attacks import (
     BlockAttackSpec,
     cnot_entangler,
     delayed_measurement,
+    intercept_resend,
     unitary_block_attack,
 )
 from blockqkd.infotheory import (
@@ -26,8 +27,6 @@ from blockqkd.protocol import (
     ProtocolConfig,
     _channel_flips,
     _joint_counts,
-    alice_prepare_block,
-    bob_measure_block,
     estimate_qber,
     run_session,
     empirical_rates,
@@ -40,8 +39,11 @@ from blockqkd.quantum import (
     Prep,
     UnitarySpec,
     apply_unitary,
+    bb84_rows,
     enumerate_outcomes,
+    flip_rows,
     measure,
+    measure_rows,
     random_unitary,
 )
 from blockqkd.randomness import BitSource
@@ -91,6 +93,35 @@ def test_config_validation():
 # --- preparation --------------------------------------------------------------
 
 
+def draw_bases(config, source, party, forced=None):
+    """One party's basis values for a block, as run_session draws them: one
+    bit repeated n times (per_block) or n bits, then replaced by `forced`."""
+    n = config.block_size
+    width = 1 if config.mode == "per_block" else n
+    bases = np.resize(source.draw_bits(party, f"{party}_basis", width), n).astype(np.int64)
+    if forced is not None:
+        bases[:] = forced
+    return bases
+
+
+def alice_prepare_block(config, source, forced=None):
+    """Alice's bases, bits and amplitude rows for one block."""
+    bases = draw_bases(config, source, "alice", forced)
+    bits = source.draw_bits("alice", "alice_bits", config.block_size)
+    return bases, bits, bb84_rows(bits, bases)
+
+
+def bob_measure_block(rows, config, source, forced=None):
+    """Bob's bases and his outcomes on a product block."""
+    bases = draw_bases(config, source, "bob", forced)
+    outcomes, _ = measure_rows(rows, bases, source.for_stage("bob", "bob_measurement"))
+    return bases, outcomes
+
+
+def alice_charges(report):
+    return report.ledger.get("alice", "alice_basis"), report.ledger.get("alice", "alice_bits")
+
+
 def test_prepare_ledger_per_block():
     source = BitSource(1)
     config = ProtocolConfig(block_size=4, num_blocks=1, mode="per_block")
@@ -99,6 +130,7 @@ def test_prepare_ledger_per_block():
     assert source.ledger.get("alice", "alice_bits") == 4
     assert len(set(bases.tolist())) == 1
     assert rows.shape == (4, 2)
+    assert alice_charges(run_session(config)) == (1, 4)
 
 
 def test_prepare_ledger_per_qubit():
@@ -107,6 +139,7 @@ def test_prepare_ledger_per_qubit():
     alice_prepare_block(config, source)
     assert source.ledger.get("alice", "alice_basis") == 4
     assert source.ledger.get("alice", "alice_bits") == 4
+    assert alice_charges(run_session(config)) == (4, 4)
 
 
 @pytest.mark.parametrize("mode", ["per_block", "per_qubit"])
@@ -116,6 +149,7 @@ def test_prepare_ledger_single_qubit_modes_coincide(mode):
     alice_prepare_block(config, source)
     assert source.ledger.get("alice", "alice_basis") == 1
     assert source.ledger.get("alice", "alice_bits") == 1
+    assert alice_charges(run_session(config)) == (1, 1)
 
 
 # --- measurement --------------------------------------------------------------
@@ -128,15 +162,19 @@ def test_measure_ledger_per_block():
     before = source.ledger.get("bob", "bob_basis")
     bob_measure_block(block, config, source)
     assert source.ledger.get("bob", "bob_basis") - before == 1
+    assert run_session(config).ledger.get("bob", "bob_basis") == 1
 
 
 def test_matched_basis_reads_alice_bits_exactly():
     source = BitSource(5)
     config = ProtocolConfig(block_size=64, num_blocks=1, mode="per_block")
-    _, bits, block = alice_prepare_block(config, source, forced_value=0)
-    _, outcomes = bob_measure_block(block, config, source, forced_value=0)
+    _, bits, block = alice_prepare_block(config, source, forced=0)
+    _, outcomes = bob_measure_block(block, config, source, forced=0)
     assert np.array_equal(outcomes, bits)
     assert source.ledger.get("bob", "bob_measurement") == 0
+    report = run_session(config, force_shared_basis=Basis.Z)
+    assert np.array_equal(report.alice_key, report.bob_key)
+    assert report.ledger.get("bob", "bob_measurement") == 0
 
 
 def test_mismatched_basis_outcomes_uniform():
@@ -147,8 +185,8 @@ def test_mismatched_basis_outcomes_uniform():
     assert dist.prob((0,)) == pytest.approx(0.5, abs=1e-12)
     source = BitSource(6)
     config = ProtocolConfig(block_size=4000, num_blocks=1, mode="per_block")
-    _, _, block = alice_prepare_block(config, source, forced_value=0)
-    _, outcomes = bob_measure_block(block, config, source, forced_value=1)
+    _, _, block = alice_prepare_block(config, source, forced=0)
+    _, outcomes = bob_measure_block(block, config, source, forced=1)
     mean = outcomes.mean()
     sigma = math.sqrt(0.25 / 4000)
     assert abs(mean - 0.5) <= 5 * sigma
@@ -456,6 +494,125 @@ def test_unitary_attack_session_runs():
         assert len(ancilla_bits) == 1
 
 
+def _reference_flips(config):
+    """The channel's flip mask from one rng.random() call per raw qubit."""
+    if config.channel_flip_prob <= 0.0:
+        return None
+    rng = pyrandom.Random(f"{config.seed}/channel")
+    draws = [rng.random() < config.channel_flip_prob for _ in range(config.raw_qubits)]
+    return np.array(draws).reshape(config.num_blocks, config.block_size)
+
+
+def _reference_outputs(config, source, alice_parts, bob_parts, kept_blocks, symbols):
+    """Keys, kept blocks, Eve's symbols and disclosed indices of a session
+    from its kept parts, after the estimation sample, and its BitSource."""
+    alice_key = np.concatenate(alice_parts) if alice_parts else np.zeros(0, np.uint8)
+    bob_key = np.concatenate(bob_parts) if bob_parts else np.zeros(0, np.uint8)
+    disclosed = ()
+    if len(alice_key) >= math.ceil(1.0 / config.sample_fraction):
+        _, disclosed = estimate_qber(alice_key, bob_key, config.sample_fraction, source)
+    return alice_key, bob_key, kept_blocks, symbols, disclosed, source
+
+
+def assert_same_session(report, reference):
+    """run_session's report against a reference session, draw for draw."""
+    alice_key, bob_key, kept_blocks, symbols, disclosed, source = reference
+    assert report.alice_key.dtype == alice_key.dtype
+    assert np.array_equal(report.alice_key, alice_key)
+    assert report.bob_key.dtype == bob_key.dtype
+    assert np.array_equal(report.bob_key, bob_key)
+    assert report.kept_blocks == kept_blocks
+    assert repr(report.eve_symbols) == repr(symbols)
+    assert report.disclosed_indices == disclosed
+    assert list(report.ledger.counts.items()) == list(source.ledger.counts.items())
+    assert report.source._rng.getstate() == source._rng.getstate()
+
+
+def _reference_row_session(config, attack, forced):
+    """A session without an entangling attack, block by block on amplitude
+    rows: Alice's preparation, intercept_resend, flip_rows in the
+    preparation basis, Bob's measure_rows, then the estimation sample."""
+    source = BitSource(config.seed)
+    eve_coin = source.for_stage("eve", "attack")
+    flips = _reference_flips(config)
+    forced = None if forced is None else forced.value
+    alice_parts, bob_parts, symbols, kept_blocks = [], [], [], 0
+    for index in range(config.num_blocks):
+        alice_bases, alice_bits, rows = alice_prepare_block(config, source, forced)
+        prep_bases = alice_bases
+        if attack.variant == "intercept_resend":
+            rows, prep_bases, record = intercept_resend(rows, alice_bases, attack, eve_coin)
+        if flips is not None:
+            rows = flip_rows(rows, flips[index], prep_bases)
+        bob_bases, outcomes = bob_measure_block(rows, config, source, forced)
+        kept = alice_bases == bob_bases
+        if not kept.any():
+            continue
+        kept_blocks += 1
+        alice_parts.append(alice_bits[kept])
+        bob_parts.append(outcomes[kept])
+        if attack.variant == "intercept_resend":
+            symbols.extend(
+                (int(record.bits[i]), bool(record.bases[i] == alice_bases[i]))
+                if record.attacked[i]
+                else "?"
+                for i in np.flatnonzero(kept)
+            )
+    symbols = None if attack.variant == "none" else tuple(symbols)
+    return _reference_outputs(config, source, alice_parts, bob_parts, kept_blocks, symbols)
+
+
+_ROW_ATTACKS = [BlockAttackSpec.none()] + [
+    BlockAttackSpec.intercept(fraction, granularity)
+    for fraction in (0.0, 1e-13, 0.3, 1.0)
+    for granularity in ("per_qubit", "per_block")
+]
+
+
+@given(
+    n=st.sampled_from([1, 2, 3, 4, 5, 33, 70]),
+    mode=st.sampled_from(protocol.MODES),
+    attack=st.sampled_from(_ROW_ATTACKS),
+    flip=st.sampled_from([0.0, 0.05, 1.0]),
+    forced=st.sampled_from([None, Basis.Z, Basis.X]),
+    seed=st.integers(0, 2**32 - 1),
+    num_blocks=st.integers(1, 40),
+)
+@example(n=4, mode="per_qubit", attack=_ROW_ATTACKS[5], flip=0.05, forced=None,
+         seed=11, num_blocks=300)
+@settings(max_examples=200, deadline=None)
+def test_mask_engine_matches_row_loop(n, mode, attack, flip, forced, seed, num_blocks):
+    """run_session's bit-mask blocks against the amplitude-row loop: same
+    keys, kept blocks, Eve's symbols, ledger in key order and generator
+    state."""
+    config = ProtocolConfig(n, num_blocks, mode, flip, seed=seed)
+    report = run_session(config, attack, force_shared_basis=forced)
+    assert_same_session(report, _reference_row_session(config, attack, forced))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 70),
+    num_blocks=st.integers(1, 30),
+    p=st.sampled_from([1e-13, 0.02, 0.5, 1.0]),
+    pick=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_channel_flips_match_random_loop(seed, n, num_blocks, p, pick):
+    """The bulk channel draws are rng.random()'s to the last bit: they
+    agree on fixed probabilities and on thresholds at a draw and one ulp
+    above it."""
+    config = ProtocolConfig(n, num_blocks, channel_flip_prob=p, seed=seed)
+    assert np.array_equal(_channel_flips(config), _reference_flips(config))
+    rng = pyrandom.Random(f"{seed}/channel")
+    draws = [rng.random() for _ in range(config.raw_qubits)]
+    at = draws[pick % len(draws)]
+    for threshold in (at, np.nextafter(at, 2.0)):
+        config = ProtocolConfig(n, num_blocks, channel_flip_prob=float(threshold), seed=seed)
+        expected = (np.array(draws) < threshold).reshape(num_blocks, n)
+        assert np.array_equal(_channel_flips(config), expected)
+
+
 def _reference_unitary_session(config, attack, forced):
     """A unitary_block session block by block on the register itself:
     unitary_block_attack, the flip gates, Bob's measurement and Eve's
@@ -465,11 +622,11 @@ def _reference_unitary_session(config, attack, forced):
     source = BitSource(config.seed)
     eve_coin = source.for_stage("eve", "attack")
     bob_coin = source.for_stage("bob", "bob_measurement")
-    flips = _channel_flips(config)
+    flips = _reference_flips(config)
     alice_parts, bob_parts, symbols, kept_blocks = [], [], [], 0
     for index in range(config.num_blocks):
         alice_bases, alice_bits, rows = alice_prepare_block(
-            config, source, forced_value=None if forced is None else forced.value
+            config, source, None if forced is None else forced.value
         )
         block, record = unitary_block_attack(rows, attack, eve_coin)
         if flips is not None:
@@ -494,12 +651,7 @@ def _reference_unitary_session(config, attack, forced):
             alice_parts.append(alice_bits)
             bob_parts.append(np.array(outcomes, dtype=np.uint8))
             symbols.extend([symbol] * n)
-    alice_key = np.concatenate(alice_parts) if alice_parts else np.zeros(0, np.uint8)
-    bob_key = np.concatenate(bob_parts) if bob_parts else np.zeros(0, np.uint8)
-    disclosed = ()
-    if len(alice_key) >= math.ceil(1.0 / config.sample_fraction):
-        _, disclosed = estimate_qber(alice_key, bob_key, config.sample_fraction, source)
-    return alice_key, bob_key, kept_blocks, tuple(symbols), disclosed, source
+    return _reference_outputs(config, source, alice_parts, bob_parts, kept_blocks, tuple(symbols))
 
 
 @given(
@@ -528,20 +680,10 @@ def test_register_memo_matches_per_block_register(
     u = cnot_entangler() if unitary_seed is None else random_unitary(n + m, unitary_seed)
     attack = BlockAttackSpec.unitary(u, n, m, delayed=delayed)
     config = ProtocolConfig(n, num_blocks, "per_block", flip, seed=seed)
-    alice_key, bob_key, kept_blocks, symbols, disclosed, source = (
-        _reference_unitary_session(config, attack, forced)
-    )
+    reference = _reference_unitary_session(config, attack, forced)
     with mock.patch.object(protocol, "_MEMO_NODES", memo_nodes):
         report = run_session(config, attack, force_shared_basis=forced)
-    assert report.alice_key.dtype == alice_key.dtype
-    assert np.array_equal(report.alice_key, alice_key)
-    assert report.bob_key.dtype == bob_key.dtype
-    assert np.array_equal(report.bob_key, bob_key)
-    assert report.kept_blocks == kept_blocks
-    assert repr(report.eve_symbols) == repr(symbols)
-    assert report.disclosed_indices == disclosed
-    assert list(report.ledger.counts.items()) == list(source.ledger.counts.items())
-    assert report.source._rng.getstate() == source._rng.getstate()
+    assert_same_session(report, reference)
 
 
 # --- empirical rates ----------------------------------------------------------
