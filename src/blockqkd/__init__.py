@@ -13,12 +13,10 @@ from .attacks import (
     BlockAttackSpec,
     EquivalenceReport,
     delayed_measurement,
-    intercept_resend,
     load_unitary,
     reduction_corpus,
     save_unitary,
     singlet_simulation,
-    unitary_block_attack,
     verify_reduction,
 )
 from .infotheory import (
@@ -88,7 +86,6 @@ __all__ = [
     "empirical_rates",
     "entropy",
     "enumerate_outcomes",
-    "intercept_resend",
     "load_unitary",
     "mutual_information",
     "pipeline",
@@ -98,6 +95,5 @@ __all__ = [
     "save_unitary",
     "singlet_simulation",
     "toeplitz_pa",
-    "unitary_block_attack",
     "verify_reduction",
 ]

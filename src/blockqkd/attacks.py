@@ -14,6 +14,9 @@ Three attack families:
   verify_reduction checks numerically that this reproduces, branch by
   branch, the exact ensemble a real-block attack would produce.
 
+protocol.run_session runs the first two; this module describes them
+(BlockAttackSpec) and builds the register they entangle (entangle_block).
+
 Eve's kept quantum state is anti-correlated with the simulated qubits
 (singlet in every basis), so her recorded bit for a simulated slot is the
 complement of her kept-half outcome.
@@ -36,7 +39,6 @@ from .quantum import (
     bb84_rows,
     embed,
     measure,
-    measure_rows,
     permute_qubits,
     prepare_singlet,
     project,
@@ -141,29 +143,12 @@ class BlockAttackSpec:
 
 
 @dataclass
-class EveRecord:
-    """What Eve holds for one block.
-
-    For intercept_resend: per-qubit mask, bases and outcomes. For
-    unitary_block: either immediate guessed-basis results or a kept
-    register, measured once the basis is announced.
-    """
-
-    attacked: np.ndarray | None = None
-    bases: np.ndarray | None = None
-    bits: np.ndarray | None = None
-    guess_basis: int | None = None
-    kept: "EntangledBlock | None" = None
-
-
-@dataclass
 class EntangledBlock:
     """Block qubits 0..n-1, then Eve's kept qubits, then her ancillas, in
     one register.
 
-    A real block attacked by unitary_block_attack keeps nothing. In the
-    singlet-built block of singlet_simulation, Alice's real qubit sits at
-    alice_slot, every other block slot holds one singlet half, and
+    In the singlet-built block of singlet_simulation, Alice's real qubit
+    sits at alice_slot, every other block slot holds one singlet half, and
     kept_slots hold Eve's partner halves in the same order as
     partner_slots.
     """
@@ -179,74 +164,6 @@ class EntangledBlock:
     @property
     def block_slots(self) -> tuple[int, ...]:
         return tuple(range(self.num_block_qubits))
-
-
-def intercept_resend(
-    rows: np.ndarray,
-    prep_bases: np.ndarray,
-    spec: BlockAttackSpec,
-    coin: StageSource,
-) -> tuple[np.ndarray, np.ndarray, EveRecord]:
-    """Measure-and-resend on a product block.
-
-    Each qubit is attacked independently with probability spec.fraction.
-    Eve's basis is fresh per attacked qubit, or one draw for the whole
-    block when granularity is per_block. Attacked qubits leave re-prepared
-    in Eve's basis (their new preparation basis for channel purposes).
-    """
-    if spec.variant != "intercept_resend":
-        raise ValueError("spec is not an intercept_resend attack")
-    n = len(rows)
-    attacked = np.array([bool(coin.bernoulli(spec.fraction)) for _ in range(n)])
-    if not attacked.any():
-        return rows, prep_bases, EveRecord(attacked=attacked)
-    count = int(attacked.sum())
-    if spec.granularity == "per_block":
-        eve_bases = np.full(count, coin.bit(), dtype=np.int64)
-    else:
-        eve_bases = coin.bits(count).astype(np.int64)
-    outcomes, resent = measure_rows(rows[attacked], eve_bases, coin)
-    new_rows = rows.copy()
-    new_rows[attacked] = resent
-    new_bases = prep_bases.copy()
-    new_bases[attacked] = eve_bases
-    bases_full = np.full(n, -1, dtype=np.int64)
-    bases_full[attacked] = eve_bases
-    bits_full = np.zeros(n, dtype=np.uint8)
-    bits_full[attacked] = outcomes
-    record = EveRecord(attacked=attacked, bases=bases_full, bits=bits_full)
-    return new_rows, new_bases, record
-
-
-def unitary_block_attack(
-    rows: np.ndarray,
-    spec: BlockAttackSpec,
-    coin: StageSource,
-) -> tuple[EntangledBlock, EveRecord]:
-    """Entangle the block with Eve's ancillas through spec.u.
-
-    delayed=True leaves the ancillas unmeasured inside the returned
-    register; delayed=False measures them immediately in a guessed basis
-    (one coin bit), before the block travels on.
-    """
-    if spec.variant != "unitary_block":
-        raise ValueError("spec is not a unitary_block attack")
-    n, m = spec.num_block_qubits, spec.num_ancillas
-    if len(rows) != n:
-        raise ValueError(f"attack expects {n} block qubits, got {len(rows)}")
-    state = entangle_block(rows, spec.u, m)
-    block = EntangledBlock(state, num_block_qubits=n, ancilla_slots=tuple(range(n, n + m)))
-    if spec.delayed:
-        return block, EveRecord(kept=block)
-    guess = coin.bit()
-    bits = []
-    for q in block.ancilla_slots:
-        outcome, post = measure(block.state, q, Basis(guess), coin)
-        block.state = post
-        bits.append(outcome)
-    block.eve_measured = True
-    record = EveRecord(guess_basis=guess, bits=np.array(bits, dtype=np.uint8))
-    return block, record
 
 
 def entangle_block(rows: np.ndarray, u: UnitarySpec, num_ancillas: int) -> StateVector:

@@ -363,12 +363,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"rejected unitary file: {exc}", file=sys.stderr)
             return 1
-        n = u.num_qubits - args.file_ancillas
+        m = args.file_ancillas
+        if m < 0 or u.num_qubits > 8:
+            raise ConfigError(f"file ancilla count {m} with a {u.num_qubits}-qubit unitary "
+                              "is outside m >= 0, n + m <= 8")
+        n = u.num_qubits - m
         if n not in (2, 3):
             raise ConfigError(
                 f"unitary file implies block size {n}, outside the verifiable range"
             )
-        cases.append(CorpusCase(f"file({args.unitary_file})", u, n, args.file_ancillas))
+        cases.append(CorpusCase(f"file({args.unitary_file})", u, n, m))
     failures = 0
     for case in cases:
         outcome = verify_reduction(case.u, case.n, case.m)
@@ -393,6 +397,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not a JSON report: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"not a JSON report: the top level is a {type(payload).__name__}")
     config = payload.get("config", {})
     results = payload.get("results", {})
     ledger = payload.get("ledger", {})

@@ -235,8 +235,8 @@ def run_session(
     order draw_bits unpacks a getrandbits(n) value in). An unentangled
     qubit is a (preparation basis, value) pair: a flip XORs the value, a
     measurement in that basis reads it, and the fair outcomes of the other
-    basis are one getrandbits(count) placed in index order, as
-    measure_rows places coin.bits(count). The loop over blocks stays: all
+    basis are one getrandbits(count) placed in index order, its first
+    drawn bit at the first such position. The loop over blocks stays: all
     other draws share one ledgered stream in the order Alice, Eve, Bob,
     Eve's delayed measurement, and how many bits each takes depends on the
     outcomes before it, so drawing them in bulk would change the outputs.

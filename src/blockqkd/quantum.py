@@ -432,77 +432,22 @@ def enumerate_outcomes(circuit: Circuit) -> JointDistribution:
     return JointDistribution(circuit.measurement_labels(), table)
 
 
-# --- vectorized product-state blocks -------------------------------------
+# --- product-state blocks -------------------------------------------------
 #
-# A block that no attack has entangled is a product of 1-qubit states and
-# is stored as an (n, 2) amplitude array, one row per qubit. The math is
-# identical to the register path, just batched.
+# A block as Alice prepares it is a product of 1-qubit BB84 states, written
+# as an (n, 2) amplitude array, one row per qubit, until an attack entangles
+# it into a register (attacks.entangle_block).
 
 
 def bb84_rows(bits: np.ndarray, bases) -> np.ndarray:
-    """(n, 2) amplitudes for per-qubit BB84 preparations."""
+    """(n, 2) amplitudes for per-qubit BB84 preparations, in one Basis or
+    an array of basis values (0 for Z, 1 for X), one per bit."""
     bits = np.asarray(bits, dtype=np.int64)
-    basis_vals = _basis_values(bases, len(bits))
-    return _BB84_AMPS[basis_vals, bits].copy()
-
-
-def measure_rows(rows: np.ndarray, bases, coin) -> tuple[np.ndarray, np.ndarray]:
-    """Measure each row-qubit independently; returns (outcomes, post rows).
-
-    Deterministic rows consume nothing; uniform rows are decided by one
-    batched fair bit each (index order); any other probability falls back
-    to coin.bernoulli per row, after the batch.
-    """
-    n = len(rows)
-    basis_vals = _basis_values(bases, n)
-    work = rows.copy()
-    xsel = basis_vals == 1
-    if np.any(xsel):
-        work[xsel] = work[xsel] @ HADAMARD
-    p1 = np.abs(work[:, 1]) ** 2
-    outcomes = np.zeros(n, dtype=np.uint8)
-    det1 = p1 > 1.0 - DETERMINISTIC_EPS
-    uniform = np.abs(p1 - 0.5) < DETERMINISTIC_EPS
-    other = ~det1 & ~uniform & (p1 >= DETERMINISTIC_EPS)
-    outcomes[det1] = 1
-    count = int(np.count_nonzero(uniform))
-    if count:
-        outcomes[uniform] = coin.bits(count)
-    for i in np.flatnonzero(other):
-        outcomes[i] = coin.bernoulli(float(p1[i]))
-    post = _BB84_AMPS[basis_vals, outcomes].copy()
-    return outcomes, post
-
-
-def flip_rows(rows: np.ndarray, mask: np.ndarray, bases) -> np.ndarray:
-    """Bit-flip each masked row in its own preparation basis.
-
-    In Z this swaps the computational amplitudes (Pauli X); in X it swaps
-    the +/- components (Pauli Z). Rows outside the mask are untouched.
-    """
-    n = len(rows)
-    basis_vals = _basis_values(bases, n)
-    out = rows.copy()
-    z_flip = mask & (basis_vals == 0)
-    x_flip = mask & (basis_vals == 1)
-    out[z_flip] = out[z_flip][:, ::-1]
-    out[x_flip] = out[x_flip] * np.array([1.0, -1.0])
-    return out
+    values = bases.value if isinstance(bases, Basis) else np.asarray(bases, dtype=np.int64)
+    return _BB84_AMPS[values, bits].copy()
 
 
 def rows_to_state(rows: np.ndarray) -> StateVector:
     """Promote an (n, 2) product block to a full register state."""
     amps = reduce(np.kron, list(rows))
     return StateVector(len(rows), amps)
-
-
-def _basis_values(bases, n: int) -> np.ndarray:
-    if isinstance(bases, Basis):
-        return np.full(n, bases.value, dtype=np.int64)
-    values = np.asarray(
-        [b.value if isinstance(b, Basis) else int(b) for b in np.atleast_1d(bases)],
-        dtype=np.int64,
-    )
-    if len(values) != n:
-        raise ValueError(f"expected {n} basis values, got {len(values)}")
-    return values

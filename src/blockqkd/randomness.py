@@ -75,7 +75,7 @@ class StageSource:
     """View of a BitSource bound to one (party, stage) ledger entry.
 
     This is the ``coin`` handed to measurement code: anything with
-    ``bit()``, ``bits(count)`` and ``bernoulli(p)``.
+    ``bit()`` and ``bernoulli(p)``.
     """
 
     def __init__(self, source: "BitSource", party: str, stage: str):
@@ -85,9 +85,6 @@ class StageSource:
 
     def bit(self) -> int:
         return int(self._source.draw_bits(self.party, self.stage, 1)[0])
-
-    def bits(self, count: int) -> np.ndarray:
-        return self._source.draw_bits(self.party, self.stage, count)
 
     def bernoulli(self, p: float) -> int:
         return self._source.bernoulli(self.party, self.stage, p)

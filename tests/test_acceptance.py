@@ -14,12 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blockqkd.attacks import (
-    BlockAttackSpec,
-    intercept_resend,
-    reduction_corpus,
-    verify_reduction,
-)
+from blockqkd.attacks import BlockAttackSpec, reduction_corpus, verify_reduction
 from blockqkd.cli import main as cli_main
 from blockqkd.infotheory import (
     JointDistribution,
@@ -34,9 +29,7 @@ from blockqkd.quantum import (
     Measure,
     Prep,
     PrepSinglet,
-    bb84_rows,
     enumerate_outcomes,
-    measure_rows,
 )
 from blockqkd.randomness import BitSource, consumption_ratio
 from circuit_sampling import RandomCoin, sample_circuit
@@ -252,28 +245,28 @@ def test_criterion_6_oracle_agreement():
         assert abs(f01 - 0.5) <= 5 * freq_sigma(0.5, MC_TRIALS)
 
     # - an X eigenstate measured in Z is uniform; a Z eigenstate measured
-    #   in X is uniform (mismatched-basis readout)
+    #   in X is uniform (mismatched-basis readout): in a full-interception
+    #   session, where Eve's basis differs from Alice's, her bit is Alice's
+    #   half the time
+    full_intercept = BlockAttackSpec.intercept(1.0, "per_qubit")
     for prep_basis, meas_basis in ((Basis.X, Basis.Z), (Basis.Z, Basis.X)):
         oracle = enumerate_outcomes(
             Circuit(1, [Prep(0, 0, prep_basis), Measure(0, meas_basis, "bob")])
         )
         assert oracle.prob((0,)) == pytest.approx(0.5, abs=1e-12)
-        source = BitSource(607 + prep_basis.value)
-        rows = bb84_rows(
-            np.zeros(MC_TRIALS, dtype=np.int64),
-            np.full(MC_TRIALS, prep_basis.value, dtype=np.int64),
-        )
-        outcomes, _ = measure_rows(
-            rows,
-            np.full(MC_TRIALS, meas_basis.value, dtype=np.int64),
-            source.for_stage("bob", "bob_measurement"),
-        )
-        freq = float(np.mean(outcomes == 0))
-        assert abs(freq - 0.5) <= 5 * freq_sigma(0.5, MC_TRIALS)
+        config = ProtocolConfig(100, 2 * MC_TRIALS // 100, seed=607 + prep_basis.value)
+        report = run_session(config, full_intercept, force_shared_basis=prep_basis)
+        readouts = [
+            eve_bit == alice_bit
+            for (eve_bit, matched), alice_bit in zip(report.eve_symbols, report.alice_key)
+            if not matched
+        ]
+        freq = sum(readouts) / len(readouts)
+        assert abs(freq - 0.5) <= 5 * freq_sigma(0.5, len(readouts))
 
     # - full interception with matched Alice/Bob bases errs on 1/4 of the
-    #   qubits: once measured through the attack pipeline, once sampled on
-    #   the explicit measure-then-measure circuit
+    #   qubits: once in a session under a forced basis, once sampled on the
+    #   explicit measure-then-measure circuit
     oracle_err = 0.0
     for e_basis in (Basis.Z, Basis.X):
         dist = enumerate_outcomes(
@@ -289,19 +282,10 @@ def test_criterion_6_oracle_agreement():
         oracle_err += 0.5 * dist.marginal(("bob",)).prob((1,))
     assert oracle_err == pytest.approx(0.25, abs=1e-12)
 
-    source = BitSource(611)
-    bits = source.draw_bits("alice", "alice_bits", MC_TRIALS)
-    bases = source.draw_bits("alice", "alice_basis", MC_TRIALS)
-    rows = bb84_rows(bits, bases)
-    out_rows, _, _ = intercept_resend(
-        rows, bases, BlockAttackSpec.intercept(1.0, "per_qubit"),
-        source.for_stage("eve", "attack"),
-    )
-    bob_bits, _ = measure_rows(
-        out_rows, bases, source.for_stage("bob", "bob_measurement")
-    )
-    err_freq = float(np.mean(bob_bits != bits))
-    assert abs(err_freq - oracle_err) <= 5 * freq_sigma(oracle_err, MC_TRIALS)
+    config = ProtocolConfig(100, MC_TRIALS // 100, seed=611)
+    report = run_session(config, full_intercept, force_shared_basis=Basis.Z)
+    assert report.sifted_bits == MC_TRIALS
+    assert abs(report.qber_true - oracle_err) <= 5 * freq_sigma(oracle_err, MC_TRIALS)
 
     branch = BitSource(612).draw_bits("eve", "attack", MC_TRIALS)
     shots_x = int(branch.sum())
@@ -344,18 +328,11 @@ def test_criterion_6_oracle_agreement():
     assert pattern_oracle[(0, 0)] == pytest.approx(0.5 + 0.125, abs=1e-12)
 
     blocks = MC_TRIALS
-    source = BitSource(614)
-    eve_block_bases = source.draw_bits("eve", "attack", blocks)
-    eve_bases = np.repeat(eve_block_bases, 2)
-    alice_bits = source.draw_bits("alice", "alice_bits", 2 * blocks)
-    rows = bb84_rows(alice_bits, np.zeros(2 * blocks, dtype=np.int64))
-    _, resent = measure_rows(rows, eve_bases, source.for_stage("eve", "attack"))
-    bob_bits, _ = measure_rows(
-        resent,
-        np.zeros(2 * blocks, dtype=np.int64),
-        source.for_stage("bob", "bob_measurement"),
+    config = ProtocolConfig(2, blocks, "per_block", seed=614)
+    report = run_session(
+        config, BlockAttackSpec.intercept(1.0, "per_block"), force_shared_basis=Basis.Z
     )
-    errs = (bob_bits != alice_bits).reshape(blocks, 2)
+    errs = (report.alice_key != report.bob_key).reshape(blocks, 2)
     f00 = float(np.mean(~errs[:, 0] & ~errs[:, 1]))
     assert abs(f00 - 0.625) <= 5 * freq_sigma(0.625, blocks)
     marginal = float(errs.mean())
@@ -391,29 +368,16 @@ def test_criterion_6_oracle_agreement():
                 # raw outcome 0, so the recorded (complemented) bit is 1
                 assert all(raw == 0 for _, raw in ones)
 
-    # - 10^5 sifted intercept triples carry I(E:A) = 1/2 bit per position
+    # - the ~10^5 sifted triples of a per_qubit full-interception session
+    #   carry I(E:A) = 1/2 bit per position
     joint_oracle = exact_intercept_joint(1.0)
     exact_iea = mutual_information(joint_oracle, "eve", "alice")
     assert exact_iea == pytest.approx(0.5, abs=1e-9)
-    source = BitSource(616)
-    bits = source.draw_bits("alice", "alice_bits", MC_TRIALS)
-    bases = source.draw_bits("alice", "alice_basis", MC_TRIALS)
-    rows = bb84_rows(bits, bases)
-    out_rows, _, record = intercept_resend(
-        rows, bases, BlockAttackSpec.intercept(1.0, "per_qubit"),
-        source.for_stage("eve", "attack"),
+    config = ProtocolConfig(100, 2 * MC_TRIALS // 100, "per_qubit", seed=616)
+    report = run_session(config, full_intercept)
+    triples = list(
+        zip(report.alice_key.tolist(), report.bob_key.tolist(), report.eve_symbols)
     )
-    bob_bits, _ = measure_rows(
-        out_rows, bases, source.for_stage("bob", "bob_measurement")
-    )
-    triples = [
-        (
-            int(bits[i]),
-            int(bob_bits[i]),
-            (int(record.bits[i]), bool(record.bases[i] == bases[i])),
-        )
-        for i in range(MC_TRIALS)
-    ]
     joint = empirical_joint(triples, ("alice", "bob", "eve"))
     assert abs(mutual_information(joint, "eve", "alice") - exact_iea) <= 0.02
 

@@ -8,14 +8,14 @@ from blockqkd.attacks import (
     BlockAttackSpec,
     cnot_entangler,
     delayed_measurement,
-    intercept_resend,
+    entangle_block,
     load_unitary,
     reduction_corpus,
     save_unitary,
     singlet_simulation,
-    unitary_block_attack,
     verify_reduction,
 )
+from blockqkd.protocol import ProtocolConfig, run_session
 from blockqkd.quantum import (
     Basis,
     Circuit,
@@ -40,9 +40,6 @@ IDENTITY4 = UnitarySpec.from_matrix(np.eye(4))
 
 class RefuseCoin:
     def bernoulli(self, p):
-        raise AssertionError("randomness consumed where none is needed")
-
-    def bits(self, count):
         raise AssertionError("randomness consumed where none is needed")
 
 
@@ -75,70 +72,66 @@ def test_spec_labels():
 # --- intercept-resend -------------------------------------------------------
 
 
+def intercept_session(fraction, granularity, seed, n=4, num_blocks=250):
+    """A per_block session under intercept-resend with every basis forced
+    to X, so every block is kept and Eve's symbols cover every raw qubit in
+    order: '?' where she stayed out, else (her bit, whether her basis was
+    Alice's)."""
+    config = ProtocolConfig(n, num_blocks, "per_block", seed=seed)
+    attack = BlockAttackSpec.intercept(fraction, granularity)
+    report = run_session(config, attack, force_shared_basis=Basis.X)
+    assert report.sifted_bits == report.raw_qubits
+    return report
+
+
 def test_intercept_zero_fraction_is_transparent():
-    source, coin = attack_coin(1)
-    bits = np.array([0, 1, 1, 0])
-    bases = np.array([0, 0, 1, 1])
-    rows = bb84_rows(bits, bases)
-    spec = BlockAttackSpec.intercept(0.0, "per_qubit")
-    out_rows, out_bases, record = intercept_resend(rows, bases, spec, coin)
-    assert np.array_equal(out_rows, rows)
-    assert np.array_equal(out_bases, bases)
-    assert not record.attacked.any()
-    assert source.ledger.total() == 0
+    config = ProtocolConfig(4, 100, "per_block", 0.05, seed=1)
+    clean = run_session(config)
+    report = run_session(config, BlockAttackSpec.intercept(0.0, "per_qubit"))
+    assert np.array_equal(report.alice_key, clean.alice_key)
+    assert np.array_equal(report.bob_key, clean.bob_key)
+    assert set(report.eve_symbols) == {"?"}
+    assert report.ledger.get("eve", "attack") == 0
+    assert report.ledger.counts == clean.ledger.counts
 
 
 def test_intercept_full_reprepares_in_eve_basis():
-    source, coin = attack_coin(2)
-    bits = np.array([0, 1, 0, 1, 1, 0, 1, 0])
-    bases = np.zeros(8, dtype=np.int64)
-    rows = bb84_rows(bits, bases)
-    spec = BlockAttackSpec.intercept(1.0, "per_qubit")
-    out_rows, out_bases, record = intercept_resend(rows, bases, spec, coin)
-    assert record.attacked.all()
-    assert np.array_equal(out_bases, record.bases)
-    for i in range(8):
-        expected = prepare_bb84(int(record.bits[i]), Basis(int(record.bases[i])))
-        assert np.array_equal(out_rows[i], expected.amplitudes)
+    report = intercept_session(1.0, "per_qubit", seed=2, n=8)
+    mismatched = sum(1 for _, matched in report.eve_symbols if not matched)
+    assert 0 < mismatched < report.raw_qubits
     # selection at p=1 is free, one basis bit per qubit, one fair bit per
     # basis mismatch
-    mismatched = int(np.count_nonzero(record.bases != bases))
-    assert source.ledger.get("eve", "attack") == 8 + mismatched
+    assert report.ledger.get("eve", "attack") == report.raw_qubits + mismatched
+    # Bob measures in Alice's basis: the qubits Eve resent in the other
+    # basis are exactly the ones whose outcome he draws
+    assert report.ledger.get("bob", "bob_measurement") == mismatched
 
 
 def test_intercept_per_block_uses_one_basis():
-    _, coin = attack_coin(3)
-    bits = np.zeros(16, dtype=np.int64)
-    bases = np.zeros(16, dtype=np.int64)
-    rows = bb84_rows(bits, bases)
-    spec = BlockAttackSpec.intercept(1.0, "per_block")
-    _, out_bases, record = intercept_resend(rows, bases, spec, coin)
-    assert len(set(record.bases.tolist())) == 1
-    assert len(set(out_bases.tolist())) == 1
+    report = intercept_session(1.0, "per_block", seed=3, n=16, num_blocks=40)
+    matched = np.array([m for _, m in report.eve_symbols]).reshape(40, 16)
+    assert (matched == matched[:, :1]).all()
+    assert matched[:, 0].any() and not matched[:, 0].all()
+    # one basis bit per block, one fair bit per qubit of a mismatched block
+    mismatched = int(np.count_nonzero(~matched))
+    assert report.ledger.get("eve", "attack") == 40 + mismatched
 
 
 def test_intercept_matched_basis_reads_exactly():
     # Eve measuring in the preparation basis learns the bit and leaves the
     # state untouched.
-    source, coin = attack_coin(4)
-    bits = np.array([0, 1, 1, 0])
-    bases = np.array([1, 1, 1, 1])
-    rows = bb84_rows(bits, bases)
-    spec = BlockAttackSpec.intercept(1.0, "per_block")
-    out_rows, _, record = intercept_resend(rows, bases, spec, coin)
-    if int(record.bases[0]) == 1:
-        assert np.array_equal(record.bits, bits)
-        assert np.array_equal(out_rows, rows)
+    report = intercept_session(1.0, "per_qubit", seed=4)
+    matched = 0
+    for (eve_bit, match), alice, bob in zip(report.eve_symbols, report.alice_key, report.bob_key):
+        if match:
+            matched += 1
+            assert eve_bit == alice == bob
+    assert matched > 0
 
 
 def test_intercept_partial_fraction_marks_subset():
-    source, coin = attack_coin(5)
-    bits = np.zeros(2000, dtype=np.int64)
-    bases = np.zeros(2000, dtype=np.int64)
-    rows = bb84_rows(bits, bases)
-    spec = BlockAttackSpec.intercept(0.25, "per_qubit")
-    _, _, record = intercept_resend(rows, bases, spec, coin)
-    hits = int(record.attacked.sum())
+    report = intercept_session(0.25, "per_qubit", seed=5, num_blocks=500)
+    hits = sum(1 for symbol in report.eve_symbols if symbol != "?")
     sigma = math.sqrt(2000 * 0.25 * 0.75)
     assert abs(hits - 500) <= 5 * sigma
 
@@ -160,33 +153,14 @@ def test_intercept_rejects_delayed():
 
 
 def test_unitary_identity_keeps_block_state():
-    _, coin = attack_coin(6)
-    bits = np.array([0, 1])
-    bases = np.array([0, 0])
-    rows = bb84_rows(bits, bases)
-    spec = BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=True)
-    register, record = unitary_block_attack(rows, spec, coin)
-    assert register.state.num_qubits == 3
-    assert register.ancilla_slots == (2,)
-    assert not register.eve_measured
-    assert record.kept is register
-
-    identity_spec = BlockAttackSpec.unitary(IDENTITY4, 2, 0, delayed=True)
-    register2, _ = unitary_block_attack(rows, identity_spec, coin)
-    assert np.allclose(register2.state.amplitudes, rows_to_state(rows).amplitudes)
-
-
-def test_unitary_immediate_measures_now():
-    source, coin = attack_coin(7)
-    bits = np.array([0, 1])
-    bases = np.array([0, 0])
-    rows = bb84_rows(bits, bases)
-    spec = BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=False)
-    register, record = unitary_block_attack(rows, spec, coin)
-    assert record.guess_basis in (0, 1)
-    assert record.bits is not None and len(record.bits) == 1
-    assert register.eve_measured
-    assert source.ledger.total() >= 1  # at least the basis guess
+    rows = bb84_rows(np.array([1, 0]), Basis.Z)
+    # the ancilla joins in |0>, after the block's qubits
+    entangled = entangle_block(rows, cnot_entangler(), 1)
+    assert entangled.num_qubits == 3
+    assert entangled.amplitudes[0b101] == pytest.approx(1.0, abs=1e-12)
+    rows = bb84_rows(np.array([0, 1]), np.array([0, 1]))
+    kept = entangle_block(rows, IDENTITY4, 0)
+    assert np.allclose(kept.amplitudes, rows_to_state(rows).amplitudes)
 
 
 # --- singlet simulation -----------------------------------------------------

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blockqkd.attacks import cnot_entangler, save_unitary
 from blockqkd.cli import CSV_COLUMNS, main
+from blockqkd.quantum import UnitarySpec
 from blockqkd.randomness import STAGES
 
 
@@ -404,9 +406,20 @@ def test_verify_accepts_good_file(tmp_path, capsys):
     assert "file(" in capsys.readouterr().out
 
 
-def test_verify_rejects_unsupported_sizes():
+def test_verify_rejects_unsupported_sizes(tmp_path, capsys):
     assert main(["verify", "--block-sizes", "4"]) == 2
     assert main(["verify", "--ancillas", "7"]) == 2
+    # --file-ancillas is held to the same range, before any case runs
+    cnot = tmp_path / "cnot.txt"
+    save_unitary(cnot, cnot_entangler())
+    wide = tmp_path / "wide.txt"
+    save_unitary(wide, UnitarySpec(2**9, np.eye(2**9)))
+    capsys.readouterr()
+    for path, m in ((cnot, "-1"), (wide, "6")):
+        assert main(["verify", "--unitary-file", str(path), "--file-ancillas", m]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
 
 
 def test_verify_negative_random_count_exits_2(capsys):
@@ -447,11 +460,15 @@ def test_report_roundtrip(tmp_path, capsys):
     assert "total random bits" in out
 
 
-def test_report_bad_inputs(tmp_path):
+def test_report_bad_inputs(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing.json")]) == 2
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert main(["report", str(garbled)]) == 2
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["report", str(listed)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # --- module entry point -----------------------------------------------------------

@@ -10,13 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockqkd import protocol
-from blockqkd.attacks import (
-    BlockAttackSpec,
-    cnot_entangler,
-    delayed_measurement,
-    intercept_resend,
-    unitary_block_attack,
-)
+from blockqkd.attacks import BlockAttackSpec, cnot_entangler, entangle_block
 from blockqkd.infotheory import (
     JointDistribution,
     ck_rate,
@@ -41,12 +35,11 @@ from blockqkd.quantum import (
     apply_unitary,
     bb84_rows,
     enumerate_outcomes,
-    flip_rows,
     measure,
-    measure_rows,
     random_unitary,
 )
 from blockqkd.randomness import BitSource
+from row_reference import flip_rows, intercept_resend, measure_rows
 
 X_GATE = UnitarySpec(2, np.array([[0, 1], [1, 0]], dtype=complex))
 Z_GATE = UnitarySpec(2, np.array([[1, 0], [0, -1]], dtype=complex))
@@ -114,7 +107,7 @@ def alice_prepare_block(config, source, forced=None):
 def bob_measure_block(rows, config, source, forced=None):
     """Bob's bases and his outcomes on a product block."""
     bases = draw_bases(config, source, "bob", forced)
-    outcomes, _ = measure_rows(rows, bases, source.for_stage("bob", "bob_measurement"))
+    outcomes, _ = measure_rows(rows, bases, source, "bob", "bob_measurement")
     return bases, outcomes
 
 
@@ -482,16 +475,23 @@ def test_unitary_attack_requires_matching_shape():
 
 
 def test_unitary_attack_session_runs():
-    attack = BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=True)
     config = ProtocolConfig(block_size=2, num_blocks=300, mode="per_block", seed=25)
-    report = run_session(config, attack)
-    assert report.sifted_bits == 2 * report.kept_blocks
-    assert len(report.eve_symbols) == report.sifted_bits
-    # every kept register was measured out at announcement
-    for symbol in report.eve_symbols:
-        basis_value, ancilla_bits = symbol
-        assert basis_value in (0, 1)
-        assert len(ancilla_bits) == 1
+    for delayed in (True, False):
+        attack = BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=delayed)
+        report = run_session(config, attack)
+        assert report.sifted_bits == 2 * report.kept_blocks
+        assert len(report.eve_symbols) == report.sifted_bits
+        # Every register's ancilla was measured: at the announcement, recorded
+        # with the announced basis value, or before the block went on,
+        # recorded with whether Eve's guessed basis matched the announced one.
+        for symbol in report.eve_symbols:
+            basis_value, ancilla_bits = symbol
+            assert basis_value in (0, 1)
+            assert isinstance(basis_value, bool) == (not delayed)
+            assert len(ancilla_bits) == 1
+        if not delayed:
+            # at least the guessed basis bit for every block
+            assert report.ledger.get("eve", "attack") >= config.num_blocks
 
 
 def _reference_flips(config):
@@ -533,7 +533,6 @@ def _reference_row_session(config, attack, forced):
     rows: Alice's preparation, intercept_resend, flip_rows in the
     preparation basis, Bob's measure_rows, then the estimation sample."""
     source = BitSource(config.seed)
-    eve_coin = source.for_stage("eve", "attack")
     flips = _reference_flips(config)
     forced = None if forced is None else forced.value
     alice_parts, bob_parts, symbols, kept_blocks = [], [], [], 0
@@ -541,7 +540,9 @@ def _reference_row_session(config, attack, forced):
         alice_bases, alice_bits, rows = alice_prepare_block(config, source, forced)
         prep_bases = alice_bases
         if attack.variant == "intercept_resend":
-            rows, prep_bases, record = intercept_resend(rows, alice_bases, attack, eve_coin)
+            rows, prep_bases, attacked, eve_bits = intercept_resend(
+                rows, alice_bases, attack, source
+            )
         if flips is not None:
             rows = flip_rows(rows, flips[index], prep_bases)
         bob_bases, outcomes = bob_measure_block(rows, config, source, forced)
@@ -553,8 +554,8 @@ def _reference_row_session(config, attack, forced):
         bob_parts.append(outcomes[kept])
         if attack.variant == "intercept_resend":
             symbols.extend(
-                (int(record.bits[i]), bool(record.bases[i] == alice_bases[i]))
-                if record.attacked[i]
+                (int(eve_bits[i]), bool(prep_bases[i] == alice_bases[i]))
+                if attacked[i]
                 else "?"
                 for i in np.flatnonzero(kept)
             )
@@ -613,9 +614,19 @@ def test_channel_flips_match_random_loop(seed, n, num_blocks, p, pick):
         assert np.array_equal(_channel_flips(config), expected)
 
 
+def _measure_each(state, qubits, basis, coin):
+    """Measure `qubits` in order in `basis`: (their outcomes, post state)."""
+    outcomes = []
+    for q in qubits:
+        outcome, state = measure(state, q, basis, coin)
+        outcomes.append(outcome)
+    return tuple(outcomes), state
+
+
 def _reference_unitary_session(config, attack, forced):
-    """A unitary_block session block by block on the register itself:
-    unitary_block_attack, the flip gates, Bob's measurement and Eve's
+    """A unitary_block session block by block on the register itself: the
+    block entangled with Eve's ancillas (measured at once in a guessed
+    basis unless delayed), the flip gates, Bob's measurement and Eve's
     delayed measurement, then the estimation sample. Returns what
     run_session must reproduce, and the session's BitSource."""
     n = config.block_size
@@ -623,29 +634,28 @@ def _reference_unitary_session(config, attack, forced):
     eve_coin = source.for_stage("eve", "attack")
     bob_coin = source.for_stage("bob", "bob_measurement")
     flips = _reference_flips(config)
+    ancillas = range(n, n + attack.num_ancillas)
     alice_parts, bob_parts, symbols, kept_blocks = [], [], [], 0
     for index in range(config.num_blocks):
         alice_bases, alice_bits, rows = alice_prepare_block(
             config, source, None if forced is None else forced.value
         )
-        block, record = unitary_block_attack(rows, attack, eve_coin)
+        announced = int(alice_bases[0])
+        state = entangle_block(rows, attack.u, attack.num_ancillas)
+        if not attack.delayed:
+            guess = eve_coin.bit()
+            eve_bits, state = _measure_each(state, ancillas, Basis(guess), eve_coin)
+            symbol = (guess == announced, eve_bits)
         if flips is not None:
             for i in np.flatnonzero(flips[index]):
-                gate = FLIP_GATES[Basis(int(alice_bases[i]))]
-                block.state = apply_unitary(block.state, gate, (int(i),))
+                state = apply_unitary(state, FLIP_GATES[Basis(announced)], (int(i),))
         bob_basis = int(source.draw_bits("bob", "bob_basis", 1)[0])
         if forced is not None:
             bob_basis = forced.value
-        outcomes = []
-        for i in range(n):
-            outcome, block.state = measure(block.state, i, Basis(bob_basis), bob_coin)
-            outcomes.append(outcome)
-        announced = int(alice_bases[0])
+        outcomes, state = _measure_each(state, range(n), Basis(bob_basis), bob_coin)
         if attack.delayed:
-            _, ancilla_bits = delayed_measurement(record.kept, Basis(announced), eve_coin)
-            symbol = (announced, tuple(int(b) for b in ancilla_bits))
-        else:
-            symbol = (record.guess_basis == announced, tuple(int(b) for b in record.bits))
+            eve_bits, state = _measure_each(state, ancillas, Basis(announced), eve_coin)
+            symbol = (announced, eve_bits)
         if announced == bob_basis:
             kept_blocks += 1
             alice_parts.append(alice_bits)

@@ -27,9 +27,7 @@ from blockqkd.quantum import (
     bb84_rows,
     embed,
     enumerate_outcomes,
-    flip_rows,
     measure,
-    measure_rows,
     permute_qubits,
     prepare_bb84,
     prepare_singlet,
@@ -41,6 +39,7 @@ from blockqkd.quantum import (
 )
 from blockqkd.randomness import BitSource
 from circuit_sampling import RandomCoin, sample_circuit
+from row_reference import flip_rows, measure_rows
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -51,7 +50,7 @@ class RefuseCoin:
     def bernoulli(self, p):
         raise AssertionError("coin consulted for a deterministic measurement")
 
-    def bits(self, count):
+    def draw_bits(self, party, stage, count):
         raise AssertionError("coin consulted for a deterministic measurement")
 
 
@@ -411,23 +410,23 @@ def test_sampling_matches_enumeration_random_states():
             assert abs(hits - shots * expected) <= 5 * sigma + 1
 
 
-# --- vectorized product rows ----------------------------------------------
+# --- product rows and the row reference -----------------------------------
 
 
 def test_bb84_rows_match_single_preparations():
     bits = np.array([0, 1, 0, 1])
-    bases = [Basis.Z, Basis.Z, Basis.X, Basis.X]
+    bases = np.array([0, 0, 1, 1])
     rows = bb84_rows(bits, bases)
     for i in range(4):
-        assert np.array_equal(rows[i], prepare_bb84(int(bits[i]), bases[i]).amplitudes)
+        assert np.array_equal(rows[i], prepare_bb84(int(bits[i]), Basis(bases[i])).amplitudes)
+    assert np.array_equal(bb84_rows(bits, Basis.X), bb84_rows(bits, np.ones(4, dtype=int)))
 
 
 def test_measure_rows_matched_basis_is_free_and_exact():
     source = BitSource(1)
-    coin = source.for_stage("bob", "bob_measurement")
     bits = np.array([0, 1, 1, 0, 1])
     rows = bb84_rows(bits, Basis.X)
-    outcomes, post = measure_rows(rows, Basis.X, coin)
+    outcomes, post = measure_rows(rows, Basis.X, source, "bob", "bob_measurement")
     assert np.array_equal(outcomes, bits)
     assert source.ledger.total() == 0
     assert np.array_equal(post, rows)
@@ -435,10 +434,9 @@ def test_measure_rows_matched_basis_is_free_and_exact():
 
 def test_measure_rows_mismatched_basis_costs_n_bits():
     source = BitSource(2)
-    coin = source.for_stage("bob", "bob_measurement")
     bits = np.zeros(64, dtype=np.int64)
     rows = bb84_rows(bits, Basis.X)
-    outcomes, post = measure_rows(rows, Basis.Z, coin)
+    outcomes, post = measure_rows(rows, Basis.Z, source, "bob", "bob_measurement")
     assert source.ledger.total() == 64
     # collapsed rows are exact Z eigenstates
     for i, outcome in enumerate(outcomes):
@@ -453,9 +451,8 @@ def test_measure_rows_agrees_with_register_measure_statistics():
     counts = {0: 0, 1: 0}
     trials = 4000
     source = BitSource(3)
-    coin = source.for_stage("bob", "bob_measurement")
     for _ in range(trials):
-        outcomes, _ = measure_rows(rows, Basis.Z, coin)
+        outcomes, _ = measure_rows(rows, Basis.Z, source, "bob", "bob_measurement")
         counts[int(outcomes[0])] += 1
     sigma = math.sqrt(trials * 0.25)
     assert abs(counts[1] - trials / 2) <= 5 * sigma
@@ -463,10 +460,10 @@ def test_measure_rows_agrees_with_register_measure_statistics():
 
 def test_flip_rows_is_basis_local_bit_flip():
     bits = np.array([0, 1, 0, 1])
-    bases = [Basis.Z, Basis.Z, Basis.X, Basis.X]
+    bases = np.array([0, 0, 1, 1])
     rows = bb84_rows(bits, bases)
     flipped = flip_rows(rows, np.array([True, True, True, True]), bases)
-    outcomes, _ = measure_rows(flipped, bases, RefuseCoin())
+    outcomes, _ = measure_rows(flipped, bases, RefuseCoin(), "bob", "bob_measurement")
     assert np.array_equal(outcomes, 1 - bits)
 
 
@@ -490,7 +487,7 @@ def test_flip_rows_respects_mask_and_involution():
 
 def test_rows_to_state_is_tensor_product():
     bits = np.array([1, 0])
-    bases = [Basis.Z, Basis.X]
+    bases = np.array([0, 1])
     state = rows_to_state(bb84_rows(bits, bases))
     direct = tensor(prepare_bb84(1, Basis.Z), prepare_bb84(0, Basis.X))
     assert np.allclose(state.amplitudes, direct.amplitudes)
@@ -504,10 +501,10 @@ def test_rows_to_state_is_tensor_product():
 @settings(max_examples=60)
 def test_rows_measurement_collapse_is_projective(bits, bases_bits, meas_basis):
     bits = np.asarray(bits)
-    bases = [Basis(b) for b in bases_bits[: len(bits)]]
+    bases = np.asarray(bases_bits[: len(bits)])
     rows = bb84_rows(bits, bases)
-    coin = fair_coin(9)
-    outcomes, post = measure_rows(rows, Basis(meas_basis), coin)
-    again, post2 = measure_rows(post, Basis(meas_basis), RefuseCoin())
+    source = BitSource(9)
+    outcomes, post = measure_rows(rows, Basis(meas_basis), source, "bob", "bob_measurement")
+    again, post2 = measure_rows(post, Basis(meas_basis), RefuseCoin(), "bob", "bob_measurement")
     assert np.array_equal(again, outcomes)
     assert np.array_equal(post2, post)

@@ -250,10 +250,9 @@ def test_stage_source_charges_its_stage():
     source = BitSource(41)
     coin = source.for_stage("eve", "attack")
     coin.bit()
-    coin.bits(7)
     coin.bernoulli(0.5)
-    assert source.ledger.get("eve", "attack") == 1 + 7 + 1
-    assert source.ledger.total() == 9
+    assert source.ledger.get("eve", "attack") == 1 + 1
+    assert source.ledger.total() == 2
 
 
 def test_consumption_report_groups_phases():
