@@ -163,6 +163,21 @@ def test_unitary_identity_keeps_block_state():
     assert np.allclose(kept.amplitudes, rows_to_state(rows).amplitudes)
 
 
+def test_unitary_immediate_measures_now():
+    # Z-basis blocks of two qubits, one ancilla measured before the block
+    # goes on: Eve's symbol holds whether her guessed basis was Alice's
+    # and the one ancilla bit, and she draws at least the guess per block
+    config = ProtocolConfig(2, 20, "per_block", seed=7)
+    attack = BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=False)
+    report = run_session(config, attack, force_shared_basis=Basis.Z)
+    assert report.sifted_bits == report.raw_qubits
+    assert len(report.eve_symbols) == report.sifted_bits
+    for guessed_right, ancilla_bits in report.eve_symbols:
+        assert isinstance(guessed_right, bool)
+        assert len(ancilla_bits) == 1
+    assert report.ledger.get("eve", "attack") >= config.num_blocks
+
+
 # --- singlet simulation -----------------------------------------------------
 
 
