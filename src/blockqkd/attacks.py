@@ -155,10 +155,10 @@ class EntangledBlock:
 
     state: StateVector
     num_block_qubits: int
-    alice_slot: int = 0
-    partner_slots: tuple[int, ...] = ()
-    kept_slots: tuple[int, ...] = ()
-    ancilla_slots: tuple[int, ...] = ()
+    alice_slot: int
+    partner_slots: tuple[int, ...]
+    kept_slots: tuple[int, ...]
+    ancilla_slots: tuple[int, ...]
     eve_measured: bool = False
 
     @property

@@ -389,6 +389,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _section(payload: dict, key: str) -> dict:
+    """payload[key] as an object ({} when absent), or a ConfigError."""
+    value = payload.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"not a JSON report: {key!r} is a {type(value).__name__}")
+    return value
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.file)
     if not path.is_file():
@@ -399,9 +407,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"not a JSON report: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"not a JSON report: the top level is a {type(payload).__name__}")
-    config = payload.get("config", {})
-    results = payload.get("results", {})
-    ledger = payload.get("ledger", {})
+    config, results, ledger = (_section(payload, key) for key in ("config", "results", "ledger"))
+    stages = _section(ledger, "stages")
     print(f"session seed={config.get('seed')} attack={config.get('attack')}")
     print(
         f"  protocol: mode={config.get('mode')} n={config.get('block_size')} "
@@ -421,7 +428,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     ):
         if key in results:
             print(f"  {key} = {results[key]}")
-    stages = ledger.get("stages", {})
     if stages:
         print("  random bits by stage:")
         for stage, bits in stages.items():

@@ -8,7 +8,9 @@ Fixing a bit flips the parity of the blocks that contain it in every other
 pass, which re-queues them; those follow-up searches are what lets one
 disclosed error correct several. Both parties remember every parity already
 exchanged, so a re-searched block only pays for segments never disclosed
-before.
+before. A segment's parity is the XOR of two prefix parities in its pass's
+order: Alice's, and Bob's as his key stood when the pass was built, with
+the bits he has flipped since kept as sorted ranks and counted by bisection.
 
 The leak is the GF(2) rank of the disclosed parity vectors, not their
 count. Parities are linear in the key, so the eavesdropper learns exactly
@@ -19,13 +21,14 @@ linear map of rank r takes at most 2^r values, so H_min(X|E,C) >=
 H_min(X|E) - r: charging the rank is sound, and it never charges more than
 counting parities would, since r is at most their number. The rank is
 taken once reconciliation ends, from the segments each pass disclosed
-(_leak_rank). The first-block factor 1.5 replaces the original protocol's
-0.73 (see Martinez-Mateo et al., arXiv:1407.3257, on Cascade's leak and
-block schedule). On synthetic keys (scripts/cascade_schedule.py, seeds
-apart from every test's), among factors 0.73-2.2, its mean rank relative
-to L·h(QBER) is the lowest on 600- and 1000-bit keys at QBER 0.05 and
-0.10, and averaged over 4704- to 20000-bit keys at QBER 0.02-0.15 it is
-within 0.002 of the lowest (1.8's).
+(_leak_rank), through a numpy spanning forest over the atoms of the first
+two passes and the rank of the few columns left over. The first-block
+factor 1.5 replaces the original protocol's 0.73 (see Martinez-Mateo et
+al., arXiv:1407.3257, on Cascade's leak and block schedule). On synthetic
+keys (scripts/cascade_schedule.py, seeds apart from every test's), among
+factors 0.73-2.2, its mean rank relative to L·h(QBER) is the lowest on
+600- and 1000-bit keys at QBER 0.05 and 0.10, and averaged over 4704- to
+20000-bit keys at QBER 0.02-0.15 it is within 0.002 of the lowest (1.8's).
 Larger first blocks leave more short keys with errors after the four
 passes: of 800 such keys, 1.5 leaves 11 with errors, 1.8 16 and 0.73 one.
 
@@ -50,7 +53,8 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterable
+from bisect import bisect_left, insort
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,15 +146,16 @@ class ParitySpan:
 
 def _ledgered_permutation(n: int, source: BitSource) -> np.ndarray:
     """Uniform shuffle whose index draws are charged to ec_permutation."""
-    perm = list(range(n))
     draws = source.randbelow_each("shared", "ec_permutation", range(n, 1, -1))
+    perm = list(range(n))
     for i, j in zip(range(n - 1, 0, -1), draws):
         perm[i], perm[j] = perm[j], perm[i]
-    return np.array(perm, dtype=np.int64)
+    return np.array(perm, dtype=np.int32)
 
 
-def _parity(key: np.ndarray, idx: np.ndarray) -> int:
-    return int(np.bitwise_xor.reduce(key[idx]))
+def _prefix_parities(bits: np.ndarray) -> bytes:
+    """Byte k is the parity of bits[:k], for k = 0 .. len(bits)."""
+    return b"\0" + np.bitwise_xor.accumulate(bits).tobytes()
 
 
 def _atoms(
@@ -172,54 +177,46 @@ def _atoms(
     return atom_of, counts
 
 
-def _join(
-    ends_u: np.ndarray,
-    ends_v: np.ndarray,
-    nodes: int,
-    label_of: Callable[[int], int],
-    words: int,
+def _forest(
+    ends_u: np.ndarray, ends_v: np.ndarray, nodes: int, labels: np.ndarray
 ) -> tuple[int, np.ndarray]:
-    """Union-find over the edges (ends_u[x], ends_v[x]), edge x labelled
-    label_of(x). Returns how many edges joined two trees, and each node's
-    potential (XOR of labels on its tree path to the root) as `words`
-    little-endian uint64 words."""
-    parent = list(range(nodes))
-    potential = [0] * nodes  # relative to the parent; 0 at a root
-    size = [1] * nodes
+    """A spanning forest of the edges (ends_u[x], ends_v[x]), edge x
+    labelled by the row labels[x] of uint64 words. Returns how many edges
+    joined two trees, and each node's potential: the XOR of the labels on
+    its tree path to its root.
 
-    def find(v: int) -> int:
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        acc = 0
-        for u in reversed(path):
-            acc ^= potential[u]
-            potential[u] = acc
-            parent[u] = v
-        return v
-
-    joins = 0
-    for x, (u, v) in enumerate(zip(ends_u.tolist(), ends_v.tolist())):
-        # after find(), or when its parent is a root, a node's
-        # potential is relative to its root
-        ru = parent[u]
-        if parent[ru] != ru:
-            ru = find(u)
-        rv = parent[v]
-        if parent[rv] != rv:
-            rv = find(v)
-        if ru != rv:
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            potential[rv] = potential[u] ^ potential[v] ^ label_of(x)
-            joins += 1
-    for v in range(nodes):
-        find(v)
-    packed = b"".join(g.to_bytes(8 * words, "little") for g in potential)
-    return joins, np.frombuffer(packed, dtype="<u8").reshape(nodes, words)
+    Each round hangs every root with an edge to a smaller root (a larger
+    one, in alternate rounds, so that a root with many neighbours does not
+    take a round each) under one such root through one such edge; pointer
+    jumping then flattens every tree, XORing potentials on the way.
+    """
+    root = np.arange(nodes, dtype=np.int32)
+    potential = np.zeros((nodes, labels.shape[1]), dtype=np.uint64)
+    edges = np.arange(len(ends_u), dtype=np.int32)
+    joins, upward = 0, False
+    while True:
+        ru, rv = root[ends_u[edges]], root[ends_v[edges]]
+        live = ru != rv
+        if not live.any():
+            return joins, potential
+        edges, ru, rv = edges[live], ru[live], rv[live]
+        child, into = np.maximum(ru, rv), np.minimum(ru, rv)
+        if upward:
+            child, into = into, child
+        upward = not upward
+        pick = np.full(nodes, -1, dtype=np.int32)
+        pick[child] = np.arange(len(child), dtype=np.int32)  # one edge per hanging root
+        pick = pick[pick >= 0]
+        x = edges[pick]
+        potential[child[pick]] = potential[ends_u[x]] ^ potential[ends_v[x]] ^ labels[x]
+        root[child[pick]] = into[pick]
+        joins += len(pick)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            potential ^= potential[root]
+            root = up
 
 
 def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]]) -> int:
@@ -246,33 +243,22 @@ def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]
     atom_of, counts = _atoms(orders, segments)
     if len(orders) == 1:
         return counts[0]
-    # atom j of a later pass is bit shift + j of an edge's label
-    later, width = [], 0
+    n, shift = len(orders[0]), 0
+    labels = np.zeros((n, -(-sum(counts[2:]) // 64)), dtype=np.uint64)
     for ids, count in zip(atom_of[2:], counts[2:]):
-        later.append((ids, width))
-        width += count
-    words = -(-width // 64)
-    ends_u, ends_v = atom_of[0], atom_of[1]
-    ends_v += counts[0]
-    joins, pot = _join(
-        ends_u,
-        ends_v,
-        counts[0] + counts[1],
-        lambda x: sum(1 << (int(ids[x]) + shift) for ids, shift in later),
-        words,
-    )
+        bit = ids + shift  # atom j of this pass is bit shift + j of an edge's label
+        labels[np.arange(n), bit >> 6] |= np.uint64(1) << (bit & 63).astype(np.uint64)
+        shift += count
+    ends_u, ends_v = atom_of[0], atom_of[1] + counts[0]
+    joins, potential = _forest(ends_u, ends_v, counts[0] + counts[1], labels)
     span = ParitySpan()
-    one = np.uint64(1)
-    for k in range(words):
-        residual = pot[ends_u, k]
-        residual ^= pot[ends_v, k]
-        for ids, shift in later:
-            bit = ids + (shift - 64 * k)
-            inside = (bit >= 0) & (bit < 64)
-            residual[inside] ^= one << bit[inside].astype(np.uint64)
-        for b in range(min(64, width - 64 * k)):
-            column = ((residual >> np.uint64(b)) & one).astype(np.uint8)
-            span.add(int.from_bytes(np.packbits(column).tobytes(), "big"))
+    for k in range(labels.shape[1]):
+        residual = labels[:, k] ^ potential[ends_u, k] ^ potential[ends_v, k]
+        # row j of the transposed bytes holds bits 8j..8j+7 of every edge
+        rows = np.ascontiguousarray(residual.view(np.uint8).reshape(n, 8).T)
+        for b in range(8):
+            for column in np.packbits((rows >> b) & 1, axis=1):
+                span.add(int.from_bytes(column.tobytes(), "big"))
     return joins + span.rank
 
 
@@ -304,44 +290,51 @@ def cascade(
         raise ValueError("QBER estimate must be below 0.5")
     first_block = min(max(round(block_factor / q), 4), n)
 
-    # Pass p reads the key in orders[p] and cuts it into blocks of sizes[p].
+    # Pass p reads the key in orders[p], ranks[p][i] being position i's
+    # index there, and cuts it into blocks of sizes[p].
     orders: list[np.ndarray] = []
+    ranks: list[np.ndarray] = []
     sizes: list[int] = []
-    block_of: list[np.ndarray] = []
+    # Prefix parities in pass order, index k covering the first k bits:
+    # Alice's, and Bob's as his key stood when the pass was built; fixed[p]
+    # holds the sorted ranks in pass p of the bits he has flipped since.
+    alice_prefix: list[bytes] = []
+    bob_prefix: list[bytes] = []
+    fixed: list[list[int]] = []
     queue: list[tuple[int, int]] = []
     # Alice's parities, once disclosed, are remembered by both parties and
     # never change, so a segment is disclosed at most once; keyed by
     # (pass, start, stop) over the pass's order.
     told: dict[tuple[int, int, int], int] = {}
 
-    def alice_parity(p: int, start: int, stop: int) -> int:
+    def differs(p: int, start: int, stop: int) -> bool:
+        """Compare the parities of orders[p][start:stop], disclosing Alice's."""
         key = (p, start, stop)
         if key not in told:
-            told[key] = _parity(alice, orders[p][start:stop])
-        return told[key]
+            told[key] = alice_prefix[p][start] ^ alice_prefix[p][stop]
+        flips = bisect_left(fixed[p], stop) - bisect_left(fixed[p], start)
+        return told[key] != bob_prefix[p][start] ^ bob_prefix[p][stop] ^ (flips & 1)
 
     def bounds(p: int, b: int) -> tuple[int, int]:
         start = b * sizes[p]
         return start, min(start + sizes[p], n)
 
     def mismatched(p: int, b: int) -> bool:
-        start, stop = bounds(p, b)
-        return alice_parity(p, start, stop) != _parity(working, orders[p][start:stop])
+        return differs(p, *bounds(p, b))
 
     def search(p: int, b: int) -> int:
         # Binary search over a block with an odd number of errors: compare
         # the left half's parities and recurse into the differing half. The
         # right half never needs disclosure (parent XOR left), so a fresh
         # segment costs exactly one parity per halving step.
-        order = orders[p]
         lo, hi = bounds(p, b)
         while hi - lo > 1:
             mid = lo + (hi - lo + 1) // 2
-            if alice_parity(p, lo, mid) != _parity(working, order[lo:mid]):
+            if differs(p, lo, mid):
                 hi = mid
             else:
                 lo = mid
-        return int(order[lo])
+        return int(orders[p][lo])
 
     def drain() -> None:
         while queue:
@@ -351,20 +344,23 @@ def cascade(
             error = search(p, b)
             working[error] ^= 1
             for p2 in range(len(orders)):
-                b2 = int(block_of[p2][error])
-                if mismatched(p2, b2):
-                    queue.append((p2, b2))
+                rank = int(ranks[p2][error])
+                insort(fixed[p2], rank)
+                if mismatched(p2, rank // sizes[p2]):
+                    queue.append((p2, rank // sizes[p2]))
 
     for p in range(CASCADE_PASSES):
-        order = np.arange(n) if p == 0 else _ledgered_permutation(n, source)
-        size = min(first_block << p, n)
+        order = np.arange(n, dtype=np.int32) if p == 0 else _ledgered_permutation(n, source)
+        rank = np.empty(n, dtype=np.int32)
+        rank[order] = np.arange(n, dtype=np.int32)
         orders.append(order)
-        sizes.append(size)
-        owner = np.empty(n, dtype=np.int64)
-        owner[order] = np.arange(n) // size
-        block_of.append(owner)
+        ranks.append(rank)
+        sizes.append(min(first_block << p, n))
+        alice_prefix.append(_prefix_parities(alice[order]))
+        bob_prefix.append(_prefix_parities(working[order]))
+        fixed.append([])
         # mismatched() discloses each block's top-level parity here, once.
-        queue.extend((p, b) for b in range(-(-n // size)) if mismatched(p, b))
+        queue.extend((p, b) for b in range(-(-n // sizes[p])) if mismatched(p, b))
         drain()
 
     residual = int(np.count_nonzero(alice != working))

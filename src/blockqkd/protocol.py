@@ -206,8 +206,8 @@ def estimate_qber(
             f"key of {length} bits is too short to sample at fraction {sample_fraction}"
         )
     k = max(1, round(sample_fraction * length))
-    indices = list(range(length))
     offsets = source.randbelow_each("shared", "sampling", range(length, length - k, -1))
+    indices = list(range(length))
     for i, offset in enumerate(offsets):
         j = i + offset
         indices[i], indices[j] = indices[j], indices[i]
@@ -376,6 +376,8 @@ def run_session(
 def _deposit(value: int, mask: int) -> int:
     """The low bits of `value` at the set bits of `mask`, lowest first, so a
     drawn value's first (top) bit lands at the first position in index order."""
+    if mask & (mask + 1) == 0:  # a low run of ones: the bits stay in place
+        return value & mask
     out = 0
     while mask:
         low = mask & -mask

@@ -468,6 +468,10 @@ def test_report_bad_inputs(tmp_path, capsys):
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
     assert main(["report", str(listed)]) == 2
+    for text in ('{"config": [1]}', '{"config": null}', '{"ledger": {"stages": [1]}}'):
+        field = tmp_path / "field.json"
+        field.write_text(text)
+        assert main(["report", str(field)]) == 2, text
     assert capsys.readouterr().out == ""
 
 

@@ -25,8 +25,8 @@ from blockqkd.protocol import (
     empirical_rates,
     run_session,
 )
-from blockqkd.quantum import Basis
 from blockqkd.randomness import BitSource
+from cascade_reference import cascade_reference
 
 
 # --- reconciliation -----------------------------------------------------------
@@ -126,6 +126,41 @@ def test_cascade_estimate_floor_and_clamp():
     assert result.disclosed_parities == 16 + 8 + 4 + 2 - 3 == 27
 
 
+@given(
+    st.integers(min_value=MIN_KEY_LENGTH, max_value=5000),
+    st.floats(min_value=0.01, max_value=0.2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(MIN_KEY_LENGTH, 0.2, 0)
+@example(5000, 0.01, 1)
+@example(5000, 0.2, 2)
+@settings(max_examples=100, deadline=None)
+def test_cascade_matches_reference(length, qber, seed):
+    # prefix parities and bulk shuffle draws against the per-query reference:
+    # same corrections, the same segments with the same parities, the same
+    # leak, ledger and generator state
+    rng = np.random.default_rng(seed)
+    alice = rng.integers(0, 2, length).astype(np.uint8)
+    bob = alice ^ (rng.random(length) < qber).astype(np.uint8)
+    source, twin = BitSource(seed), BitSource(seed)
+    calls = []
+
+    def recording(orders, segments):
+        calls.append(dict(segments))
+        return _leak_rank(orders, segments)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(postprocess, "_leak_rank", recording)
+        result = cascade(alice, bob, qber, source)
+    expected, told = cascade_reference(alice, bob, qber, twin)
+    assert np.array_equal(result.corrected_key, expected.corrected_key)
+    assert result.disclosed_parities == expected.disclosed_parities
+    assert result.residual_mismatches == expected.residual_mismatches
+    assert calls == [told]
+    assert source.ledger.counts == twin.ledger.counts
+    assert source._rng.getstate() == twin._rng.getstate()
+
+
 # --- leak rank -------------------------------------------------------------------
 
 
@@ -180,14 +215,19 @@ def test_parity_span_rank_matches_dense_elimination(case):
 
 
 @st.composite
-def _segment_families(draw):
-    n = draw(st.integers(min_value=4, max_value=40))
-    passes = draw(st.integers(min_value=1, max_value=4))
+def _segment_families(draw, min_n=4, max_n=40, passes=None, small_blocks=False):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    passes = passes or draw(st.integers(min_value=1, max_value=4))
     orders = [np.arange(n)]
     orders += [np.array(draw(st.permutations(range(n)))) for _ in range(passes - 1)]
     segments = set()
+    sizes = st.integers(min_value=1, max_value=n)
+    if small_blocks:
+        # blocks of a few bits leave the graph of passes 0 and 1 in many
+        # components; larger ones join it into one
+        sizes = st.integers(min_value=1, max_value=4) | sizes
     for p in range(passes):
-        size = draw(st.integers(min_value=1, max_value=n))
+        size = draw(sizes)
         cuts = sorted({*range(0, n, size), n})
         segments.update((p, a, b) for a, b in zip(cuts, cuts[1:]))
         for _ in range(draw(st.integers(min_value=0, max_value=8))):
@@ -207,7 +247,10 @@ def _segment_rows(orders, segments) -> np.ndarray:
     return rows
 
 
-@given(_segment_families())
+@given(
+    _segment_families()
+    | _segment_families(min_n=200, max_n=400, passes=4, small_blocks=True)
+)
 @settings(max_examples=200, deadline=None)
 def test_leak_rank_matches_dense_elimination(family):
     orders, segments = family

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from blockqkd import protocol
 from blockqkd.attacks import BlockAttackSpec, cnot_entangler, entangle_block
 from blockqkd.infotheory import (
-    JointDistribution,
     ck_rate,
     empirical_joint,
     mutual_information,

@@ -246,6 +246,41 @@ def test_randbelow_each_matches_per_draw_loop(seed, bounds):
         assert batch._rng.getstate() == twin._rng.getstate()
 
 
+@st.composite
+def _descending_runs(draw):
+    """range(top, top - length, -1): long runs that cross powers of two,
+    and runs that end at 2 or hold one bound."""
+    top = draw(st.integers(min_value=2, max_value=70_000))
+    length = draw(st.integers(min_value=1, max_value=top - 1) | st.sampled_from([1, top - 1]))
+    return range(top, top - length, -1)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), _descending_runs())
+@example(seed=1, bounds=range(70_000, 1, -1))
+@example(seed=2, bounds=range(65_538, 65_530, -1))
+@example(seed=3, bounds=range(2, 1, -1))
+@example(seed=4, bounds=range(2**32, 2**32 - 3, -1))
+@settings(max_examples=60, deadline=None)
+def test_randbelow_each_matches_reference_on_descending_runs(seed, bounds):
+    batch, reference = BitSource(seed), BitSource(seed)
+    values = batch.randbelow_each("shared", "ec_permutation", bounds)
+    expected = [_randbelow_reference(reference, "shared", "ec_permutation", n) for n in bounds]
+    assert values == expected
+    assert batch.ledger.counts == reference.ledger.counts
+    assert batch._rng.getstate() == reference._rng.getstate()
+
+
+@pytest.mark.parametrize("bounds", [[2**32 + 1], [5, 0], [-1], [3, 2**40], [2**70]])
+def test_randbelow_each_rejects_bounds_outside_one_word(bounds):
+    # a bound above 2**32 would take more than one 32-bit word per attempt
+    source = BitSource(46)
+    state = source._rng.getstate()
+    with pytest.raises(ValueError):
+        source.randbelow_each("shared", "sampling", bounds)
+    assert source.ledger.total() == 0
+    assert source._rng.getstate() == state
+
+
 def test_stage_source_charges_its_stage():
     source = BitSource(41)
     coin = source.for_stage("eve", "attack")
