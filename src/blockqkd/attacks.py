@@ -25,7 +25,7 @@ complement of her kept-half outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -72,6 +72,9 @@ class BlockAttackSpec:
     num_block_qubits: int = 0
     num_ancillas: int = 0
     delayed: bool = False
+    # unitary_block's register-path memo, shared by every session it runs
+    # (protocol._RegisterPaths); outside equality, hash and repr.
+    _register_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in ATTACK_VARIANTS:

@@ -165,6 +165,8 @@ def _build_attack(cfg: dict, block_size: int) -> BlockAttackSpec:
         return BlockAttackSpec.none()
     if cfg["variant"] == "intercept_resend":
         return BlockAttackSpec.intercept(cfg["fraction"], cfg["granularity"])
+    if cfg["mode"] != "per_block":
+        raise ConfigError("unitary_block attacks need per_block mode")
     if not cfg["unitary_file"]:
         raise ConfigError("unitary_block attack needs unitary_file")
     try:

@@ -56,6 +56,7 @@ import time
 from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -164,16 +165,16 @@ def _atoms(
     """Each pass's atom index for every position, and its atom count: the
     segment ends of pass p, with 0 and n, cut orders[p] into atoms."""
     n = len(orders[0])
-    cuts = [{0, n} for _ in orders]
-    for p, start, stop in segments:
-        cuts[p].update((start, stop))
+    told = np.fromiter(chain.from_iterable(segments), dtype=np.int64).reshape(-1, 3)
     atom_of, counts = [], []
-    for order, points in zip(orders, cuts):
-        points = np.array(sorted(points))
+    for p, order in enumerate(orders):
+        cut = np.zeros(n + 1, dtype=np.int32)
+        cut[told[told[:, 0] == p, 1:]] = 1  # pass p's segment ends
+        cut[0] = 0  # 0 opens the first atom and n closes the last
         ids = np.empty(n, dtype=np.int32)
-        ids[order] = np.searchsorted(points, np.arange(n), side="right") - 1
+        ids[order] = np.cumsum(cut[:n])  # the cuts in (0, rank]
         atom_of.append(ids)
-        counts.append(len(points) - 1)
+        counts.append(int(cut[:n].sum()) + 1)
     return atom_of, counts
 
 
@@ -243,8 +244,8 @@ def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]
     atom_of, counts = _atoms(orders, segments)
     if len(orders) == 1:
         return counts[0]
-    n, shift = len(orders[0]), 0
-    labels = np.zeros((n, -(-sum(counts[2:]) // 64)), dtype=np.uint64)
+    n, shift, total = len(orders[0]), 0, sum(counts[2:])
+    labels = np.zeros((n, -(-total // 64)), dtype=np.uint64)
     for ids, count in zip(atom_of[2:], counts[2:]):
         bit = ids + shift  # atom j of this pass is bit shift + j of an edge's label
         labels[np.arange(n), bit >> 6] |= np.uint64(1) << (bit & 63).astype(np.uint64)
@@ -256,8 +257,9 @@ def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]
         residual = labels[:, k] ^ potential[ends_u, k] ^ potential[ends_v, k]
         # row j of the transposed bytes holds bits 8j..8j+7 of every edge
         rows = np.ascontiguousarray(residual.view(np.uint8).reshape(n, 8).T)
-        for b in range(8):
-            for column in np.packbits((rows >> b) & 1, axis=1):
+        live = total - 64 * k  # label bits past this are zero in every edge
+        for b in range(min(live, 8)):
+            for column in np.packbits((rows[: (live - b + 7) // 8] >> b) & 1, axis=1):
                 span.add(int.from_bytes(column.tobytes(), "big"))
     return joins + span.rank
 

@@ -15,7 +15,8 @@ whole session's flip mask is drawn from it up front.
 
 Blocks run in Python-int bit masks (run_session); a block that a
 unitary_block attack entangles walks its exact register path instead
-(_RegisterPaths).
+(_RegisterPaths), memoized on the attack and so shared by every session
+that attack runs.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ _ALICE_BASIS, _ALICE_BITS = ("alice", "alice_basis"), ("alice", "alice_bits")
 _BOB_BASIS, _BOB_MEASUREMENT = ("bob", "bob_basis"), ("bob", "bob_measurement")
 _EVE = ("eve", "attack")
 
-# At about 100 bytes a node, a session's register memo stays under 7 MB
-# however few of its blocks repeat; past this size it stops growing.
+# At about 100 bytes a node, an attack's register memo stays under 7 MB
+# over all the sessions it runs, however few blocks repeat; past this size
+# it stops growing.
 _MEMO_NODES = 1 << 16
 
 
@@ -76,6 +78,8 @@ class ProtocolConfig:
             raise ValueError("channel_flip_prob must lie in [0, 1]")
         if not 0.0 < self.sample_fraction < 1.0:
             raise ValueError("sample_fraction must lie in (0, 1)")
+        if self.seed < 0:  # random.Random(-s) would replay seed s
+            raise ValueError("seed must be >= 0")
 
     @property
     def raw_qubits(self) -> int:
@@ -114,51 +118,54 @@ class SessionReport:
 
 
 class _RegisterPaths:
-    """Exact register path of a session's unitary_block blocks, memoized.
+    """Exact register path of unitary_block blocks, memoized on the attack.
 
     `probs` maps a block's path so far (Alice's basis value and bits, then
     each flip and each measurement's qubit, basis and outcome) and its next
     measured (qubit, basis) to the snapped probability of outcome 1 that
-    `measure` would hand the coin. Only keys and floats outlive a block; on
-    a miss its register is rebuilt by replaying its path.
+    `measure` would hand the coin. It is the attack's own memo, kept across
+    every session the attack runs: a value depends only on the attack's
+    unitary, sizes and the key, since a miss rebuilds the register by
+    replaying the key's path with the same float operations. Only keys and
+    floats outlive a block. The walk's draws come from the generator
+    directly and are charged to the ledger inline.
     """
 
     def __init__(self, attack, source, forced):
-        self.attack, self.forced = attack, forced
-        self.eve_coin = source.for_stage("eve", "attack")
-        self.bob_basis_coin = source.for_stage("bob", "bob_basis")
-        self.bob_coin = source.for_stage("bob", "bob_measurement")
-        self.probs: dict[bytes, float] = {}
+        self.attack, self.forced, self.probs = attack, forced, attack._register_memo
+        self.getrandbits, self.spent = source.unledgered(), source.ledger.counts
 
     def run_block(self, announced: int, bits: int, flips: int):
         """Eve's attack, the channel, Bob's measurement and Eve's delayed
         measurement on one block, given Alice's basis value and bit and flip
         masks (position i at bit n-1-i): (Bob's basis value, his outcome
         mask, Eve's symbol)."""
-        attack, eve_coin = self.attack, self.eve_coin
+        attack, spent = self.attack, self.spent
         n = attack.num_block_qubits
         ancillas = range(n, n + attack.num_ancillas)
         self.path = bytes((announced,)) + bits.to_bytes(-(-n // 8), "big")
         self.bits, self.steps, self.state, self.moved = bits, [], None, None
         if not attack.delayed:
-            guess = eve_coin.bit()
-            eve_bits = tuple(self._measure(q, guess, eve_coin) for q in ancillas)
+            guess = self.getrandbits(1)
+            spent[_EVE] = spent.get(_EVE, 0) + 1
+            eve_bits = tuple(self._measure(q, guess, _EVE) for q in ancillas)
             symbol = (guess == announced, eve_bits)
         flipped = [i for i in range(n) if flips >> (n - 1 - i) & 1]
         self.path += bytes(128 + i for i in flipped)
         self.steps += [(i,) for i in flipped]
-        bob_basis = self.bob_basis_coin.bit()
+        bob_basis = self.getrandbits(1)
+        spent[_BOB_BASIS] = spent.get(_BOB_BASIS, 0) + 1
         if self.forced is not None:
             bob_basis = self.forced
         outcomes = 0
         for i in range(n):
-            outcomes = outcomes << 1 | self._measure(i, bob_basis, self.bob_coin)
+            outcomes = outcomes << 1 | self._measure(i, bob_basis, _BOB_MEASUREMENT)
         if attack.delayed:
-            symbol = (announced, tuple(self._measure(q, announced, eve_coin) for q in ancillas))
+            symbol = (announced, tuple(self._measure(q, announced, _EVE) for q in ancillas))
         self.state = self.moved = None
         return bob_basis, outcomes, symbol
 
-    def _measure(self, qubit: int, basis: int, coin) -> int:
+    def _measure(self, qubit: int, basis: int, stage: tuple[str, str]) -> int:
         key = self.path + bytes((2 * qubit + basis,))
         p1 = self.probs.get(key)
         if p1 is None:
@@ -180,7 +187,9 @@ class _RegisterPaths:
             p1, self.moved = outcome_probability(self.state, qubit, Basis(basis))
             if len(self.probs) < _MEMO_NODES:
                 self.probs[key] = p1
-        outcome = coin.bernoulli(p1) if 0.0 < p1 < 1.0 else int(p1)
+        outcome, drawn = bernoulli_draw(self.getrandbits, p1)
+        if drawn:
+            self.spent[stage] = self.spent.get(stage, 0) + drawn
         self.path += bytes((4 * qubit + 2 * basis + outcome,))
         self.steps.append((qubit, basis, outcome, p1 if outcome else 1.0 - p1))
         return outcome
@@ -240,12 +249,15 @@ def run_session(
     other draws share one ledgered stream in the order Alice, Eve, Bob,
     Eve's delayed measurement, and how many bits each takes depends on the
     outcomes before it, so drawing them in bulk would change the outputs.
-    Each stage is charged once per block, keys in first-charge order.
+    Each stage is charged once per block (once per draw on the register
+    path), keys in first-charge order.
 
     A per_block n-qubit block is prepared in only 2 * 2^n ways, so on small
-    blocks a unitary_block attack repeats the same evolution: such blocks
-    walk a per-session memo of outcome probabilities keyed by the block's
-    path so far (_RegisterPaths), with the register's own draws.
+    blocks a unitary_block attack repeats the same evolution, in a session
+    and across sessions: such blocks walk the attack's memo of outcome
+    probabilities keyed by the block's path so far (_RegisterPaths), shared
+    by every session the attack runs, and draw from the generator directly
+    as the mask loop does.
     force_shared_basis is a test hook that overrides every drawn basis
     value after the draw (ledger counts are unchanged), forcing all blocks
     to be kept.

@@ -79,16 +79,13 @@ class StageSource:
     """View of a BitSource bound to one (party, stage) ledger entry.
 
     This is the ``coin`` handed to measurement code: anything with
-    ``bit()`` and ``bernoulli(p)``.
+    ``bernoulli(p)``.
     """
 
     def __init__(self, source: "BitSource", party: str, stage: str):
         self._source = source
         self.party = party
         self.stage = stage
-
-    def bit(self) -> int:
-        return int(self._source.draw_bits(self.party, self.stage, 1)[0])
 
     def bernoulli(self, p: float) -> int:
         return self._source.bernoulli(self.party, self.stage, p)

@@ -182,6 +182,28 @@ def test_run_nan_unitary_file_exits_2(tmp_path, capsys):
     assert "bad unitary file" in capsys.readouterr().err
 
 
+def test_run_unitary_per_qubit_exits_2_before_any_session(tmp_path, capsys):
+    u_path = tmp_path / "cnot.txt"
+    save_unitary(u_path, cnot_entangler())
+    csv_path = tmp_path / "x.csv"
+    argv = ["run", "--block-size", "2", "--attack", "unitary_block", "--unitary-file",
+            str(u_path), "--num-ancillas", "1", "--mode", "per_qubit", "--output", str(csv_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "per_block mode" in err and "point 0" not in err
+    assert not csv_path.exists()
+
+
+def test_run_negative_seed_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "x.csv"
+    assert main(["run", "--seed", "-5", "--num-blocks", "50", "--output", str(csv_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "seed must be >= 0" in err and "point 0" not in err
+    assert not csv_path.exists()
+
+
 def test_run_flag_overrides_config(tmp_path):
     csv_path = tmp_path / "o.csv"
     config = write_config(

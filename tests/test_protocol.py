@@ -79,6 +79,10 @@ def test_config_validation():
         ProtocolConfig(block_size=4, num_blocks=10, channel_flip_prob=1.5)
     with pytest.raises(ValueError):
         ProtocolConfig(block_size=4, num_blocks=10, sample_fraction=0.0)
+    # random.Random(-5) is random.Random(5): a negative seed would alias
+    with pytest.raises(ValueError, match="seed"):
+        ProtocolConfig(block_size=4, num_blocks=200, seed=-5)
+    assert ProtocolConfig(block_size=4, num_blocks=10, seed=0).seed == 0
     assert ProtocolConfig(block_size=4, num_blocks=10).raw_qubits == 40
 
 
@@ -642,7 +646,7 @@ def _reference_unitary_session(config, attack, forced):
         announced = int(alice_bases[0])
         state = entangle_block(rows, attack.u, attack.num_ancillas)
         if not attack.delayed:
-            guess = eve_coin.bit()
+            guess = int(source.draw_bits("eve", "attack", 1)[0])
             eve_bits, state = _measure_each(state, ancillas, Basis(guess), eve_coin)
             symbol = (guess == announced, eve_bits)
         if flips is not None:
@@ -693,6 +697,61 @@ def test_register_memo_matches_per_block_register(
     with mock.patch.object(protocol, "_MEMO_NODES", memo_nodes):
         report = run_session(config, attack, force_shared_basis=forced)
     assert_same_session(report, reference)
+
+
+_SWEEP_SESSION = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed
+    st.sampled_from([0.0, 0.03, 0.5]),  # flip probability
+    st.sampled_from([None, Basis.Z, Basis.X]),  # forced basis
+    st.booleans(),  # delayed
+    st.integers(1, 30),  # blocks
+)
+
+
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    m=st.sampled_from([0, 1, 2]),
+    unitary_seed=st.integers(0, 2**32 - 1),
+    sessions=st.lists(_SWEEP_SESSION, min_size=1, max_size=4),
+)
+@example(n=2, m=1, unitary_seed=None, sessions=[
+    (3, 0.0, None, True, 30), (4, 0.0, None, True, 30), (5, 0.03, None, True, 30),
+    (6, 0.03, Basis.X, False, 30), (7, 0.5, Basis.Z, True, 30), (8, 0.03, None, False, 30),
+])
+@settings(max_examples=40, deadline=None)
+def test_register_memo_shared_by_a_sweep(n, m, unitary_seed, sessions):
+    """A list of sessions run in order on one delayed and one immediate
+    attack object, as a sweep runs them, with the memo capped at 0, 7 and
+    _MEMO_NODES: each session matches the same session on a fresh attack
+    and the register evolved block by block, and a second pass over the
+    list adds no memo node. unitary_seed None stands for the CNOT
+    entangler."""
+    u = cnot_entangler() if unitary_seed is None else random_unitary(n + m, unitary_seed)
+
+    def configured(seed, flip, forced, delayed, num_blocks):
+        config = ProtocolConfig(n, num_blocks, "per_block", flip, seed=seed)
+        return config, BlockAttackSpec.unitary(u, n, m, delayed=delayed), forced
+
+    runs = [configured(*session) for session in sessions]
+    references = [_reference_unitary_session(*run) for run in runs]
+    for memo_nodes in (0, 7, protocol._MEMO_NODES):
+        shared = {delayed: BlockAttackSpec.unitary(u, n, m, delayed) for delayed in (False, True)}
+        with mock.patch.object(protocol, "_MEMO_NODES", memo_nodes):
+            for sweep in range(2):
+                for (config, attack, forced), reference in zip(runs, references):
+                    report = run_session(config, shared[attack.delayed], forced)
+                    assert_same_session(report, reference)
+                    if sweep == 0:
+                        fresh = BlockAttackSpec.unitary(u, n, m, attack.delayed)
+                        assert_same_session(run_session(config, fresh, forced), reference)
+                nodes = [len(attack._register_memo) for attack in shared.values()]
+                assert max(nodes) <= memo_nodes
+                if sweep:
+                    assert nodes == stored  # the second pass only hits
+                stored = nodes
+        for delayed, attack in shared.items():  # the memo stays out of == and repr
+            fresh = BlockAttackSpec.unitary(u, n, m, delayed)
+            assert attack == fresh and repr(attack) == repr(fresh)
 
 
 # --- empirical rates ----------------------------------------------------------

@@ -284,7 +284,7 @@ def test_randbelow_each_rejects_bounds_outside_one_word(bounds):
 def test_stage_source_charges_its_stage():
     source = BitSource(41)
     coin = source.for_stage("eve", "attack")
-    coin.bit()
+    coin.bernoulli(0.5)
     coin.bernoulli(0.5)
     assert source.ledger.get("eve", "attack") == 1 + 1
     assert source.ledger.total() == 2
