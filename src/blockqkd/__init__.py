@@ -12,7 +12,6 @@ __version__ = "0.2.0"
 from .attacks import (
     BlockAttackSpec,
     EquivalenceReport,
-    delayed_measurement,
     load_unitary,
     reduction_corpus,
     save_unitary,
@@ -24,7 +23,6 @@ from .infotheory import (
     RateReport,
     binary_entropy,
     ck_rate,
-    empirical_joint,
     entropy,
     mutual_information,
 )
@@ -44,11 +42,9 @@ from .protocol import (
 )
 from .quantum import (
     Basis,
-    Circuit,
     DensityMatrix,
     StateVector,
     UnitarySpec,
-    enumerate_outcomes,
     random_unitary,
 )
 from .randomness import (
@@ -64,7 +60,6 @@ __all__ = [
     "Basis",
     "BitSource",
     "BlockAttackSpec",
-    "Circuit",
     "ConsumptionReport",
     "DensityMatrix",
     "EquivalenceReport",
@@ -81,11 +76,8 @@ __all__ = [
     "cascade",
     "ck_rate",
     "consumption_ratio",
-    "delayed_measurement",
-    "empirical_joint",
     "empirical_rates",
     "entropy",
-    "enumerate_outcomes",
     "load_unitary",
     "mutual_information",
     "pipeline",

@@ -38,8 +38,8 @@ from .quantum import (
     apply_unitary,
     bb84_rows,
     embed,
-    measure,
     permute_qubits,
+    prepare_bb84,
     prepare_singlet,
     project,
     random_unitary,
@@ -47,7 +47,6 @@ from .quantum import (
     rows_to_state,
     tensor,
 )
-from .randomness import StageSource
 
 ATTACK_VARIANTS = ("none", "intercept_resend", "unitary_block")
 GRANULARITIES = ("per_qubit", "per_block")
@@ -162,7 +161,6 @@ class EntangledBlock:
     partner_slots: tuple[int, ...]
     kept_slots: tuple[int, ...]
     ancilla_slots: tuple[int, ...]
-    eve_measured: bool = False
 
     @property
     def block_slots(self) -> tuple[int, ...]:
@@ -235,34 +233,6 @@ def singlet_simulation(
     )
 
 
-def delayed_measurement(
-    register: EntangledBlock,
-    announced_basis: Basis,
-    coin: StageSource,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measure Eve's kept qubits once the basis is public.
-
-    Returns (simulated-slot bits, ancilla bits). Each kept singlet half is
-    measured in announced_basis and recorded as the complement of the
-    outcome; ancillas are measured in announced_basis as well (the default
-    policy). A register can only be measured once.
-    """
-    if register.eve_measured:
-        raise RuntimeError("kept register was already measured")
-    state = register.state
-    slot_bits = []
-    for q in register.kept_slots:
-        outcome, state = measure(state, q, announced_basis, coin)
-        slot_bits.append(1 - outcome)
-    ancilla_bits = []
-    for q in register.ancilla_slots:
-        outcome, state = measure(state, q, announced_basis, coin)
-        ancilla_bits.append(outcome)
-    register.state = state
-    register.eve_measured = True
-    return np.array(slot_bits, dtype=np.uint8), np.array(ancilla_bits, dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of the real-block vs singlet-simulation comparison."""
@@ -273,6 +243,15 @@ class EquivalenceReport:
     cases_checked: int
     branches_checked: int
     tolerance: float = REDUCTION_TOL
+
+
+def check_reduction_size(n: int, m: int) -> None:
+    """The sizes verify_reduction checks: block size n in {2, 3} and m >= 0
+    ancillas, n + m <= 8. A ValueError names the first rule broken."""
+    if n not in (2, 3):
+        raise ValueError(f"block size {n} outside the verifiable range {{2, 3}}")
+    if m < 0 or n + m > 8:
+        raise ValueError(f"{m} ancillas on block size {n} is outside m >= 0, n + m <= 8")
 
 
 def verify_reduction(u: UnitarySpec, n: int, m: int) -> EquivalenceReport:
@@ -286,10 +265,7 @@ def verify_reduction(u: UnitarySpec, n: int, m: int) -> EquivalenceReport:
     Passes iff all density-matrix entries agree within 1e-9 and all
     weights do too.
     """
-    if n not in (2, 3):
-        raise ValueError("block size must be 2 or 3")
-    if m < 0 or n + m > 8:
-        raise ValueError("need num_ancillas >= 0 and n + m <= 8")
+    check_reduction_size(n, m)
     u = UnitarySpec.from_matrix(u)
     if u.dimension != 2 ** (n + m):
         raise ValueError(
@@ -305,7 +281,7 @@ def verify_reduction(u: UnitarySpec, n: int, m: int) -> EquivalenceReport:
     ):
         cases += 1
         sim = singlet_simulation(
-            _bb84_state(alice_bit, basis), n, u, m, alice_slot=alice_slot
+            prepare_bb84(alice_bit, basis), n, u, m, alice_slot=alice_slot
         )
         eval_slots = list(sim.block_slots) + list(sim.ancilla_slots)
         for pattern in product((0, 1), repeat=n - 1):
@@ -336,10 +312,6 @@ def verify_reduction(u: UnitarySpec, n: int, m: int) -> EquivalenceReport:
         cases_checked=cases,
         branches_checked=branches,
     )
-
-
-def _bb84_state(bit: int, basis: Basis) -> StateVector:
-    return StateVector(1, bb84_rows(np.array([bit]), basis)[0])
 
 
 def _real_block_density(
@@ -380,6 +352,7 @@ def reduction_corpus(
     if not combos:
         raise ValueError("corpus needs at least one (block size, ancillas) pair")
     for n, m in combos:
+        check_reduction_size(n, m)
         dim = 2 ** (n + m)
         cases.append(
             CorpusCase(f"identity(n={n},m={m})", UnitarySpec(dim, np.eye(dim)), n, m)

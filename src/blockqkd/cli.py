@@ -35,6 +35,7 @@ from .attacks import (
     GRANULARITIES,
     BlockAttackSpec,
     CorpusCase,
+    check_reduction_size,
     load_unitary,
     reduction_corpus,
     verify_reduction,
@@ -342,20 +343,12 @@ def _csv_cell(value) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    block_sizes = _parse_list(args.block_sizes, int)
-    ancillas = _parse_list(args.ancillas, int)
-    for n in block_sizes:
-        if n not in (2, 3):
-            raise ConfigError(f"block size {n} outside the verifiable range {{2, 3}}")
-    for m in ancillas:
-        if m < 0 or m + max(block_sizes) > 8:
-            raise ConfigError(f"ancilla count {m} puts the register past 8 qubits")
     try:
         cases = reduction_corpus(
             random_count=args.random_count,
             seed=args.seed,
-            block_sizes=tuple(block_sizes),
-            ancillas=tuple(ancillas),
+            block_sizes=tuple(_parse_list(args.block_sizes, int)),
+            ancillas=tuple(_parse_list(args.ancillas, int)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -366,14 +359,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"rejected unitary file: {exc}", file=sys.stderr)
             return 1
         m = args.file_ancillas
-        if m < 0 or u.num_qubits > 8:
-            raise ConfigError(f"file ancilla count {m} with a {u.num_qubits}-qubit unitary "
-                              "is outside m >= 0, n + m <= 8")
         n = u.num_qubits - m
-        if n not in (2, 3):
+        try:
+            check_reduction_size(n, m)
+        except ValueError as exc:
             raise ConfigError(
-                f"unitary file implies block size {n}, outside the verifiable range"
-            )
+                f"unitary file of {u.num_qubits} qubits, {m} ancillas: {exc}"
+            ) from exc
         cases.append(CorpusCase(f"file({args.unitary_file})", u, n, m))
     failures = 0
     for case in cases:

@@ -1,15 +1,15 @@
 """Entropies and mutual information over discrete joint distributions.
 
 All logarithms are base 2; every quantity is in bits. Distributions are
-exact probability tables keyed by outcome tuples, produced either by the
-exhaustive circuit oracle or by empirical frequency counting.
+exact probability tables keyed by outcome tuples; the package builds them
+by counting a session's outcomes (protocol.empirical_rates).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 PROB_TOL = 1e-9
 
@@ -50,21 +50,6 @@ class JointDistribution:
         if name not in self.variables:
             raise ValueError(f"unknown variable {name!r}")
         return self.variables.index(name)
-
-    @classmethod
-    def mixture(
-        cls, components: Iterable[tuple[float, "JointDistribution"]]
-    ) -> "JointDistribution":
-        """Convex combination of distributions over the same variables."""
-        components = list(components)
-        variables = components[0][1].variables
-        table: dict[tuple, float] = {}
-        for weight, dist in components:
-            if dist.variables != variables:
-                raise ValueError("mixture components must share variables")
-            for outcome, p in dist.probabilities.items():
-                table[outcome] = table.get(outcome, 0.0) + weight * p
-        return cls(variables, table)
 
 
 @dataclass(frozen=True)
@@ -108,20 +93,3 @@ def ck_rate(i_ab: float, i_ea: float, i_eb: float) -> RateReport:
             raise ValueError(f"{name} must be non-negative, got {value}")
     rate = i_ab - min(i_ea, i_eb)
     return RateReport(i_ab=i_ab, i_ea=i_ea, i_eb=i_eb, ck_rate=rate, distillable=rate > 0.0)
-
-
-def empirical_joint(
-    samples: Sequence[tuple], variables: tuple[str, ...] | None = None
-) -> JointDistribution:
-    """Plug-in frequency table from a sequence of outcome tuples."""
-    if len(samples) == 0:
-        raise ValueError("empirical_joint needs at least one sample")
-    width = len(samples[0])
-    if variables is None:
-        variables = tuple(f"v{i}" for i in range(width))
-    counts: dict[tuple, int] = {}
-    for sample in samples:
-        key = tuple(sample)
-        counts[key] = counts.get(key, 0) + 1
-    n = len(samples)
-    return JointDistribution(variables, {k: c / n for k, c in counts.items()})

@@ -105,7 +105,7 @@ class SessionReport:
     sifted_bits: int
     qber_true: float
     qber_estimated: float
-    disclosed_indices: tuple[int, ...]
+    disclosed_indices: np.ndarray
     alice_key: np.ndarray
     bob_key: np.ndarray
     eve_symbols: tuple | None
@@ -122,8 +122,8 @@ class _RegisterPaths:
 
     `probs` maps a block's path so far (Alice's basis value and bits, then
     each flip and each measurement's qubit, basis and outcome) and its next
-    measured (qubit, basis) to the snapped probability of outcome 1 that
-    `measure` would hand the coin. It is the attack's own memo, kept across
+    measured (qubit, basis) to the snapped probability of outcome 1
+    (`outcome_probability`). It is the attack's own memo, kept across
     every session the attack runs: a value depends only on the attack's
     unitary, sizes and the key, since a miss rebuilds the register by
     replaying the key's path with the same float operations. Only keys and
@@ -200,12 +200,13 @@ def estimate_qber(
     bob_key: np.ndarray,
     sample_fraction: float,
     source: BitSource,
-) -> tuple[float, tuple[int, ...]]:
+) -> tuple[float, np.ndarray]:
     """Disclose a uniform random sample of positions and compare them.
 
     Sample size is round(sample_fraction * length), at least 1; selection
-    randomness is charged to (shared, sampling). The disclosed indices must
-    be excluded from any key material used afterwards.
+    randomness is charged to (shared, sampling). Returns the error rate on
+    the sample and its positions, sorted, as int32. The disclosed indices
+    must be excluded from any key material used afterwards.
     """
     length = len(alice_key)
     if length != len(bob_key):
@@ -220,9 +221,9 @@ def estimate_qber(
     for i, offset in enumerate(offsets):
         j = i + offset
         indices[i], indices[j] = indices[j], indices[i]
-    disclosed = sorted(indices[:k])
+    disclosed = np.sort(np.array(indices[:k], dtype=np.int32))
     mismatches = int(np.count_nonzero(alice_key[disclosed] != bob_key[disclosed]))
-    return mismatches / k, tuple(disclosed)
+    return mismatches / k, disclosed
 
 
 def run_session(
@@ -367,7 +368,7 @@ def run_session(
         )
     else:
         # Too short to sample; report no estimate rather than fabricate one.
-        qber_estimated, disclosed = 0.0, ()
+        qber_estimated, disclosed = 0.0, np.zeros(0, dtype=np.int32)
     return SessionReport(
         config=config,
         attack=attack,
@@ -457,9 +458,9 @@ def empirical_rates(report: SessionReport) -> RateReport:
 
 
 def _joint_counts(columns: list, variables: tuple[str, ...]) -> JointDistribution:
-    """empirical_joint over the rows of `columns` (0/1 key arrays, then
-    Eve's symbols if any), counted with numpy: the same outcome tuples, in
-    order of first occurrence, with the same frequencies."""
+    """Plug-in frequency table of the rows of `columns` (0/1 key arrays,
+    then Eve's symbols if any), counted with numpy: each outcome tuple, in
+    order of first occurrence, with its frequency."""
     length = len(columns[0])
     code = np.zeros(length, dtype=np.int32)
     for column in columns:

@@ -7,23 +7,22 @@ Conventions, fixed across the package:
 - Registers are capped at 12 qubits; everything is dense complex128.
 - Global phase is never compared directly: state equivalence goes through
   density matrices or outcome distributions.
-- Measurement probabilities within 1e-12 of 0 or 1 are treated as
-  deterministic and consume no randomness; probabilities within 1e-12 of
-  1/2 are decided by a single fair bit. Anything else falls back to the
-  coin's exact bit-by-bit sampler.
+- Measurement probabilities within 1e-12 of 0, 1/2 or 1 are snapped to
+  that value (`outcome_probability`), so a certain outcome consumes no
+  randomness and an even one costs a single fair bit; any other outcome is
+  drawn bit by bit (`randomness.bernoulli_draw`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .infotheory import JointDistribution
 from .randomness import DETERMINISTIC_EPS
 
 MAX_REGISTER_QUBITS = 12
@@ -94,9 +93,12 @@ class DensityMatrix:
         object.__setattr__(self, "entries", rho)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitarySpec:
-    """Unitary matrix on a power-of-2 dimension, checked at construction."""
+    """Unitary matrix on a power-of-2 dimension, checked at construction.
+
+    Two specs are equal when their dimensions and entries are.
+    """
 
     dimension: int
     entries: np.ndarray
@@ -111,6 +113,15 @@ class UnitarySpec:
         if not deviation <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (max |UU+ - I| = {deviation:.3e})")
         object.__setattr__(self, "entries", u)
+
+    def __eq__(self, other):
+        if not isinstance(other, UnitarySpec):
+            return NotImplemented
+        return self.dimension == other.dimension and np.array_equal(self.entries, other.entries)
+
+    def __hash__(self):
+        # + 0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.dimension, (self.entries + 0).tobytes()))
 
     @property
     def num_qubits(self) -> int:
@@ -141,29 +152,6 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
-# Unitaries taking |0> to each BB84 state, for in-circuit preparation.
-_PREP_UNITARIES = {
-    (Basis.Z, 0): np.eye(2, dtype=complex),
-    (Basis.Z, 1): PAULI_X,
-    (Basis.X, 0): HADAMARD,
-    (Basis.X, 1): HADAMARD @ PAULI_X,
-}
-
-# Takes |00> to the singlet (|01> - |10>)/sqrt(2); remaining columns complete
-# it to a unitary.
-_SINGLET_PREP = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [_SQRT_HALF, 0.0, _SQRT_HALF, 0.0],
-        [-_SQRT_HALF, 0.0, _SQRT_HALF, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ],
-    dtype=complex,
-)
 
 
 def prepare_bb84(bit: int, basis: Basis) -> StateVector:
@@ -189,25 +177,11 @@ def _snap_probability(p: float) -> float:
     return p
 
 
-def measure(
-    state: StateVector, qubit_index: int, basis: Basis, coin
-) -> tuple[int, StateVector]:
-    """Projective measurement of one qubit; returns (outcome, post state).
-
-    `coin` is any object with ``bernoulli(p) -> 0|1``; it is consulted only
-    when both outcomes have nonzero probability.
-    """
-    p1, moved = outcome_probability(state, qubit_index, basis)
-    outcome = coin.bernoulli(p1) if 0.0 < p1 < 1.0 else int(p1)
-    prob = p1 if outcome == 1 else 1.0 - p1
-    return outcome, collapse(moved, qubit_index, basis, outcome, prob)
-
-
 def outcome_probability(
     state: StateVector, qubit_index: int, basis: Basis
 ) -> tuple[float, np.ndarray]:
     """Probability that measuring one qubit in `basis` gives 1, snapped to
-    0, 1/2 or 1 within 1e-12 (the value `measure` hands to the coin), and
+    0, 1/2 or 1 within 1e-12 (the value an outcome is drawn on), and
     the amplitudes in that basis with the qubit on axis 0, for `collapse`."""
     n = state.num_qubits
     if not 0 <= qubit_index < n:
@@ -332,104 +306,6 @@ def random_unitary(num_qubits: int, seed: int) -> UnitarySpec:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return UnitarySpec(dim, q * phases)
-
-
-# --- circuit description and exhaustive enumeration ---------------------
-
-
-@dataclass(frozen=True)
-class Prep:
-    """Set `qubit` (assumed fresh in |0>) to the BB84 state (bit, basis)."""
-
-    qubit: int
-    bit: int
-    basis: Basis
-
-
-@dataclass(frozen=True)
-class PrepSinglet:
-    """Set the fresh pair (qubit_a, qubit_b) to the singlet."""
-
-    qubit_a: int
-    qubit_b: int
-
-
-@dataclass(frozen=True)
-class Apply:
-    u: UnitarySpec
-    targets: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Measure:
-    qubit: int
-    basis: Basis
-    label: str | None = None
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """Straight-line program over a fixed register, starting from |0...0>."""
-
-    num_qubits: int
-    ops: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-
-    def measurement_labels(self) -> tuple[str, ...]:
-        labels = []
-        for i, op in enumerate(o for o in self.ops if isinstance(o, Measure)):
-            labels.append(op.label if op.label is not None else f"m{i}")
-        return tuple(labels)
-
-
-def _initial_state(circuit: Circuit) -> np.ndarray:
-    amps = np.zeros(2**circuit.num_qubits, dtype=complex)
-    amps[0] = 1.0
-    return amps
-
-
-def _apply_op(amps: np.ndarray, op, n: int) -> np.ndarray:
-    if isinstance(op, Prep):
-        return _apply_matrix(amps, _PREP_UNITARIES[(op.basis, op.bit)], (op.qubit,), n)
-    if isinstance(op, PrepSinglet):
-        return _apply_matrix(amps, _SINGLET_PREP, (op.qubit_a, op.qubit_b), n)
-    if isinstance(op, Apply):
-        if op.u.dimension != 2 ** len(op.targets):
-            raise ValueError("unitary dimension does not match targets")
-        return _apply_matrix(amps, op.u.entries, tuple(op.targets), n)
-    raise TypeError(f"not a unitary circuit op: {op!r}")
-
-
-def enumerate_outcomes(circuit: Circuit) -> JointDistribution:
-    """Exact joint distribution of all measurement outcomes.
-
-    Walks every measurement branch with its Born weight; no sampling is
-    involved, so this is the oracle the statistical paths are checked
-    against. Probabilities sum to 1 within 1e-10.
-    """
-    n = circuit.num_qubits
-    if n > MAX_REGISTER_QUBITS:
-        raise ValueError(f"registers are capped at {MAX_REGISTER_QUBITS} qubits")
-    table: dict[tuple, float] = {}
-
-    def walk(amps: np.ndarray, op_index: int, outcomes: tuple, weight: float) -> None:
-        for i in range(op_index, len(circuit.ops)):
-            op = circuit.ops[i]
-            if not isinstance(op, Measure):
-                amps = _apply_op(amps, op, n)
-                continue
-            state = StateVector(n, amps)
-            for outcome in (0, 1):
-                prob, branch = project(state, op.qubit, op.basis, outcome)
-                if branch is not None:
-                    walk(branch.amplitudes, i + 1, outcomes + (outcome,), weight * prob)
-            return
-        table[outcomes] = table.get(outcomes, 0.0) + weight
-
-    walk(_initial_state(circuit), 0, (), 1.0)
-    return JointDistribution(circuit.measurement_labels(), table)
 
 
 # --- product-state blocks -------------------------------------------------

@@ -5,11 +5,11 @@ charged to a (party, stage) ledger entry, so randomness consumption is an
 exact measured quantity rather than an estimate. Sampling primitives are
 bit-exact:
 
-- ``randbelow(n)`` draws ceil(log2 n) bits and rejects out-of-range values,
-  re-drawing until accepted; every drawn bit is counted, rejected or not.
-  ``randbelow_each`` does the same for a sequence of bounds (a shuffle's
-  indices) and charges the bits in one ledger record. It relies on the
-  generator's word layout (CPython's Mersenne Twister, checked on 3.11):
+- ``randbelow_each(bounds)`` draws, for each bound n in turn, ceil(log2 n)
+  bits and rejects out-of-range values, re-drawing until accepted; every
+  drawn bit is counted, rejected or not, and all are charged in one ledger
+  record. It relies on the generator's word layout (CPython's Mersenne
+  Twister, checked on 3.11):
   ``getrandbits(w)`` for w <= 32 is one 32-bit output word shifted right by
   32 - w, and ``getrandbits(32 * m)`` is the next m words, least significant
   first. So each attempt is one word, and the words can be drawn in bulk.
@@ -75,22 +75,6 @@ class RandomnessLedger:
         return {stage: self.stage_total(stage) for stage in STAGES}
 
 
-class StageSource:
-    """View of a BitSource bound to one (party, stage) ledger entry.
-
-    This is the ``coin`` handed to measurement code: anything with
-    ``bernoulli(p)``.
-    """
-
-    def __init__(self, source: "BitSource", party: str, stage: str):
-        self._source = source
-        self.party = party
-        self.stage = stage
-
-    def bernoulli(self, p: float) -> int:
-        return self._source.bernoulli(self.party, self.stage, p)
-
-
 class BitSource:
     """Seeded deterministic generator wrapped in a RandomnessLedger.
 
@@ -104,9 +88,6 @@ class BitSource:
         self.seed = seed
         self.ledger = RandomnessLedger()
 
-    def for_stage(self, party: str, stage: str) -> StageSource:
-        return StageSource(self, party, stage)
-
     def draw_bits(self, party: str, stage: str, count: int) -> np.ndarray:
         """Draw `count` bits, charging the ledger by exactly `count`."""
         if count < 0:
@@ -117,18 +98,15 @@ class BitSource:
         value = self._rng.getrandbits(count)
         return _int_to_bits(value, count)
 
-    def randbelow(self, party: str, stage: str, n: int) -> int:
-        """Uniform integer in [0, n) from ceil(log2 n)-bit draws with rejection."""
-        return self.randbelow_each(party, stage, (n,))[0]
-
     def randbelow_each(self, party: str, stage: str, bounds) -> list[int]:
-        """``randbelow(party, stage, b)`` for each b in `bounds`, in order.
+        """A uniform integer in [0, b) for each b in `bounds`, in order.
 
         The values, the bits charged and the generator's final state are
-        the per-draw loop's; the bits go to the ledger in one record (none
-        when no bit was drawn). Bounds must lie in [1, 2**32], so that an
-        attempt at a bound b of width w is one word, accepted exactly when
-        below b << (32 - w), the bound's limit. The bounds are taken in
+        those of a per-draw loop that draws ceil(log2 b) bits until one is
+        below b; the bits go to the ledger in one record (none when no bit
+        was drawn). Bounds must lie in [1, 2**32], so that an attempt at a
+        bound b of width w is one word, accepted exactly when below
+        b << (32 - w), the bound's limit. The bounds are taken in
         chunks of one width whose limits never rise. A word below every
         limit of its chunk is accepted and one at or above every limit
         rejected, whichever bound it meets; `_settle` decides the rest.

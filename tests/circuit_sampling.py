@@ -14,16 +14,11 @@ import random
 
 import numpy as np
 
-from blockqkd.quantum import (
-    HADAMARD,
-    Basis,
-    Circuit,
-    Measure,
-    _apply_matrix,
-    _apply_op,
-    _initial_state,
-)
+from blockqkd.quantum import HADAMARD, Basis, UnitarySpec
 from blockqkd.randomness import DETERMINISTIC_EPS
+from circuit_oracle import Apply, Circuit, Measure, _apply_op, _initial_state
+
+_HADAMARD = UnitarySpec.from_matrix(HADAMARD)
 
 
 class RandomCoin:
@@ -39,8 +34,9 @@ class RandomCoin:
 def sample_circuit(circuit: Circuit, shots: int, coin: RandomCoin) -> list[tuple]:
     """Sample the circuit `shots` times; one outcome tuple per shot.
 
-    A measured probability within 1e-12 of 0 or 1 is snapped, as `measure`
-    snaps it, so a certain outcome never comes out the other way.
+    A measured probability within 1e-12 of 0 or 1 is snapped, as
+    `outcome_probability` snaps it, so a certain outcome never comes out
+    the other way.
     """
     n = circuit.num_qubits
     amps = np.tile(_initial_state(circuit), (shots, 1))
@@ -50,7 +46,7 @@ def sample_circuit(circuit: Circuit, shots: int, coin: RandomCoin) -> list[tuple
             amps = _apply_op(amps.T, op, n).T
             continue
         if op.basis is Basis.X:
-            amps = _apply_matrix(amps.T, HADAMARD, (op.qubit,), n).T
+            amps = _apply_op(amps.T, Apply(_HADAMARD, (op.qubit,)), n).T
         moved = np.moveaxis(amps.reshape([shots] + [2] * n), op.qubit + 1, 1)
         moved = moved.reshape(shots, 2, -1)
         p1 = np.sum(np.abs(moved[:, 1]) ** 2, axis=1)
@@ -63,7 +59,7 @@ def sample_circuit(circuit: Circuit, shots: int, coin: RandomCoin) -> list[tuple
         projected = projected.reshape([shots, 2] + [2] * (n - 1))
         amps = np.moveaxis(projected, 1, op.qubit + 1).reshape(shots, -1)
         if op.basis is Basis.X:
-            amps = _apply_matrix(amps.T, HADAMARD, (op.qubit,), n).T
+            amps = _apply_op(amps.T, Apply(_HADAMARD, (op.qubit,)), n).T
         outcomes.append(outcome)
     if not outcomes:
         return [()] * shots

@@ -1,0 +1,79 @@
+"""Sample-by-sample references for the package's register walk and rate
+estimate.
+
+- `measure` is one projective measurement on a full register, its outcome
+  drawn from a Bernoulli sampler such as
+  ``functools.partial(source.bernoulli, party, stage)``.
+- `delayed_measurement` is Eve's measurement of her kept singlet halves and
+  ancillas once the basis is public, built on `measure`.
+- `empirical_joint` is the plug-in frequency table of a list of outcome
+  tuples, which `protocol._joint_counts` reproduces with numpy.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from blockqkd.attacks import EntangledBlock
+from blockqkd.infotheory import JointDistribution
+from blockqkd.quantum import Basis, StateVector, collapse, outcome_probability
+
+
+def measure(
+    state: StateVector, qubit_index: int, basis: Basis, bernoulli
+) -> tuple[int, StateVector]:
+    """Projective measurement of one qubit; returns (outcome, post state).
+
+    `bernoulli(p) -> 0|1` is called only when both outcomes have nonzero
+    probability (after snapping within 1e-12 of 0 or 1).
+    """
+    p1, moved = outcome_probability(state, qubit_index, basis)
+    outcome = bernoulli(p1) if 0.0 < p1 < 1.0 else int(p1)
+    prob = p1 if outcome == 1 else 1.0 - p1
+    return outcome, collapse(moved, qubit_index, basis, outcome, prob)
+
+
+def delayed_measurement(
+    register: EntangledBlock, announced_basis: Basis, bernoulli
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure Eve's kept qubits once the basis is public.
+
+    Returns (simulated-slot bits, ancilla bits). Each kept singlet half is
+    measured in announced_basis and recorded as the complement of the
+    outcome; ancillas are measured in announced_basis as well. The post
+    state replaces the register's, which is marked measured: a register can
+    only be measured once.
+    """
+    if getattr(register, "eve_measured", False):
+        raise RuntimeError("kept register was already measured")
+    state = register.state
+    slot_bits = []
+    for q in register.kept_slots:
+        outcome, state = measure(state, q, announced_basis, bernoulli)
+        slot_bits.append(1 - outcome)
+    ancilla_bits = []
+    for q in register.ancilla_slots:
+        outcome, state = measure(state, q, announced_basis, bernoulli)
+        ancilla_bits.append(outcome)
+    register.state = state
+    register.eve_measured = True
+    return np.array(slot_bits, dtype=np.uint8), np.array(ancilla_bits, dtype=np.uint8)
+
+
+def empirical_joint(
+    samples: Sequence[tuple], variables: tuple[str, ...] | None = None
+) -> JointDistribution:
+    """Plug-in frequency table from a sequence of outcome tuples."""
+    if len(samples) == 0:
+        raise ValueError("empirical_joint needs at least one sample")
+    width = len(samples[0])
+    if variables is None:
+        variables = tuple(f"v{i}" for i in range(width))
+    counts: dict[tuple, int] = {}
+    for sample in samples:
+        key = tuple(sample)
+        counts[key] = counts.get(key, 0) + 1
+    n = len(samples)
+    return JointDistribution(variables, {k: c / n for k, c in counts.items()})

@@ -16,23 +16,14 @@ import pytest
 
 from blockqkd.attacks import BlockAttackSpec, reduction_corpus, verify_reduction
 from blockqkd.cli import main as cli_main
-from blockqkd.infotheory import (
-    JointDistribution,
-    empirical_joint,
-    mutual_information,
-)
+from blockqkd.infotheory import JointDistribution, mutual_information
 from blockqkd.postprocess import DEFAULT_SAFETY_MARGIN, pipeline
 from blockqkd.protocol import ProtocolConfig, empirical_rates, run_session
-from blockqkd.quantum import (
-    Basis,
-    Circuit,
-    Measure,
-    Prep,
-    PrepSinglet,
-    enumerate_outcomes,
-)
+from blockqkd.quantum import Basis
 from blockqkd.randomness import BitSource, consumption_ratio
+from circuit_oracle import Circuit, Measure, Prep, PrepSinglet, enumerate_outcomes, mixture
 from circuit_sampling import RandomCoin, sample_circuit
+from measurement_reference import empirical_joint
 
 MC_TRIALS = 100_000
 
@@ -96,7 +87,7 @@ def exact_intercept_joint(p: float) -> JointDistribution:
                     (base_weight * p * 0.5, JointDistribution(names, table))
                 )
     components = [(w, d) for w, d in components if w > 0.0]
-    return JointDistribution.mixture(components)
+    return mixture(components)
 
 
 def oracle_ck(p: float) -> float:

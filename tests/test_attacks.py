@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import product
 
@@ -7,7 +8,6 @@ import pytest
 from blockqkd.attacks import (
     BlockAttackSpec,
     cnot_entangler,
-    delayed_measurement,
     entangle_block,
     load_unitary,
     reduction_corpus,
@@ -18,14 +18,9 @@ from blockqkd.attacks import (
 from blockqkd.protocol import ProtocolConfig, run_session
 from blockqkd.quantum import (
     Basis,
-    Circuit,
-    Measure,
-    PrepSinglet,
     StateVector,
     UnitarySpec,
     bb84_rows,
-    enumerate_outcomes,
-    measure,
     prepare_bb84,
     project,
     random_unitary,
@@ -34,18 +29,19 @@ from blockqkd.quantum import (
     tensor,
 )
 from blockqkd.randomness import BitSource
+from circuit_oracle import Circuit, Measure, PrepSinglet, enumerate_outcomes
+from measurement_reference import delayed_measurement, measure
 
 IDENTITY4 = UnitarySpec.from_matrix(np.eye(4))
 
 
-class RefuseCoin:
-    def bernoulli(self, p):
-        raise AssertionError("randomness consumed where none is needed")
+def refuse_coin(p):
+    raise AssertionError("randomness consumed where none is needed")
 
 
 def attack_coin(seed=0):
     source = BitSource(seed)
-    return source, source.for_stage("eve", "attack")
+    return source, functools.partial(source.bernoulli, "eve", "attack")
 
 
 # --- attack descriptors -------------------------------------------------------
@@ -246,7 +242,7 @@ def _collapsed_register(basis: Basis, partner_outcome: int):
 @pytest.mark.parametrize("partner_outcome", [0, 1])
 def test_delayed_record_complements_partner(basis, partner_outcome):
     register = _collapsed_register(basis, partner_outcome)
-    slot_bits, ancilla_bits = delayed_measurement(register, basis, RefuseCoin())
+    slot_bits, ancilla_bits = delayed_measurement(register, basis, refuse_coin)
     assert ancilla_bits.size == 0
     assert slot_bits.tolist() == [partner_outcome]
 
@@ -273,7 +269,7 @@ def test_identity_attack_eve_matches_bob_exactly():
             bob[slot] = outcome
         assert bob[register.alice_slot] == bit
         register.state = state
-        slot_bits, _ = delayed_measurement(register, basis, RefuseCoin())
+        slot_bits, _ = delayed_measurement(register, basis, refuse_coin)
         assert slot_bits.tolist() == [bob[register.partner_slots[0]]]
 
 
@@ -346,6 +342,16 @@ def test_corpus_rejects_negative_random_count():
     assert len(reduction_corpus(random_count=0, block_sizes=(2,), ancillas=(0,))) == 1
 
 
+def test_corpus_rejects_unverifiable_sizes():
+    # reduction_corpus holds its grid to verify_reduction's size rule
+    with pytest.raises(ValueError):
+        reduction_corpus(block_sizes=(4,))
+    with pytest.raises(ValueError):
+        reduction_corpus(block_sizes=(2, 3), ancillas=(0, 6))
+    with pytest.raises(ValueError):
+        reduction_corpus(block_sizes=(2,), ancillas=(-1,))
+
+
 # --- unitary file format ------------------------------------------------------
 
 
@@ -357,6 +363,26 @@ def test_unitary_roundtrip(tmp_path):
     assert np.array_equal(loaded.entries, u.entries)
     first = path.read_text().splitlines()[0]
     assert first == "dim 4"
+
+
+def test_unitary_specs_compare_and_hash_by_value(tmp_path):
+    path = tmp_path / "cnot.txt"
+    save_unitary(path, cnot_entangler())
+    first, second = load_unitary(path), load_unitary(path)
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+    attacks = [BlockAttackSpec.unitary(u, 2, 1) for u in (first, second)]
+    assert attacks[0] == attacks[1]
+    assert hash(attacks[0]) == hash(attacks[1])
+    assert attacks[0] != BlockAttackSpec.unitary(first, 2, 1, delayed=False)
+    assert first != UnitarySpec.from_matrix(np.eye(8))
+    # -0.0 and 0.0 are equal entries, so the specs and their hashes agree
+    signed = UnitarySpec(2, np.array([[1.0, -0.0], [0.0, 1.0]]))
+    unsigned = UnitarySpec(2, np.eye(2))
+    assert signed.entries.tobytes() != unsigned.entries.tobytes()
+    assert signed == unsigned
+    assert hash(signed) == hash(unsigned)
 
 
 def test_load_rejects_bad_header(tmp_path):

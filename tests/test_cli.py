@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blockqkd
 from blockqkd.attacks import cnot_entangler, save_unitary
 from blockqkd.cli import CSV_COLUMNS, main
 from blockqkd.quantum import UnitarySpec
@@ -502,6 +504,10 @@ def test_report_bad_inputs(tmp_path, capsys):
 
 def test_python_dash_m_entry(tmp_path):
     csv_path = tmp_path / "m.csv"
+    # the child imports the same blockqkd as this process, installed or not
+    src = str(Path(blockqkd.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [
             sys.executable,
@@ -519,6 +525,7 @@ def test_python_dash_m_entry(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert csv_path.is_file()

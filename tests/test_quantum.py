@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -12,22 +13,14 @@ from blockqkd.quantum import (
     MAX_REGISTER_QUBITS,
     PAULI_X,
     PAULI_Z,
-    SWAP,
-    Apply,
     Basis,
-    Circuit,
     DensityMatrix,
-    Measure,
-    Prep,
-    PrepSinglet,
     StateVector,
     UnitarySpec,
     _apply_matrix,
     apply_unitary,
     bb84_rows,
     embed,
-    enumerate_outcomes,
-    measure,
     permute_qubits,
     prepare_bb84,
     prepare_singlet,
@@ -38,16 +31,19 @@ from blockqkd.quantum import (
     tensor,
 )
 from blockqkd.randomness import BitSource
+from circuit_oracle import SWAP, Apply, Circuit, Measure, Prep, PrepSinglet, enumerate_outcomes
 from circuit_sampling import RandomCoin, sample_circuit
+from measurement_reference import measure
 from row_reference import flip_rows, measure_rows
 
 S = 1.0 / math.sqrt(2.0)
 
 
 class RefuseCoin:
-    """Fails the test if any randomness is consumed."""
+    """Fails the test if any randomness is consumed, as a Bernoulli
+    sampler or as a source."""
 
-    def bernoulli(self, p):
+    def __call__(self, p):
         raise AssertionError("coin consulted for a deterministic measurement")
 
     def draw_bits(self, party, stage, count):
@@ -55,7 +51,9 @@ class RefuseCoin:
 
 
 def fair_coin(seed=0):
-    return BitSource(seed).for_stage("bob", "bob_measurement")
+    """A source and its Bernoulli sampler charged to (bob, bob_measurement)."""
+    source = BitSource(seed)
+    return source, functools.partial(source.bernoulli, "bob", "bob_measurement")
 
 
 # --- state preparation ----------------------------------------------------
@@ -110,26 +108,26 @@ def test_measure_eigenstate_consumes_nothing():
 
 
 def test_measure_mismatched_basis_costs_one_fair_bit():
-    coin = fair_coin(3)
+    source, coin = fair_coin(3)
     outcome, post = measure(prepare_bb84(0, Basis.X), 0, Basis.Z, coin)
     assert outcome in (0, 1)
-    assert coin._source.ledger.total() == 1
+    assert source.ledger.total() == 1
     expected = [1, 0] if outcome == 0 else [0, 1]
     assert np.allclose(post.amplitudes, expected)
 
 
 def test_remeasurement_is_free_and_stable():
-    coin = fair_coin(5)
+    source, coin = fair_coin(5)
     state = prepare_bb84(0, Basis.X)
     first, post = measure(state, 0, Basis.Z, coin)
     second, _ = measure(post, 0, Basis.Z, RefuseCoin())
     assert second == first
-    assert coin._source.ledger.total() == 1
+    assert source.ledger.total() == 1
 
 
 def test_singlet_sequential_z_measurements_anticorrelate():
     for seed in range(8):
-        coin = fair_coin(seed)
+        _, coin = fair_coin(seed)
         a, post = measure(prepare_singlet(), 0, Basis.Z, coin)
         b, _ = measure(post, 1, Basis.Z, RefuseCoin())
         assert b == 1 - a
@@ -137,7 +135,7 @@ def test_singlet_sequential_z_measurements_anticorrelate():
 
 def test_singlet_sequential_x_measurements_anticorrelate():
     for seed in range(8):
-        coin = fair_coin(seed)
+        _, coin = fair_coin(seed)
         a, post = measure(prepare_singlet(), 0, Basis.X, coin)
         b, _ = measure(post, 1, Basis.X, RefuseCoin())
         assert b == 1 - a

@@ -183,14 +183,14 @@ def test_bernoulli_rejects_out_of_range():
 
 def test_randbelow_one_is_free():
     source = BitSource(29)
-    assert source.randbelow("shared", "sampling", 1) == 0
+    assert source.randbelow_each("shared", "sampling", (1,))[0] == 0
     assert source.ledger.total() == 0
 
 
 def test_randbelow_power_of_two_costs_log2():
     source = BitSource(29)
     for _ in range(50):
-        value = source.randbelow("shared", "ec_permutation", 8)
+        value = source.randbelow_each("shared", "ec_permutation", (8,))[0]
         assert 0 <= value < 8
     assert source.ledger.get("shared", "ec_permutation") == 150
 
@@ -199,7 +199,7 @@ def test_randbelow_counts_rejected_draws():
     source = BitSource(31)
     draws = 500
     for _ in range(draws):
-        value = source.randbelow("shared", "sampling", 3)
+        value = source.randbelow_each("shared", "sampling", (3,))[0]
         assert 0 <= value < 3
     consumed = source.ledger.get("shared", "sampling")
     # every attempt costs 2 bits, and rejections make the total exceed
@@ -213,7 +213,7 @@ def test_randbelow_counts_rejected_draws():
 def test_randbelow_in_range(n):
     source = BitSource(37)
     for _ in range(5):
-        assert 0 <= source.randbelow("shared", "sampling", n) < n
+        assert 0 <= source.randbelow_each("shared", "sampling", (n,))[0] < n
 
 
 def _randbelow_reference(source, party, stage, n):
@@ -237,7 +237,7 @@ def _randbelow_reference(source, party, stage, n):
 def test_randbelow_each_matches_per_draw_loop(seed, bounds):
     batch, single, reference = BitSource(seed), BitSource(seed), BitSource(seed)
     values = batch.randbelow_each("shared", "ec_permutation", bounds)
-    assert values == [single.randbelow("shared", "ec_permutation", n) for n in bounds]
+    assert values == [single.randbelow_each("shared", "ec_permutation", (n,))[0] for n in bounds]
     assert values == [
         _randbelow_reference(reference, "shared", "ec_permutation", n) for n in bounds
     ]
@@ -283,9 +283,8 @@ def test_randbelow_each_rejects_bounds_outside_one_word(bounds):
 
 def test_stage_source_charges_its_stage():
     source = BitSource(41)
-    coin = source.for_stage("eve", "attack")
-    coin.bernoulli(0.5)
-    coin.bernoulli(0.5)
+    source.bernoulli("eve", "attack", 0.5)
+    source.bernoulli("eve", "attack", 0.5)
     assert source.ledger.get("eve", "attack") == 1 + 1
     assert source.ledger.total() == 2
 
