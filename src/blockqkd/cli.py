@@ -147,8 +147,13 @@ def load_experiment(path: Path | None, args: argparse.Namespace) -> dict:
     for scalar, listed in (("block_size", "block_sizes"), ("channel_flip_prob", "flip_probs")):
         if cfg[listed] is None or getattr(args, scalar) is not None:
             cfg[listed] = [cfg[scalar]]
+    # checked before any session runs, so a bad output path loses no work
+    if not cfg["csv"] or Path(cfg["csv"]).is_dir():
+        raise ConfigError(f"[output] csv must name a file, not {cfg['csv']!r}")
     cfg["csv"] = Path(cfg["csv"])
     cfg["json_dir"] = Path(cfg["json_dir"] or cfg["csv"].parent / f"{cfg['csv'].stem}_sessions")
+    if cfg["json_dir"].exists() and not cfg["json_dir"].is_dir():
+        raise ConfigError(f"[output] json_dir names an existing file: {cfg['json_dir']}")
     if cfg["repetitions"] < 1:
         raise ConfigError("repetitions must be >= 1")
     if cfg["safety_margin"] < 0:

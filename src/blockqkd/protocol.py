@@ -425,6 +425,10 @@ def _channel_flips(config: ProtocolConfig) -> np.ndarray | None:
     encoding basis. The uniforms are rng.random()'s, built in bulk: that is
     ((a >> 5) * 2^26 + (b >> 6)) * 2^-53 for two consecutive 32-bit words
     a, b, which getrandbits(64 * count) returns least significant first.
+    That layout is CPython's Mersenne Twister, undocumented; the values and
+    the final state match a random() loop on CPython 3.10.13, 3.11.7,
+    3.12.1 and 3.13.0. It is the only draw that relies on it, and pays:
+    a random() loop takes about 3x as long per 100k-qubit session.
     """
     if config.channel_flip_prob <= 0.0:
         return None

@@ -8,11 +8,7 @@ bit-exact:
 - ``randbelow_each(bounds)`` draws, for each bound n in turn, ceil(log2 n)
   bits and rejects out-of-range values, re-drawing until accepted; every
   drawn bit is counted, rejected or not, and all are charged in one ledger
-  record. It relies on the generator's word layout (CPython's Mersenne
-  Twister, checked on 3.11):
-  ``getrandbits(w)`` for w <= 32 is one 32-bit output word shifted right by
-  32 - w, and ``getrandbits(32 * m)`` is the next m words, least significant
-  first. So each attempt is one word, and the words can be drawn in bulk.
+  record.
 - ``bernoulli(p)`` refines a uniform binary expansion one bit at a time and
   stops as soon as the outcome is decided, charging the bits in one ledger
   record. A deterministic branch (p within 1e-12 of 0 or 1) consumes no
@@ -101,57 +97,29 @@ class BitSource:
     def randbelow_each(self, party: str, stage: str, bounds) -> list[int]:
         """A uniform integer in [0, b) for each b in `bounds`, in order.
 
-        The values, the bits charged and the generator's final state are
-        those of a per-draw loop that draws ceil(log2 b) bits until one is
-        below b; the bits go to the ledger in one record (none when no bit
-        was drawn). Bounds must lie in [1, 2**32], so that an attempt at a
-        bound b of width w is one word, accepted exactly when below
-        b << (32 - w), the bound's limit. The bounds are taken in
-        chunks of one width whose limits never rise. A word below every
-        limit of its chunk is accepted and one at or above every limit
-        rejected, whichever bound it meets; `_settle` decides the rest.
-        The generator is then rewound and advanced by the words used.
+        Each value draws ceil(log2 b) bits until they are below b, so a bound
+        of 1 draws nothing. Every bit drawn goes to the ledger in one record
+        (none when no bit was drawn). Bounds must lie in [1, 2**32]; one
+        outside raises ValueError before anything is drawn.
         """
         if isinstance(bounds, range):
-            bounds = np.arange(bounds.start, bounds.stop, bounds.step, dtype=np.int64)
-        try:
-            bounds = np.asarray(bounds, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("n must lie in [1, 2**32]") from None
-        if bounds.size and (bounds.min() <= 0 or bounds.max() > 1 << 32):
+            ends = (bounds[0], bounds[-1]) if bounds else ()  # a range is monotone
+        else:
+            bounds = ends = [int(n) for n in bounds]  # np.int64 has no bit_length
+        if ends and (min(ends) < 1 or max(ends) > 1 << 32):
             raise ValueError("n must lie in [1, 2**32]")
-        values = np.zeros(len(bounds), dtype=np.int64)
-        active = np.flatnonzero(bounds > 1)  # a bound of 1 draws nothing
-        rng, start_state = self._rng, self._rng.getstate()
-        words = np.zeros(0, dtype=np.int64)  # drawn, not yet used
-        drawn = used = i = 0
-        while i < len(active):
-            n = bounds[active[i : i + 2048]]  # longer chunks leave more in between
-            width = np.frexp((n - 1).astype(np.float64))[1]  # (n - 1).bit_length()
-            limits = n << (32 - width)
-            cut = np.flatnonzero((width[1:] != width[0]) | (np.diff(limits) > 0))
-            limits = limits[: cut[0] + 1] if cut.size else limits
-            need = int(len(limits) * 1.1 * 2**32 / int(limits[-1])) + 16
-            if len(words) < need:
-                more = need - len(words)
-                fresh = rng.getrandbits(32 * more).to_bytes(4 * more, "little")
-                words = np.concatenate((words, np.frombuffer(fresh, dtype="<u4")))
-            accept = words < limits[-1]
-            _settle(words, accept, np.flatnonzero(~accept & (words < limits[0])), limits)
-            pos = np.flatnonzero(accept)[: len(limits)]
-            got = len(pos)
-            taken = int(pos[-1]) + 1 if got == len(limits) else len(words)
-            values[active[i : i + got]] = words[pos] >> (32 - int(width[0]))
-            drawn += taken * int(width[0])
-            used += taken
-            words = words[taken:]
-            i += got
-        if len(words):
-            rng.setstate(start_state)
-            rng.getrandbits(32 * used)
+        getrandbits = self._rng.getrandbits
+        values = []
+        drawn = 0
+        for n in bounds:
+            width = (n - 1).bit_length()
+            while (value := getrandbits(width)) >= n:
+                drawn += width
+            drawn += width
+            values.append(value)
         if drawn:
             self.ledger.record(party, stage, drawn)
-        return values.tolist()
+        return values
 
     def bernoulli(self, party: str, stage: str, p: float) -> int:
         """Return 1 with probability p, consuming the minimum number of bits.
@@ -171,28 +139,6 @@ class BitSource:
         """The generator's ``getrandbits``, for a caller that charges every
         bit it draws to ``self.ledger`` itself."""
         return self._rng.getrandbits
-
-
-def _settle(words, accept, between, limits) -> None:
-    """Mark in `accept` which of the words at `between` are accepted.
-
-    A word meets bound k, k the number of words accepted before it, and is
-    accepted when below limits[k]; `limits` never rises, so that holds
-    exactly when k is below the count of limits above the word (its reach).
-    A word whose reach exceeds the words accepted before it plus every
-    earlier one in between is accepted whatever those do; the rest are
-    settled in order.
-    """
-    reach = np.searchsorted(-limits, -words[between])
-    sure = np.cumsum(accept)[between] + np.arange(len(between)) < reach
-    accept[between[sure]] = True
-    between, reach = between[~sure], reach[~sure]
-    ahead = np.cumsum(accept)[between].tolist()
-    hits: list[int] = []
-    for at, before, most in zip(between.tolist(), ahead, reach.tolist()):
-        if before + len(hits) < most:
-            hits.append(at)
-    accept[hits] = True
 
 
 def bernoulli_draw(getrandbits, p: float) -> tuple[int, int]:

@@ -152,6 +152,27 @@ def test_run_negative_safety_margin_exits_2(tmp_path):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("case", ["empty_flag", "empty_in_file", "csv_is_dir", "json_dir_is_file"])
+def test_run_bad_output_paths_exit_2_before_any_session(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results").mkdir()
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+    config = write_config(tmp_path / "out.ini", "[output]\ncsv =\n")
+    output = {
+        "empty_flag": ["--output", ""],
+        "empty_in_file": [config],
+        "csv_is_dir": ["--output", "results/"],
+        "json_dir_is_file": ["--output", "x.csv", "--json-dir", "afile"],
+    }[case]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", "--num-blocks", "20", *output]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: [output]" in err and "point 0" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
+
+
 def test_run_attack_ranges_checked_for_every_variant(tmp_path, capsys):
     # the default variant is none, which reads neither value
     csv_path = tmp_path / "x.csv"

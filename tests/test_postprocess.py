@@ -136,7 +136,7 @@ def test_cascade_estimate_floor_and_clamp():
 @example(5000, 0.2, 2)
 @settings(max_examples=100, deadline=None)
 def test_cascade_matches_reference(length, qber, seed):
-    # prefix parities and bulk shuffle draws against the per-query reference:
+    # prefix parities and ledgered shuffles against the per-query reference:
     # same corrections, the same segments with the same parities, the same
     # leak, ledger and generator state
     rng = np.random.default_rng(seed)

@@ -236,12 +236,17 @@ def _randbelow_reference(source, party, stage, n):
 @settings(max_examples=100)
 def test_randbelow_each_matches_per_draw_loop(seed, bounds):
     batch, single, reference = BitSource(seed), BitSource(seed), BitSource(seed)
+    arrayed = BitSource(seed)
     values = batch.randbelow_each("shared", "ec_permutation", bounds)
     assert values == [single.randbelow_each("shared", "ec_permutation", (n,))[0] for n in bounds]
     assert values == [
         _randbelow_reference(reference, "shared", "ec_permutation", n) for n in bounds
     ]
-    for twin in (single, reference):
+    # numpy bounds, whose np.int64 items have no bit_length
+    assert arrayed.randbelow_each(
+        "shared", "ec_permutation", np.array(bounds, dtype=np.int64)
+    ) == values
+    for twin in (single, reference, arrayed):
         assert batch.ledger.counts == twin.ledger.counts
         assert batch._rng.getstate() == twin._rng.getstate()
 
@@ -272,7 +277,7 @@ def test_randbelow_each_matches_reference_on_descending_runs(seed, bounds):
 
 @pytest.mark.parametrize("bounds", [[2**32 + 1], [5, 0], [-1], [3, 2**40], [2**70]])
 def test_randbelow_each_rejects_bounds_outside_one_word(bounds):
-    # a bound above 2**32 would take more than one 32-bit word per attempt
+    # bounds outside [1, 2**32], the documented domain, draw nothing
     source = BitSource(46)
     state = source._rng.getstate()
     with pytest.raises(ValueError):
