@@ -131,6 +131,20 @@ class BlockAttackSpec:
             delayed=delayed,
         )
 
+    def check_fits(self, config) -> None:
+        """ValueError unless sessions of `config` (a ProtocolConfig) can run
+        this attack: a unitary_block attack needs per_block mode and its
+        own block size."""
+        if self.variant != "unitary_block":
+            return
+        if config.mode != "per_block":
+            raise ValueError("unitary_block attacks need per_block mode")
+        if self.num_block_qubits != config.block_size:
+            raise ValueError(
+                f"attack is sized for {self.num_block_qubits}-qubit blocks, "
+                f"config uses {config.block_size}"
+            )
+
     @property
     def label(self) -> str:
         if self.variant == "intercept_resend":

@@ -25,6 +25,8 @@ import json
 import platform
 import sys
 import time
+from dataclasses import fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -44,22 +46,27 @@ from .postprocess import DEFAULT_SAFETY_MARGIN, pipeline
 from .protocol import MODES, ProtocolConfig, empirical_rates, run_session
 from .randomness import PARTIES, STAGES
 
-CSV_COLUMNS = (
-    "mode",
-    "n",
-    "num_blocks",
-    "seed",
-    "attack",
-    "flip_prob",
-    "sifted_bits",
-    "qber_true",
-    "qber_estimated",
-    "i_ab",
-    "i_ea",
-    "i_eb",
-    "ck_rate",
-    "final_key_len",
-) + tuple(f"bits_{stage}" for stage in STAGES)
+# Each CSV column: (name, section of the session's JSON report, key, value
+# when the key is absent). Only an empty session's report lacks keys: it has
+# no QBERs, rates or key, so its row reads 0.0 for each and 0 for
+# final_key_len. "stages" is the ledger's per-stage totals.
+CSV_CELLS = (
+    ("mode", "config", "mode", None),
+    ("n", "config", "block_size", None),
+    ("num_blocks", "config", "num_blocks", None),
+    ("seed", "config", "seed", None),
+    ("attack", "config", "attack", None),
+    ("flip_prob", "config", "channel_flip_prob", None),
+    ("sifted_bits", "results", "sifted_bits", None),
+    ("qber_true", "results", "qber_true", 0.0),
+    ("qber_estimated", "results", "qber_estimated", 0.0),
+    ("i_ab", "results", "i_ab", 0.0),
+    ("i_ea", "results", "i_ea", 0.0),
+    ("i_eb", "results", "i_eb", 0.0),
+    ("ck_rate", "results", "ck_rate", 0.0),
+    ("final_key_len", "results", "final_key_len", 0),
+) + tuple((f"bits_{stage}", "stages", stage, None) for stage in STAGES)
+CSV_COLUMNS = tuple(column for column, *_ in CSV_CELLS)
 
 
 class ConfigError(Exception):
@@ -80,7 +87,7 @@ def _parse_list(text: str, convert):
 # flag); [type] is a comma-separated list, and a bool's flag is a pair of
 # flags that set it true and false. A flag beats the file and the file
 # beats the default. A [sweep] list replaces its [protocol] scalar unless
-# the scalar's flag is given.
+# the scalar's flag is given. The [protocol] keys are ProtocolConfig's fields.
 SETTINGS = (
     ("protocol", "block_size", int, 4, "--block-size"),
     ("protocol", "num_blocks", int, 100, "--num-blocks"),
@@ -152,8 +159,10 @@ def load_experiment(path: Path | None, args: argparse.Namespace) -> dict:
         raise ConfigError(f"[output] csv must name a file, not {cfg['csv']!r}")
     cfg["csv"] = Path(cfg["csv"])
     cfg["json_dir"] = Path(cfg["json_dir"] or cfg["csv"].parent / f"{cfg['csv'].stem}_sessions")
-    if cfg["json_dir"].exists() and not cfg["json_dir"].is_dir():
-        raise ConfigError(f"[output] json_dir names an existing file: {cfg['json_dir']}")
+    for key, folder in (("csv", cfg["csv"].parent), ("json_dir", cfg["json_dir"])):
+        files = [p for p in (folder, *folder.parents) if p.exists() and not p.is_dir()]
+        if files:
+            raise ConfigError(f"[output] {key} needs a directory where a file is: {files[0]}")
     if cfg["repetitions"] < 1:
         raise ConfigError("repetitions must be >= 1")
     if cfg["safety_margin"] < 0:
@@ -171,8 +180,6 @@ def _build_attack(cfg: dict, block_size: int) -> BlockAttackSpec:
         return BlockAttackSpec.none()
     if cfg["variant"] == "intercept_resend":
         return BlockAttackSpec.intercept(cfg["fraction"], cfg["granularity"])
-    if cfg["mode"] != "per_block":
-        raise ConfigError("unitary_block attacks need per_block mode")
     if not cfg["unitary_file"]:
         raise ConfigError("unitary_block attack needs unitary_file")
     try:
@@ -181,14 +188,35 @@ def _build_attack(cfg: dict, block_size: int) -> BlockAttackSpec:
         raise ConfigError(f"cannot read unitary file: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad unitary file: {exc}") from exc
-    m = cfg["num_ancillas"]
-    n = u.num_qubits - m
-    if n != block_size:
-        raise ConfigError(f"unitary covers {n} block qubits but the sweep uses n={block_size}")
+    return BlockAttackSpec.unitary(u, block_size, cfg["num_ancillas"], cfg["delayed"])
+
+
+def _plan(cfg: dict) -> list[tuple[ProtocolConfig, BlockAttackSpec, int]]:
+    """Each sweep point's (config, attack, repetition) in order, all checked
+    before any session runs. The points of one block size share an attack,
+    and with it its register memo."""
+    protocol = {key: cfg[key] for section, key, *_ in SETTINGS if section == "protocol"}
+    points = []
     try:
-        return BlockAttackSpec.unitary(u, n, m, cfg["delayed"])
+        attacks = {n: _build_attack(cfg, n) for n in cfg["block_sizes"]}
+        sweep = product(cfg["block_sizes"], cfg["flip_probs"], range(cfg["repetitions"]))
+        for n, flip, rep in sweep:
+            point = {"block_size": n, "channel_flip_prob": flip, "seed": cfg["seed"] + len(points)}
+            config = ProtocolConfig(**{**protocol, **point})
+            attacks[n].check_fits(config)
+            points.append((config, attacks[n], rep))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return points
+
+
+def _fields(obj) -> dict | None:
+    """A dataclass's fields in declaration order, arrays left out; None
+    for None."""
+    if obj is None:
+        return None
+    values = ((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return {name: value for name, value in values if not isinstance(value, np.ndarray)}
 
 
 def _session_json(config, attack, report, rates, result, margin) -> dict:
@@ -213,41 +241,16 @@ def _session_json(config, attack, report, rates, result, margin) -> dict:
             "qber_true": report.qber_true,
             "qber_estimated": report.qber_estimated,
             "disclosed_for_estimation": len(report.disclosed_indices),
-            "i_ab": rates.i_ab,
-            "i_ea": rates.i_ea,
-            "i_eb": rates.i_eb,
-            "ck_rate": rates.ck_rate,
-            "distillable": rates.distillable,
+            **_fields(rates),
             "eve_info_bits": result.eve_info_bits,
-            "reconciliation": None
-            if result.reconciliation is None
-            else {
-                "disclosed_parities": result.reconciliation.disclosed_parities,
-                "passes": result.reconciliation.passes,
-                "residual_mismatches": result.reconciliation.residual_mismatches,
-            },
-            "amplification": None
-            if result.amplification is None
-            else {
-                "input_length": result.amplification.input_length,
-                "output_length": result.amplification.output_length,
-                "seed_bits_consumed": result.amplification.seed_bits_consumed,
-            },
+            "reconciliation": _fields(result.reconciliation),
+            "amplification": _fields(result.amplification),
             "final_key_len": len(result.final_key),
             "final_key_hex": np.packbits(result.final_key).tobytes().hex(),
             "reason": result.reason,
         }
     return {
-        "config": {
-            "block_size": config.block_size,
-            "num_blocks": config.num_blocks,
-            "mode": config.mode,
-            "channel_flip_prob": config.channel_flip_prob,
-            "sample_fraction": config.sample_fraction,
-            "seed": config.seed,
-            "attack": attack.label,
-            "safety_margin": margin,
-        },
+        "config": {**_fields(config), "attack": attack.label, "safety_margin": margin},
         "results": results,
         "ledger": {
             "stages": report.ledger.as_dict(),
@@ -264,36 +267,18 @@ def _session_json(config, attack, report, rates, result, margin) -> dict:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_experiment(args.config, args)
-    points = [
-        (n, flip, rep)
-        for n in cfg["block_sizes"]
-        for flip in cfg["flip_probs"]
-        for rep in range(cfg["repetitions"])
-    ]
-    attacks = {n: _build_attack(cfg, n) for n in cfg["block_sizes"]}
+    points = _plan(cfg)
     margin = cfg["safety_margin"]
     payloads = []
-    for index, (n, flip, rep) in enumerate(points):
-        attack = attacks[n]
-        try:
-            config = ProtocolConfig(
-                block_size=n,
-                num_blocks=cfg["num_blocks"],
-                mode=cfg["mode"],
-                channel_flip_prob=flip,
-                sample_fraction=cfg["sample_fraction"],
-                seed=cfg["seed"] + index,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    for index, (config, attack, rep) in enumerate(points):
         started = time.perf_counter()
         report = run_session(config, attack)
         rates = empirical_rates(report)
         result = pipeline(report, rates, margin) if report.sifted_bits else None
         elapsed = time.perf_counter() - started
         print(
-            f"point {index}: n={n} flip={flip:g} rep={rep} "
-            f"sifted={report.sifted_bits} ({elapsed:.2f}s)",
+            f"point {index}: n={config.block_size} flip={config.channel_flip_prob:g} "
+            f"rep={rep} sifted={report.sifted_bits} ({elapsed:.2f}s)",
             file=sys.stderr,
         )
         payloads.append(_session_json(config, attack, report, rates, result, margin))
@@ -315,26 +300,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _csv_row(payload: dict) -> str:
-    """One session's CSV line, in CSV_COLUMNS order, read from its JSON
-    report. An empty session's report has no QBERs, rates or key; its row
-    reads 0.0 for each and 0 for final_key_len."""
-    config, results = payload["config"], payload["results"]
-    stages = payload["ledger"]["stages"]
-    cells = [
-        config["mode"],
-        config["block_size"],
-        config["num_blocks"],
-        config["seed"],
-        config["attack"],
-        config["channel_flip_prob"],
-        results["sifted_bits"],
-        *(
-            results.get(key, 0.0)
-            for key in ("qber_true", "qber_estimated", "i_ab", "i_ea", "i_eb", "ck_rate")
-        ),
-        results.get("final_key_len", 0),
-        *(stages[stage] for stage in STAGES),
-    ]
+    """One session's CSV line, read from its JSON report by CSV_CELLS."""
+    sections = {**payload, "stages": payload["ledger"]["stages"]}
+    cells = (sections[section].get(key, empty) for _, section, key, empty in CSV_CELLS)
     return ",".join(_csv_cell(cell) for cell in cells)
 
 
@@ -413,18 +381,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         f"  protocol: mode={config.get('mode')} n={config.get('block_size')} "
         f"blocks={config.get('num_blocks')} flip={config.get('channel_flip_prob')}"
     )
-    for key in (
-        "raw_qubits",
-        "sifted_bits",
-        "qber_true",
-        "qber_estimated",
-        "i_ab",
-        "i_ea",
-        "i_eb",
-        "ck_rate",
-        "final_key_len",
-        "reason",
-    ):
+    shown = (key for _, section, key, _ in CSV_CELLS if section == "results")
+    for key in ("raw_qubits", *shown, "reason"):
         if key in results:
             print(f"  {key} = {results[key]}")
     if stages:

@@ -39,7 +39,7 @@ from .quantum import (
     collapse,
     outcome_probability,
 )
-from .randomness import BitSource, ConsumptionReport, RandomnessLedger, bernoulli_draw
+from .randomness import BitSource, ConsumptionReport, RandomnessLedger, bernoulli_draw, unpack_bits
 
 MODES = ("per_block", "per_qubit")
 
@@ -171,7 +171,7 @@ class _RegisterPaths:
         if p1 is None:
             if self.state is None:
                 n = self.attack.num_block_qubits
-                rows = bb84_rows(_unpack([self.bits], n)[0], Basis(self.path[0]))
+                rows = bb84_rows(unpack_bits([self.bits], n)[0], Basis(self.path[0]))
                 self.state = entangle_block(rows, self.attack.u, self.attack.num_ancillas)
                 self.applied = 0
             for step in self.steps[self.applied:]:
@@ -264,14 +264,7 @@ def run_session(
     to be kept.
     """
     attack = attack or BlockAttackSpec.none()
-    if attack.variant == "unitary_block":
-        if config.mode != "per_block":
-            raise ValueError("unitary_block attacks need per_block mode")
-        if attack.num_block_qubits != config.block_size:
-            raise ValueError(
-                f"attack is sized for {attack.num_block_qubits}-qubit blocks, "
-                f"config uses {config.block_size}"
-            )
+    attack.check_fits(config)
     n = config.block_size
     full = (1 << n) - 1
     width = 1 if config.mode == "per_block" else n  # basis bits per block
@@ -343,12 +336,12 @@ def run_session(
 
     if kept_rows:
         columns = list(zip(*kept_rows))
-        keep = _unpack(columns[2], n).astype(bool)
-        alice_key, bob_key = (_unpack(column, n)[keep] for column in columns[:2])
+        keep = unpack_bits(columns[2], n).astype(bool)
+        alice_key, bob_key = (unpack_bits(column, n)[keep] for column in columns[:2])
         if intercept:
             # '?' where Eve stayed out, else (her bit, whether her basis
             # matched the announced one).
-            attacked, eve_bits, differs = (_unpack(c, n)[keep].tolist() for c in columns[3:])
+            attacked, eve_bits, differs = (unpack_bits(c, n)[keep].tolist() for c in columns[3:])
             symbols = [
                 (bit, not differ) if hit else "?"
                 for hit, bit, differ in zip(attacked, eve_bits, differs)
@@ -406,14 +399,6 @@ def _pack(rows: np.ndarray) -> list[int]:
     packed = np.packbits(rows, axis=1)
     raw, step, pad = packed.tobytes(), packed.shape[1], -rows.shape[1] % 8
     return [int.from_bytes(raw[k : k + step], "big") >> pad for k in range(0, len(raw), step)]
-
-
-def _unpack(values, n: int) -> np.ndarray:
-    """(len(values), n) uint8 bits of n-bit ints, position i from bit n-1-i."""
-    step = -(-n // 8)
-    raw = b"".join(v.to_bytes(step, "big") for v in values)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).reshape(len(values), 8 * step)
-    return bits[:, 8 * step - n :]
 
 
 def _channel_flips(config: ProtocolConfig) -> np.ndarray | None:

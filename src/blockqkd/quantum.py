@@ -27,7 +27,7 @@ from .randomness import DETERMINISTIC_EPS
 
 MAX_REGISTER_QUBITS = 12
 
-NORM_TOL = 1e-12
+TRACE_TOL = 1e-10  # |norm^2 - 1| of a state, |trace - 1| of a density matrix
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
@@ -67,7 +67,7 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= 1e-10:
+        if not abs(norm_sq - 1.0) <= TRACE_TOL:
             raise ValueError(f"state norm^2 is {norm_sq}, not 1")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -86,7 +86,7 @@ class DensityMatrix:
             raise ValueError(f"expected {dim}x{dim} matrix, got {rho.shape}")
         if not np.max(np.abs(rho - rho.conj().T)) <= HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if not abs(np.trace(rho).real - 1.0) <= 1e-10:
+        if not abs(np.trace(rho).real - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {np.trace(rho)}, not 1")
         if not np.min(np.linalg.eigvalsh(rho)) >= EIGENVALUE_FLOOR:
             raise ValueError("density matrix has a negative eigenvalue")

@@ -89,10 +89,7 @@ class BitSource:
         if count < 0:
             raise ValueError("count must be non-negative")
         self.ledger.record(party, stage, count)
-        if count == 0:
-            return np.zeros(0, dtype=np.uint8)
-        value = self._rng.getrandbits(count)
-        return _int_to_bits(value, count)
+        return unpack_bits([self._rng.getrandbits(count)], count)[0]
 
     def randbelow_each(self, party: str, stage: str, bounds) -> list[int]:
         """A uniform integer in [0, b) for each b in `bounds`, in order.
@@ -161,11 +158,13 @@ def bernoulli_draw(getrandbits, p: float) -> tuple[int, int]:
     return (0 if lo >= p else 1), drawn
 
 
-def _int_to_bits(value: int, count: int) -> np.ndarray:
-    nbytes = (count + 7) // 8
-    raw = value.to_bytes(nbytes, "big")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    return bits[-count:].copy()
+def unpack_bits(values, n: int) -> np.ndarray:
+    """(len(values), n) uint8 bits of n-bit ints, position i from bit n-1-i:
+    a getrandbits(n) value's first drawn bit is its top bit."""
+    step = -(-n // 8)
+    raw = b"".join(v.to_bytes(step, "big") for v in values)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).reshape(len(values), 8 * step)
+    return bits[:, 8 * step - n :]
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,11 @@ def test_run_negative_safety_margin_exits_2(tmp_path):
     assert not csv_path.exists()
 
 
-@pytest.mark.parametrize("case", ["empty_flag", "empty_in_file", "csv_is_dir", "json_dir_is_file"])
+@pytest.mark.parametrize(
+    "case",
+    ["empty_flag", "empty_in_file", "csv_is_dir", "json_dir_is_file", "csv_under_file",
+     "json_dir_under_file"],
+)
 def test_run_bad_output_paths_exit_2_before_any_session(tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "results").mkdir()
@@ -163,6 +167,8 @@ def test_run_bad_output_paths_exit_2_before_any_session(tmp_path, monkeypatch, c
         "empty_in_file": [config],
         "csv_is_dir": ["--output", "results/"],
         "json_dir_is_file": ["--output", "x.csv", "--json-dir", "afile"],
+        "csv_under_file": ["--output", "afile/x.csv"],
+        "json_dir_under_file": ["--output", "x.csv", "--json-dir", "afile/sessions"],
     }[case]
     before = sorted(tmp_path.rglob("*"))
     assert main(["run", "--num-blocks", "20", *output]) == 2
@@ -171,6 +177,38 @@ def test_run_bad_output_paths_exit_2_before_any_session(tmp_path, monkeypatch, c
     assert "config error: [output]" in err and "point 0" not in err
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("sweep", ["flip_probs = 0.01, 1.5", "block_sizes = 4, 0"])
+def test_run_bad_sweep_value_exits_2_before_any_session(tmp_path, capsys, sweep):
+    # the bad value is the second point's: the first must not run either
+    config = write_config(tmp_path / "sweep.ini", f"[protocol]\nnum_blocks = 20\n[sweep]\n{sweep}\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", config, "--output", str(tmp_path / "x.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error" in err and "point 0" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_run_calls_each_session_stage_once_per_point_in_order(tmp_path, monkeypatch):
+    # benchmark/workloads.py times each sweep point by wrapping these names
+    # in the cli module
+    stages = ("run_session", "empirical_rates", "pipeline")
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(first, *args, **kwargs):
+            calls.append((name, (first if name == "run_session" else first.config).seed))
+            return fn(first, *args, **kwargs)
+        return wrapped
+
+    for name in stages:
+        monkeypatch.setattr(blockqkd.cli, name, counting(name, getattr(blockqkd.cli, name)))
+    argv = ["run", "--num-blocks", "200", "--seed", "40", "--repetitions", "3",
+            "--output", str(tmp_path / "x.csv")]
+    assert main(argv) == 0
+    assert calls == [(name, 40 + point) for point in range(3) for name in stages]
 
 
 def test_run_attack_ranges_checked_for_every_variant(tmp_path, capsys):

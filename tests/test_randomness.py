@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from blockqkd.randomness import (
     ConsumptionReport,
     RandomnessLedger,
     consumption_ratio,
+    unpack_bits,
 )
 
 
@@ -49,6 +51,17 @@ def test_unknown_party_or_stage_rejected():
         source.draw_bits("mallory", "alice_bits", 1)
     with pytest.raises(ValueError):
         source.draw_bits("alice", "coffee", 1)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 70])
+def test_draw_bits_reads_each_value_from_its_top_bit(count):
+    # position i is bit count-1-i of the getrandbits(count) value, the order
+    # of the bit masks in protocol.run_session
+    value = random.Random(21).getrandbits(count)
+    out = BitSource(21).draw_bits("alice", "alice_bits", count)
+    assert out.dtype == np.uint8
+    assert out.tolist() == [value >> (count - 1 - i) & 1 for i in range(count)]
+    assert unpack_bits([5, 0, 7], 3).tolist() == [[1, 0, 1], [0, 0, 0], [1, 1, 1]]
 
 
 def test_bits_are_binary():
