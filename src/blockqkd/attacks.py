@@ -26,12 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
 from .quantum import (
+    BRANCH_CUTOFF,
     CNOT,
+    HADAMARD,
+    MAX_REGISTER_QUBITS,
     Basis,
     StateVector,
     UnitarySpec,
@@ -41,9 +45,7 @@ from .quantum import (
     permute_qubits,
     prepare_bb84,
     prepare_singlet,
-    project,
     random_unitary,
-    reduced_density,
     rows_to_state,
     tensor,
 )
@@ -260,12 +262,14 @@ class EquivalenceReport:
 
 
 def check_reduction_size(n: int, m: int) -> None:
-    """The sizes verify_reduction checks: block size n in {2, 3} and m >= 0
-    ancillas, n + m <= 8. A ValueError names the first rule broken."""
-    if n not in (2, 3):
-        raise ValueError(f"block size {n} outside the verifiable range {{2, 3}}")
-    if m < 0 or n + m > 8:
-        raise ValueError(f"{m} ancillas on block size {n} is outside m >= 0, n + m <= 8")
+    """The sizes verify_reduction checks: n >= 1 block qubits and m >= 0
+    ancillas whose singlet-built register, 2n - 1 + m qubits, fits in
+    MAX_REGISTER_QUBITS; a ValueError otherwise."""
+    if n < 1 or m < 0 or 2 * n - 1 + m > MAX_REGISTER_QUBITS:
+        raise ValueError(
+            f"block size {n} with {m} ancillas is outside n >= 1, m >= 0 and "
+            f"2n - 1 + m <= {MAX_REGISTER_QUBITS}, the singlet-built register's qubits"
+        )
 
 
 def verify_reduction(u: UnitarySpec, n: int, m: int) -> EquivalenceReport:
@@ -278,14 +282,15 @@ def verify_reduction(u: UnitarySpec, n: int, m: int) -> EquivalenceReport:
     kept outcome elsewhere), with every branch weight exactly 2^-(n-1).
     Passes iff all density-matrix entries agree within 1e-9 and all
     weights do too.
+
+    A case's branches are the rows of one array: the kept halves moved to
+    the front and rotated into the basis, the block + ancillas flattened.
+    A row's squared norm is its branch weight.
     """
     check_reduction_size(n, m)
     u = UnitarySpec.from_matrix(u)
-    if u.dimension != 2 ** (n + m):
-        raise ValueError(
-            f"unitary dimension {u.dimension} does not match n={n}, m={m}"
-        )
     expected_weight = 2.0 ** -(n - 1)
+    hadamards = reduce(np.kron, [HADAMARD] * (n - 1), np.ones((1, 1)))
     max_dev = 0.0
     max_weight_dev = 0.0
     cases = 0
@@ -297,27 +302,23 @@ def verify_reduction(u: UnitarySpec, n: int, m: int) -> EquivalenceReport:
         sim = singlet_simulation(
             prepare_bb84(alice_bit, basis), n, u, m, alice_slot=alice_slot
         )
-        eval_slots = list(sim.block_slots) + list(sim.ancilla_slots)
-        for pattern in product((0, 1), repeat=n - 1):
+        psi = sim.state.amplitudes.reshape([2] * sim.state.num_qubits)
+        rows = np.moveaxis(psi, sim.kept_slots, range(n - 1)).reshape(2 ** (n - 1), -1)
+        if basis is Basis.X:
+            rows = hadamards @ rows
+        for pattern, row in zip(product((0, 1), repeat=n - 1), rows):
             branches += 1
-            weight = 1.0
-            state = sim.state
-            for q, outcome in zip(sim.kept_slots, pattern):
-                prob, state = project(state, q, basis, outcome)
-                weight *= prob
-                if state is None:
-                    break
+            weight = float(np.vdot(row, row).real)
             max_weight_dev = max(max_weight_dev, abs(weight - expected_weight))
-            if state is None:
+            if weight <= BRANCH_CUTOFF:
                 max_dev = math.inf
                 continue
-            rho_sim = reduced_density(state, eval_slots).entries
             bits = np.empty(n, dtype=np.int64)
             bits[alice_slot] = alice_bit
-            for slot, outcome in zip(sim.partner_slots, pattern):
-                bits[slot] = 1 - outcome
-            rho_real = _real_block_density(u, bits, basis, m)
-            max_dev = max(max_dev, float(np.max(np.abs(rho_sim - rho_real))))
+            bits[list(sim.partner_slots)] = np.subtract(1, pattern)
+            real = entangle_block(bb84_rows(bits, basis), u, m).amplitudes
+            deviation = np.outer(row, row.conj()) / weight - np.outer(real, real.conj())
+            max_dev = max(max_dev, float(np.max(np.abs(deviation))))
     passed = max_dev < REDUCTION_TOL and max_weight_dev < REDUCTION_TOL
     return EquivalenceReport(
         passed=passed,
@@ -326,13 +327,6 @@ def verify_reduction(u: UnitarySpec, n: int, m: int) -> EquivalenceReport:
         cases_checked=cases,
         branches_checked=branches,
     )
-
-
-def _real_block_density(
-    u: UnitarySpec, bits: np.ndarray, basis: Basis, m: int
-) -> np.ndarray:
-    state = entangle_block(bb84_rows(bits, basis), u, m)
-    return np.outer(state.amplitudes, state.amplitudes.conj())
 
 
 # --- reproducible verification corpus ------------------------------------

@@ -445,8 +445,9 @@ def pipeline(
 
     Eve's credited information is min(i_ea, i_eb) bits per sifted symbol
     times the undisclosed key length. The final key is nonempty only when
-    the rate report says a key is distillable, reconciliation ends with
-    zero residual mismatches, and the length budget stays positive.
+    the rate report says a key is distillable, the session disclosed an
+    estimation sample, reconciliation ends with zero residual mismatches,
+    and the length budget stays positive.
     """
     if safety_margin < 0:
         raise ValueError("safety_margin must be >= 0")
@@ -463,7 +464,7 @@ def pipeline(
         return PipelineResult(empty, None, None, eve_info, "not_distillable")
     if max(report.qber_estimated, QBER_FLOOR) >= 0.5:
         return PipelineResult(empty, None, None, eve_info, "qber_too_high")
-    if len(alice) < MIN_KEY_LENGTH:
+    if len(alice) < MIN_KEY_LENGTH or not len(disclosed):  # no sample, no estimate
         return PipelineResult(empty, None, None, eve_info, "key_too_short")
     started = time.perf_counter()
     rec = cascade(alice, bob, report.qber_estimated, report.source)

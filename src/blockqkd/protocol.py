@@ -120,10 +120,11 @@ class SessionReport:
 class _RegisterPaths:
     """Exact register path of unitary_block blocks, memoized on the attack.
 
-    `probs` maps a block's path so far (Alice's basis value and bits, then
-    each flip and each measurement's qubit, basis and outcome) and its next
-    measured (qubit, basis) to the snapped probability of outcome 1
-    (`outcome_probability`). It is the attack's own memo, kept across
+    A block's `path` is Alice's basis value and bits, then its replay log:
+    a byte >= 128 is a flip on qubit byte - 128, any other byte the
+    measurement 4 * qubit + 2 * basis + outcome. `probs` maps a path and
+    its next measured (qubit, basis) to the snapped probability of outcome
+    1 (`outcome_probability`). It is the attack's own memo, kept across
     every session the attack runs: a value depends only on the attack's
     unitary, sizes and the key, since a miss rebuilds the register by
     replaying the key's path with the same float operations. Only keys and
@@ -144,15 +145,13 @@ class _RegisterPaths:
         n = attack.num_block_qubits
         ancillas = range(n, n + attack.num_ancillas)
         self.path = bytes((announced,)) + bits.to_bytes(-(-n // 8), "big")
-        self.bits, self.steps, self.state, self.moved = bits, [], None, None
+        self.bits, self.replayed, self.state, self.pending = bits, len(self.path), None, None
         if not attack.delayed:
             guess = self.getrandbits(1)
             spent[_EVE] = spent.get(_EVE, 0) + 1
             eve_bits = tuple(self._measure(q, guess, _EVE) for q in ancillas)
             symbol = (guess == announced, eve_bits)
-        flipped = [i for i in range(n) if flips >> (n - 1 - i) & 1]
-        self.path += bytes(128 + i for i in flipped)
-        self.steps += [(i,) for i in flipped]
+        self.path += bytes(128 + i for i in range(n) if flips >> (n - 1 - i) & 1)
         bob_basis = self.getrandbits(1)
         spent[_BOB_BASIS] = spent.get(_BOB_BASIS, 0) + 1
         if self.forced is not None:
@@ -162,36 +161,34 @@ class _RegisterPaths:
             outcomes = outcomes << 1 | self._measure(i, bob_basis, _BOB_MEASUREMENT)
         if attack.delayed:
             symbol = (announced, tuple(self._measure(q, announced, _EVE) for q in ancillas))
-        self.state = self.moved = None
+        self.state = self.pending = None
         return bob_basis, outcomes, symbol
 
     def _measure(self, qubit: int, basis: int, stage: tuple[str, str]) -> int:
         key = self.path + bytes((2 * qubit + basis,))
         p1 = self.probs.get(key)
         if p1 is None:
-            if self.state is None:
+            if self.state is None:  # the block's first miss builds its register
                 n = self.attack.num_block_qubits
                 rows = bb84_rows(unpack_bits([self.bits], n)[0], Basis(self.path[0]))
                 self.state = entangle_block(rows, self.attack.u, self.attack.num_ancillas)
-                self.applied = 0
-            for step in self.steps[self.applied:]:
-                if len(step) == 1:  # a flip in Alice's basis
-                    self.state = apply_unitary(self.state, _FLIP_GATES[self.path[0]], step)
-                else:
-                    q, b, outcome, prob = step
-                    if self.moved is None:  # the state was not rotated for this step
-                        _, self.moved = outcome_probability(self.state, q, Basis(b))
-                    self.state = collapse(self.moved, q, Basis(b), outcome, prob)
-                self.moved = None
-            self.applied = len(self.steps)
-            p1, self.moved = outcome_probability(self.state, qubit, Basis(basis))
+            for step in self.path[self.replayed :]:
+                if step >= 128:  # a flip in Alice's basis
+                    self.state = apply_unitary(self.state, _FLIP_GATES[self.path[0]], (step - 128,))
+                else:  # a miss's (p1, moved) serves the measurement it preceded
+                    q, b, outcome = step >> 2, Basis(step >> 1 & 1), step & 1
+                    p, moved = self.pending or outcome_probability(self.state, q, b)
+                    self.state = collapse(moved, q, b, outcome, p if outcome else 1.0 - p)
+                self.pending = None
+            self.replayed = len(self.path)
+            self.pending = outcome_probability(self.state, qubit, Basis(basis))
+            p1 = self.pending[0]
             if len(self.probs) < _MEMO_NODES:
                 self.probs[key] = p1
         outcome, drawn = bernoulli_draw(self.getrandbits, p1)
         if drawn:
             self.spent[stage] = self.spent.get(stage, 0) + drawn
         self.path += bytes((4 * qubit + 2 * basis + outcome,))
-        self.steps.append((qubit, basis, outcome, p1 if outcome else 1.0 - p1))
         return outcome
 
 
@@ -360,7 +357,7 @@ def run_session(
             alice_key, bob_key, config.sample_fraction, source
         )
     else:
-        # Too short to sample; report no estimate rather than fabricate one.
+        # Too short to sample: no estimate, so pipeline distils no key.
         qber_estimated, disclosed = 0.0, np.zeros(0, dtype=np.int32)
     return SessionReport(
         config=config,

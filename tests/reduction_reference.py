@@ -1,0 +1,74 @@
+"""The branch-by-branch reduction check that `attacks.verify_reduction` is
+checked against.
+
+Each kept-outcome branch of the singlet-built register is reached by a
+chain of `project` calls, one per kept half, its weight the product of
+their probabilities; the forwarded block + ancillas are read off it with
+`reduced_density` and compared with the density matrix of the real block
+that `entangle_block` attacks.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+
+import numpy as np
+
+from blockqkd.attacks import (
+    REDUCTION_TOL,
+    EquivalenceReport,
+    entangle_block,
+    singlet_simulation,
+)
+from blockqkd.quantum import (
+    Basis,
+    UnitarySpec,
+    bb84_rows,
+    prepare_bb84,
+    project,
+    reduced_density,
+)
+
+
+def verify_reduction_reference(u, n: int, m: int) -> EquivalenceReport:
+    """verify_reduction's report for `u` on n block qubits and m ancillas,
+    one projected branch at a time."""
+    u = UnitarySpec.from_matrix(u)
+    expected_weight = 2.0 ** -(n - 1)
+    max_dev = 0.0
+    max_weight_dev = 0.0
+    cases = 0
+    branches = 0
+    for basis, alice_bit, alice_slot in product((Basis.Z, Basis.X), (0, 1), range(n)):
+        cases += 1
+        sim = singlet_simulation(prepare_bb84(alice_bit, basis), n, u, m, alice_slot=alice_slot)
+        eval_slots = list(sim.block_slots) + list(sim.ancilla_slots)
+        for pattern in product((0, 1), repeat=n - 1):
+            branches += 1
+            weight = 1.0
+            state = sim.state
+            for q, outcome in zip(sim.kept_slots, pattern):
+                prob, state = project(state, q, basis, outcome)
+                weight *= prob
+                if state is None:
+                    break
+            max_weight_dev = max(max_weight_dev, abs(weight - expected_weight))
+            if state is None:
+                max_dev = math.inf
+                continue
+            rho_sim = reduced_density(state, eval_slots).entries
+            bits = np.empty(n, dtype=np.int64)
+            bits[alice_slot] = alice_bit
+            for slot, outcome in zip(sim.partner_slots, pattern):
+                bits[slot] = 1 - outcome
+            real = entangle_block(bb84_rows(bits, basis), u, m).amplitudes
+            rho_real = np.outer(real, real.conj())
+            max_dev = max(max_dev, float(np.max(np.abs(rho_sim - rho_real))))
+    return EquivalenceReport(
+        passed=max_dev < REDUCTION_TOL and max_weight_dev < REDUCTION_TOL,
+        max_deviation=max_dev,
+        max_weight_deviation=max_weight_dev,
+        cases_checked=cases,
+        branches_checked=branches,
+    )

@@ -1,12 +1,16 @@
 import functools
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from blockqkd import attacks
 from blockqkd.attacks import (
     BlockAttackSpec,
+    CorpusCase,
+    check_reduction_size,
     cnot_entangler,
     entangle_block,
     load_unitary,
@@ -31,6 +35,7 @@ from blockqkd.quantum import (
 from blockqkd.randomness import BitSource
 from circuit_oracle import Circuit, Measure, PrepSinglet, enumerate_outcomes
 from measurement_reference import delayed_measurement, measure
+from reduction_reference import verify_reduction_reference
 
 IDENTITY4 = UnitarySpec.from_matrix(np.eye(4))
 
@@ -315,11 +320,44 @@ def test_verify_random_cases():
         assert report.passed, f"n={n} m={m} deviated by {report.max_deviation}"
 
 
+@pytest.mark.parametrize(
+    "case",
+    reduction_corpus()
+    + [
+        CorpusCase(f"random(n={n},m={m})", random_unitary(n + m, seed=60 + n + m), n, m)
+        for n, m in ((1, 0), (1, 2), (4, 1), (5, 0))
+    ],
+    ids=lambda case: case.name,
+)
+def test_verify_matches_branch_by_branch_reference(case):
+    report = verify_reduction(case.u, case.n, case.m)
+    reference = verify_reduction_reference(case.u, case.n, case.m)
+    assert report.passed and reference.passed
+    assert report.cases_checked == reference.cases_checked
+    assert report.branches_checked == reference.branches_checked
+    assert report.max_deviation == pytest.approx(reference.max_deviation, abs=1e-12)
+    assert report.max_weight_deviation == pytest.approx(
+        reference.max_weight_deviation, abs=1e-12
+    )
+
+
+def test_verify_fails_on_a_triplet_register():
+    # With (|01> + |10>)/sqrt(2) for the singlet, the kept halves agree
+    # with their partners in X instead of disagreeing: the check must fail.
+    triplet = StateVector(2, np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2))
+    with mock.patch.object(attacks, "prepare_singlet", lambda: triplet):
+        report = verify_reduction(cnot_entangler(), 2, 1)
+        reference = verify_reduction_reference(cnot_entangler(), 2, 1)
+    assert not report.passed and not reference.passed
+    assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
+    assert reference.max_deviation == pytest.approx(0.5, abs=1e-12)
+
+
 def test_verify_preconditions():
     with pytest.raises(ValueError):
-        verify_reduction(np.eye(16), 4, 0)
+        verify_reduction(np.eye(2**7), 7, 0)
     with pytest.raises(ValueError):
-        verify_reduction(np.eye(2**9), 3, 6)
+        verify_reduction(np.eye(2**11), 3, 8)
     with pytest.raises(ValueError):
         verify_reduction(np.diag([1.0, 2.0, 1.0, 1.0]), 2, 0)  # not unitary
 
@@ -345,11 +383,28 @@ def test_corpus_rejects_negative_random_count():
 def test_corpus_rejects_unverifiable_sizes():
     # reduction_corpus holds its grid to verify_reduction's size rule
     with pytest.raises(ValueError):
-        reduction_corpus(block_sizes=(4,))
+        reduction_corpus(block_sizes=(7,))
     with pytest.raises(ValueError):
-        reduction_corpus(block_sizes=(2, 3), ancillas=(0, 6))
+        reduction_corpus(block_sizes=(2, 3), ancillas=(0, 8))
     with pytest.raises(ValueError):
         reduction_corpus(block_sizes=(2,), ancillas=(-1,))
+
+
+def test_reduction_size_rule_is_the_register_cap():
+    # The singlet-built register holds 2n - 1 + m qubits, capped at 12.
+    for n, m in ((1, 0), (2, 0), (3, 6), (6, 1), (4, 5)):
+        check_reduction_size(n, m)
+    for n, m in ((0, 0), (2, -1), (6, 2), (7, 0)):
+        with pytest.raises(ValueError):
+            check_reduction_size(n, m)
+
+
+def test_verify_past_the_old_size_range():
+    for n, m, seed in ((4, 1, 43), (5, 2, 44)):
+        report = verify_reduction(random_unitary(n + m, seed=seed), n, m)
+        assert report.passed, f"n={n} m={m} deviated by {report.max_deviation}"
+        assert report.cases_checked == 4 * n
+        assert report.branches_checked == 4 * n * 2 ** (n - 1)
 
 
 # --- unitary file format ------------------------------------------------------

@@ -457,6 +457,15 @@ def test_verify_small_corpus_ok(capsys):
     assert all("max deviation" in line for line in out)
 
 
+def test_verify_runs_every_size_the_register_holds(capsys):
+    args = ["verify", "--block-sizes", "1,4,5", "--ancillas", "0,1", "--random-count", "6"]
+    assert main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    # 6 identities + 6 randoms; no CNOT entangler without (2, 1)
+    assert len(out) == 12
+    assert all(line.endswith("[ok]") for line in out)
+
+
 def test_verify_rejects_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("dim 2\n1.0,0.0 0.0,0.0\n0.0,0.0 0.5,0.0\n")
@@ -490,15 +499,15 @@ def test_verify_accepts_good_file(tmp_path, capsys):
 
 
 def test_verify_rejects_unsupported_sizes(tmp_path, capsys):
-    assert main(["verify", "--block-sizes", "4"]) == 2
-    assert main(["verify", "--ancillas", "7"]) == 2
+    assert main(["verify", "--block-sizes", "7"]) == 2
+    assert main(["verify", "--ancillas", "8"]) == 2
     # --file-ancillas is held to the same range, before any case runs
     cnot = tmp_path / "cnot.txt"
     save_unitary(cnot, cnot_entangler())
     wide = tmp_path / "wide.txt"
     save_unitary(wide, UnitarySpec(2**9, np.eye(2**9)))
     capsys.readouterr()
-    for path, m in ((cnot, "-1"), (wide, "6")):
+    for path, m in ((cnot, "-1"), (wide, "1")):
         assert main(["verify", "--unitary-file", str(path), "--file-ancillas", m]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

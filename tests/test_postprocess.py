@@ -481,6 +481,22 @@ def test_pipeline_key_too_short():
     pytest.fail("no session with a short sifted key in 100 seeds")
 
 
+def test_pipeline_without_estimation_sample_distils_no_key():
+    # 300 sifted bits sampled at 0.002 fall short of ceil(1 / 0.002) = 500,
+    # so the session discloses nothing and its qber_estimated of 0.0 is no
+    # estimate: the key must not be reconciled on it.
+    config = ProtocolConfig(4, 150, "per_block", 0.01, sample_fraction=0.002, seed=2)
+    report = run_session(config)
+    assert report.sifted_bits - len(report.disclosed_indices) >= MIN_KEY_LENGTH
+    assert len(report.disclosed_indices) == 0
+    rates = empirical_rates(report)
+    assert rates.distillable
+    result = pipeline(report, rates, safety_margin=0)
+    assert result.reason == "key_too_short"
+    assert len(result.final_key) == 0
+    assert result.reconciliation is None and result.amplification is None
+
+
 def test_pipeline_reconciliation_failed():
     # A report that underclaims its error rate: estimation says 1%, the
     # keys disagree in half their bits, so four passes cannot converge.
@@ -496,7 +512,7 @@ def test_pipeline_reconciliation_failed():
         sifted_bits=200,
         qber_true=float(np.count_nonzero(alice != bob)) / 200,
         qber_estimated=0.01,
-        disclosed_indices=(),
+        disclosed_indices=np.array([3, 150], dtype=np.int32),
         alice_key=alice,
         bob_key=bob,
         eve_symbols=None,
