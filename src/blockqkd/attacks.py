@@ -194,6 +194,16 @@ def entangle_block(rows: np.ndarray, u: UnitarySpec, num_ancillas: int) -> State
     return apply_unitary(state, u, range(state.num_qubits))
 
 
+def entangle_patterns(u: UnitarySpec, n: int, m: int, basis: Basis) -> np.ndarray:
+    """entangle_block for every n-bit pattern at once: column p holds the
+    block whose bits are p's binary digits (qubit 0's the top one), prepared
+    in `basis`, and `m` ancillas in |0>, after `u`."""
+    patterns = reduce(np.kron, [bb84_rows([0, 1], basis).T] * n)
+    ancillas = np.zeros((2**m, 1))
+    ancillas[0] = 1.0
+    return u.entries @ np.kron(patterns, ancillas)
+
+
 def singlet_simulation(
     alice_qubit: StateVector,
     n: int,
@@ -285,39 +295,42 @@ def verify_reduction(u: UnitarySpec, n: int, m: int) -> EquivalenceReport:
 
     A case's branches are the rows of one array: the kept halves moved to
     the front and rotated into the basis, the block + ancillas flattened.
-    A row's squared norm is its branch weight.
+    A row's squared norm is its branch weight. The real blocks of a basis
+    are the columns of one product (entangle_patterns), each branch reading
+    the column of its bit pattern.
     """
     check_reduction_size(n, m)
     u = UnitarySpec.from_matrix(u)
     expected_weight = 2.0 ** -(n - 1)
     hadamards = reduce(np.kron, [HADAMARD] * (n - 1), np.ones((1, 1)))
+    # Row r's partner bits are the complement of kept outcomes r, in slot order.
+    partners = np.arange(2 ** (n - 1)) ^ (2 ** (n - 1) - 1)
     max_dev = 0.0
     max_weight_dev = 0.0
     cases = 0
     branches = 0
-    for basis, alice_bit, alice_slot in product(
-        (Basis.Z, Basis.X), (0, 1), range(n)
-    ):
-        cases += 1
-        sim = singlet_simulation(
-            prepare_bb84(alice_bit, basis), n, u, m, alice_slot=alice_slot
-        )
-        psi = sim.state.amplitudes.reshape([2] * sim.state.num_qubits)
-        rows = np.moveaxis(psi, sim.kept_slots, range(n - 1)).reshape(2 ** (n - 1), -1)
-        if basis is Basis.X:
-            rows = hadamards @ rows
-        for pattern, row in zip(product((0, 1), repeat=n - 1), rows):
-            branches += 1
-            weight = float(np.vdot(row, row).real)
-            max_weight_dev = max(max_weight_dev, abs(weight - expected_weight))
-            if weight <= BRANCH_CUTOFF:
+    for basis in (Basis.Z, Basis.X):
+        real = entangle_patterns(u, n, m, basis)
+        for alice_bit, alice_slot in product((0, 1), range(n)):
+            cases += 1
+            branches += len(partners)
+            sim = singlet_simulation(
+                prepare_bb84(alice_bit, basis), n, u, m, alice_slot=alice_slot
+            )
+            psi = sim.state.amplitudes.reshape([2] * sim.state.num_qubits)
+            rows = np.moveaxis(psi, sim.kept_slots, range(n - 1)).reshape(len(partners), -1)
+            if basis is Basis.X:
+                rows = hadamards @ rows
+            weights = np.einsum("ij,ij->i", rows.conj(), rows).real
+            max_weight_dev = max(max_weight_dev, float(np.max(np.abs(weights - expected_weight))))
+            if np.min(weights) <= BRANCH_CUTOFF:
                 max_dev = math.inf
                 continue
-            bits = np.empty(n, dtype=np.int64)
-            bits[alice_slot] = alice_bit
-            bits[list(sim.partner_slots)] = np.subtract(1, pattern)
-            real = entangle_block(bb84_rows(bits, basis), u, m).amplitudes
-            deviation = np.outer(row, row.conj()) / weight - np.outer(real, real.conj())
+            low = n - 1 - alice_slot  # partner slots after Alice's
+            patterns = (partners >> low << 1 | alice_bit) << low | partners & (1 << low) - 1
+            blocks = real[:, patterns].T
+            deviation = rows[:, :, None] * (rows.conj() / weights[:, None])[:, None, :]
+            deviation -= blocks[:, :, None] * blocks.conj()[:, None, :]
             max_dev = max(max_dev, float(np.max(np.abs(deviation))))
     passed = max_dev < REDUCTION_TOL and max_weight_dev < REDUCTION_TOL
     return EquivalenceReport(

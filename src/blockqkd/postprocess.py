@@ -145,15 +145,6 @@ class ParitySpan:
         return False
 
 
-def _ledgered_permutation(n: int, source: BitSource) -> np.ndarray:
-    """Uniform shuffle whose index draws are charged to ec_permutation."""
-    draws = source.randbelow_each("shared", "ec_permutation", range(n, 1, -1))
-    perm = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), draws):
-        perm[i], perm[j] = perm[j], perm[i]
-    return np.array(perm, dtype=np.int32)
-
-
 def _prefix_parities(bits: np.ndarray) -> bytes:
     """Byte k is the parity of bits[:k], for k = 0 .. len(bits)."""
     return b"\0" + np.bitwise_xor.accumulate(bits).tobytes()
@@ -352,7 +343,10 @@ def cascade(
                     queue.append((p2, rank // sizes[p2]))
 
     for p in range(CASCADE_PASSES):
-        order = np.arange(n, dtype=np.int32) if p == 0 else _ledgered_permutation(n, source)
+        if p == 0:
+            order = np.arange(n, dtype=np.int32)
+        else:
+            order = np.array(source.shuffled("shared", "ec_permutation", n), dtype=np.int32)
         rank = np.empty(n, dtype=np.int32)
         rank[order] = np.arange(n, dtype=np.int32)
         orders.append(order)

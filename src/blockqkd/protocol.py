@@ -52,9 +52,10 @@ _ALICE_BASIS, _ALICE_BITS = ("alice", "alice_basis"), ("alice", "alice_bits")
 _BOB_BASIS, _BOB_MEASUREMENT = ("bob", "bob_basis"), ("bob", "bob_measurement")
 _EVE = ("eve", "attack")
 
-# At about 100 bytes a node, an attack's register memo stays under 7 MB
-# over all the sessions it runs, however few blocks repeat; past this size
-# it stops growing.
+# At about 100 bytes a node (an int key, a float and a dict slot: 6.0 MB
+# at the cap by tracemalloc for n=4, m=3), an attack's register memo stays
+# under 7 MB over all the sessions it runs, however few blocks repeat;
+# past this size it stops growing.
 _MEMO_NODES = 1 << 16
 
 
@@ -120,76 +121,115 @@ class SessionReport:
 class _RegisterPaths:
     """Exact register path of unitary_block blocks, memoized on the attack.
 
-    A block's `path` is Alice's basis value and bits, then its replay log:
-    a byte >= 128 is a flip on qubit byte - 128, any other byte the
-    measurement 4 * qubit + 2 * basis + outcome. `probs` maps a path and
-    its next measured (qubit, basis) to the snapped probability of outcome
-    1 (`outcome_probability`). It is the attack's own memo, kept across
-    every session the attack runs: a value depends only on the attack's
-    unitary, sizes and the key, since a miss rebuilds the register by
-    replaying the key's path with the same float operations. Only keys and
-    floats outlive a block. The walk's draws come from the generator
-    directly and are charged to the ledger inline.
+    A node's key is one int, and it is also the block's replay log: a
+    leading 1, Alice's basis value and her n bits, in immediate mode with
+    ancillas Eve's guess and their outcomes, then the n-bit flip mask,
+    Bob's basis value (after `forced`) and one bit per outcome so far. The
+    key's length and fields fix which (qubit, basis) its node measures
+    (_key_steps), so `probs` maps a key to the node's snapped probability
+    of outcome 1 (`outcome_probability`). It is the attack's own memo, kept
+    across every session the attack runs: a value depends only on the
+    attack's unitary, sizes and the key, since a miss rebuilds the register
+    by replaying the key's steps with the same float operations. Only keys
+    and floats outlive a block. The walk draws from the generator directly
+    and charges each stage once per block.
     """
 
     def __init__(self, attack, source, forced):
         self.attack, self.forced, self.probs = attack, forced, attack._register_memo
         self.getrandbits, self.spent = source.unledgered(), source.ledger.counts
+        m = attack.num_ancillas
+        self.eve_bits = [tuple(v >> (m - 1 - j) & 1 for j in range(m)) for v in range(1 << m)]
 
     def run_block(self, announced: int, bits: int, flips: int):
         """Eve's attack, the channel, Bob's measurement and Eve's delayed
         measurement on one block, given Alice's basis value and bit and flip
         masks (position i at bit n-1-i): (Bob's basis value, his outcome
         mask, Eve's symbol)."""
-        attack, spent = self.attack, self.spent
-        n = attack.num_block_qubits
-        ancillas = range(n, n + attack.num_ancillas)
-        self.path = bytes((announced,)) + bits.to_bytes(-(-n // 8), "big")
-        self.bits, self.replayed, self.state, self.pending = bits, len(self.path), None, None
+        attack, spent, getrandbits = self.attack, self.spent, self.getrandbits
+        n, m = attack.num_block_qubits, attack.num_ancillas
+        key = (2 | announced) << n | bits
+        self.state, self.replayed, self.pending = None, 0, None
         if not attack.delayed:
-            guess = self.getrandbits(1)
-            spent[_EVE] = spent.get(_EVE, 0) + 1
-            eve_bits = tuple(self._measure(q, guess, _EVE) for q in ancillas)
-            symbol = (guess == announced, eve_bits)
-        self.path += bytes(128 + i for i in range(n) if flips >> (n - 1 - i) & 1)
-        bob_basis = self.getrandbits(1)
+            guess = getrandbits(1)
+            key, drawn = self._walk((key << 1 | guess) if m else key, m)
+            spent[_EVE] = spent.get(_EVE, 0) + 1 + drawn
+            symbol = (guess == announced, self.eve_bits[key & (1 << m) - 1])
+        bob_basis = getrandbits(1)
         spent[_BOB_BASIS] = spent.get(_BOB_BASIS, 0) + 1
         if self.forced is not None:
             bob_basis = self.forced
-        outcomes = 0
-        for i in range(n):
-            outcomes = outcomes << 1 | self._measure(i, bob_basis, _BOB_MEASUREMENT)
+        key, drawn = self._walk((key << n | flips) << 1 | bob_basis, n)
+        if drawn:
+            spent[_BOB_MEASUREMENT] = spent.get(_BOB_MEASUREMENT, 0) + drawn
+        outcomes = key & (1 << n) - 1
         if attack.delayed:
-            symbol = (announced, tuple(self._measure(q, announced, _EVE) for q in ancillas))
+            key, drawn = self._walk(key, m)
+            if drawn:
+                spent[_EVE] = spent.get(_EVE, 0) + drawn
+            symbol = (announced, self.eve_bits[key & (1 << m) - 1])
         self.state = self.pending = None
         return bob_basis, outcomes, symbol
 
-    def _measure(self, qubit: int, basis: int, stage: tuple[str, str]) -> int:
-        key = self.path + bytes((2 * qubit + basis,))
-        p1 = self.probs.get(key)
-        if p1 is None:
-            if self.state is None:  # the block's first miss builds its register
-                n = self.attack.num_block_qubits
-                rows = bb84_rows(unpack_bits([self.bits], n)[0], Basis(self.path[0]))
-                self.state = entangle_block(rows, self.attack.u, self.attack.num_ancillas)
-            for step in self.path[self.replayed :]:
-                if step >= 128:  # a flip in Alice's basis
-                    self.state = apply_unitary(self.state, _FLIP_GATES[self.path[0]], (step - 128,))
-                else:  # a miss's (p1, moved) serves the measurement it preceded
-                    q, b, outcome = step >> 2, Basis(step >> 1 & 1), step & 1
-                    p, moved = self.pending or outcome_probability(self.state, q, b)
-                    self.state = collapse(moved, q, b, outcome, p if outcome else 1.0 - p)
-                self.pending = None
-            self.replayed = len(self.path)
-            self.pending = outcome_probability(self.state, qubit, Basis(basis))
-            p1 = self.pending[0]
-            if len(self.probs) < _MEMO_NODES:
-                self.probs[key] = p1
-        outcome, drawn = bernoulli_draw(self.getrandbits, p1)
-        if drawn:
-            self.spent[stage] = self.spent.get(stage, 0) + drawn
-        self.path += bytes((4 * qubit + 2 * basis + outcome,))
-        return outcome
+    def _walk(self, key: int, count: int) -> tuple[int, int]:
+        """Measure the next `count` nodes from `key`: the key with their
+        outcomes appended, and the digits drawn."""
+        probs, getrandbits = self.probs, self.getrandbits
+        drawn = 0
+        for _ in range(count):
+            p1 = probs.get(key)
+            if p1 is None:
+                p1 = self._miss(key)
+            outcome, digits = bernoulli_draw(getrandbits, p1)
+            drawn += digits
+            key = key << 1 | outcome
+        return key, drawn
+
+    def _miss(self, key: int) -> float:
+        """Replay `key`'s steps from where the block's register stopped and
+        memoize its node's p1; its (p1, moved) serves the next step."""
+        attack = self.attack
+        basis, bits, steps, (qubit, node_basis) = _key_steps(attack, key)
+        if self.state is None:  # the block's first miss builds its register
+            rows = bb84_rows(bits, Basis(basis))
+            self.state = entangle_block(rows, attack.u, attack.num_ancillas)
+        for q, b, outcome in steps[self.replayed :]:
+            if outcome is None:  # a flip in Alice's basis
+                self.state = apply_unitary(self.state, _FLIP_GATES[b], (q,))
+            else:
+                p, moved = self.pending or outcome_probability(self.state, q, Basis(b))
+                self.state = collapse(moved, q, Basis(b), outcome, p if outcome else 1.0 - p)
+            self.pending = None
+        self.replayed = len(steps)
+        self.pending = outcome_probability(self.state, qubit, Basis(node_basis))
+        if len(self.probs) < _MEMO_NODES:
+            self.probs[key] = self.pending[0]
+        return self.pending[0]
+
+
+def _key_steps(attack: BlockAttackSpec, key: int):
+    """A register-walk key decoded: Alice's basis value, her n bits, the
+    steps taken so far in order, each (qubit, basis, outcome), a flip in
+    Alice's basis being (qubit, basis, None), and the (qubit, basis) the
+    key's node measures."""
+    n, m = attack.num_block_qubits, attack.num_ancillas
+    digits = [int(d) for d in bin(key)[3:]]  # after the leading 1
+    basis, bits, rest = digits[0], digits[1 : n + 1], digits[n + 1 :]
+    nodes = []
+    if not attack.delayed and m:
+        guess, rest = rest[0], rest[1:]
+        nodes = [(q, guess) for q in range(n, n + m)]
+    steps = [(q, b, outcome) for (q, b), outcome in zip(nodes, rest)]
+    done = len(nodes)  # Eve's immediate measurements come before the flips
+    if len(rest) < done:
+        return basis, bits, steps, nodes[len(rest)]
+    flips, bob_basis, rest = rest[done : done + n], rest[done + n], rest[done + n + 1 :]
+    steps += [(q, basis, None) for q in range(n) if flips[q]]
+    nodes = [(q, bob_basis) for q in range(n)]
+    if attack.delayed:
+        nodes += [(q, basis) for q in range(n, n + m)]
+    steps += [(q, b, outcome) for (q, b), outcome in zip(nodes, rest)]
+    return basis, bits, steps, nodes[len(rest)]
 
 
 def estimate_qber(
@@ -247,15 +287,14 @@ def run_session(
     other draws share one ledgered stream in the order Alice, Eve, Bob,
     Eve's delayed measurement, and how many bits each takes depends on the
     outcomes before it, so drawing them in bulk would change the outputs.
-    Each stage is charged once per block (once per draw on the register
-    path), keys in first-charge order.
+    Each stage is charged once per block, keys in first-charge order.
 
     A per_block n-qubit block is prepared in only 2 * 2^n ways, so on small
     blocks a unitary_block attack repeats the same evolution, in a session
     and across sessions: such blocks walk the attack's memo of outcome
-    probabilities keyed by the block's path so far (_RegisterPaths), shared
-    by every session the attack runs, and draw from the generator directly
-    as the mask loop does.
+    probabilities (_RegisterPaths), shared by every session the attack
+    runs and keyed by one int that is also the block's replay log so far,
+    and draw from the generator directly as the mask loop does.
     force_shared_basis is a test hook that overrides every drawn basis
     value after the draw (ledger counts are unchanged), forcing all blocks
     to be kept.

@@ -9,6 +9,8 @@ bit-exact:
   bits and rejects out-of-range values, re-drawing until accepted; every
   drawn bit is counted, rejected or not, and all are charged in one ledger
   record.
+- ``shuffled(n)`` is the Fisher-Yates shuffle on those draws, each index
+  drawn and swapped in one loop, charged in one ledger record.
 - ``bernoulli(p)`` refines a uniform binary expansion one bit at a time and
   stops as soon as the outcome is decided, charging the bits in one ledger
   record. A deterministic branch (p within 1e-12 of 0 or 1) consumes no
@@ -117,6 +119,24 @@ class BitSource:
         if drawn:
             self.ledger.record(party, stage, drawn)
         return values
+
+    def shuffled(self, party: str, stage: str, n: int) -> list[int]:
+        """A uniform permutation of range(n): Fisher-Yates from the top, index
+        i swapping with randbelow_each's value for the bound i + 1, drawn and
+        swapped in one loop. Every bit drawn goes to the ledger in one record
+        (none when no bit was drawn)."""
+        getrandbits, perm, drawn = self._rng.getrandbits, list(range(n)), 0
+        for width in range((n - 1).bit_length(), 0, -1):  # the indices of each width
+            run = range(min(n - 1, (1 << width) - 1), (1 << (width - 1)) - 1, -1)
+            attempts = len(run)
+            for i in run:
+                while (j := getrandbits(width)) > i:
+                    attempts += 1
+                perm[i], perm[j] = perm[j], perm[i]
+            drawn += width * attempts
+        if drawn:
+            self.ledger.record(party, stage, drawn)
+        return perm
 
     def bernoulli(self, party: str, stage: str, p: float) -> int:
         """Return 1 with probability p, consuming the minimum number of bits.

@@ -13,6 +13,7 @@ from blockqkd.attacks import (
     check_reduction_size,
     cnot_entangler,
     entangle_block,
+    entangle_patterns,
     load_unitary,
     reduction_corpus,
     save_unitary,
@@ -339,6 +340,18 @@ def test_verify_matches_branch_by_branch_reference(case):
     assert report.max_weight_deviation == pytest.approx(
         reference.max_weight_deviation, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("n, m", list(product(range(1, 5), range(3))))
+def test_entangled_patterns_are_the_sessions_blocks(n, m):
+    # Column p is the register that entangle_block builds from p's bits.
+    u = random_unitary(n + m, seed=70 + 3 * n + m)
+    for basis in (Basis.Z, Basis.X):
+        columns = entangle_patterns(u, n, m, basis)
+        assert columns.shape == (2 ** (n + m), 2**n)
+        for p, bits in enumerate(product((0, 1), repeat=n)):
+            block = entangle_block(bb84_rows(np.array(bits), basis), u, m).amplitudes
+            assert np.max(np.abs(columns[:, p] - block)) < 1e-14
 
 
 def test_verify_fails_on_a_triplet_register():

@@ -26,6 +26,8 @@ from blockqkd.quantum import (
     UnitarySpec,
     apply_unitary,
     bb84_rows,
+    collapse,
+    outcome_probability,
     random_unitary,
 )
 from blockqkd.randomness import BitSource
@@ -747,6 +749,63 @@ def test_register_memo_shared_by_a_sweep(n, m, unitary_seed, sessions):
         for delayed, attack in shared.items():  # the memo stays out of == and repr
             fresh = BlockAttackSpec.unitary(u, n, m, delayed)
             assert attack == fresh and repr(attack) == repr(fresh)
+
+
+def _decode_key(attack, key):
+    """A register-walk key read field by field in the walk's order: Alice's
+    basis value, her bits, the steps so far ((qubit, basis, outcome), a flip
+    being (qubit, Alice's basis, None)) and the (qubit, basis) of the
+    key's node."""
+    n, m = attack.num_block_qubits, attack.num_ancillas
+    digits = [int(c) for c in bin(key)[3:]]  # after the leading 1
+    basis, bits, at = digits[0], digits[1 : n + 1], n + 1
+    steps = []
+    if not attack.delayed and m:
+        guess, at = digits[at], at + 1
+        for q in range(n, n + m):
+            if at == len(digits):
+                return basis, bits, steps, (q, guess)
+            steps.append((q, guess, digits[at]))
+            at += 1
+    flips, bob_basis, at = digits[at : at + n], digits[at + n], at + n + 1
+    steps += [(q, basis, None) for q in range(n) if flips[q]]
+    nodes = [(q, bob_basis) for q in range(n)]
+    if attack.delayed:
+        nodes += [(q, basis) for q in range(n, n + m)]
+    for q, b in nodes:
+        if at == len(digits):
+            return basis, bits, steps, (q, b)
+        steps.append((q, b, digits[at]))
+        at += 1
+    raise AssertionError(f"key {key:b} has digits past its last node")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("delayed", [True, False])
+def test_register_memo_keys_replay_to_their_probabilities(n, m, delayed):
+    """Audit of the register memo after sessions over flips and forced
+    bases: every key decodes to steps, and replaying them on a fresh
+    register gives exactly the stored probability."""
+    u = random_unitary(n + m, 80 + 3 * n + m)
+    attack = BlockAttackSpec.unitary(u, n, m, delayed=delayed)
+    for k, (flip, forced) in enumerate(
+        (flip, forced) for flip in (0.0, 0.03, 0.5) for forced in (None, Basis.Z, Basis.X)
+    ):
+        config = ProtocolConfig(n, 30, "per_block", flip, seed=400 + k)
+        run_session(config, attack, force_shared_basis=forced)
+    assert attack._register_memo
+    for key, p1 in attack._register_memo.items():
+        basis, bits, steps, (qubit, node_basis) = decoded = _decode_key(attack, key)
+        assert protocol._key_steps(attack, key) == decoded
+        state = entangle_block(bb84_rows(bits, Basis(basis)), u, m)
+        for q, b, outcome in steps:
+            if outcome is None:
+                state = apply_unitary(state, FLIP_GATES[Basis(b)], (q,))
+            else:
+                p, moved = outcome_probability(state, q, Basis(b))
+                state = collapse(moved, q, Basis(b), outcome, p if outcome else 1.0 - p)
+        assert outcome_probability(state, qubit, Basis(node_basis))[0] == p1
 
 
 # --- empirical rates ----------------------------------------------------------

@@ -16,6 +16,7 @@ from blockqkd.randomness import (
     consumption_ratio,
     unpack_bits,
 )
+from cascade_reference import _permutation
 
 
 def test_draw_zero_bits_leaves_ledger_unchanged():
@@ -286,6 +287,25 @@ def test_randbelow_each_matches_reference_on_descending_runs(seed, bounds):
     assert values == expected
     assert batch.ledger.counts == reference.ledger.counts
     assert batch._rng.getstate() == reference._rng.getstate()
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=5000))
+@example(seed=5, n=2)
+@example(seed=6, n=3)
+@example(seed=7, n=4)
+@example(seed=8, n=5)
+@example(seed=9, n=64)
+@example(seed=10, n=65)
+@example(seed=11, n=4097)
+@example(seed=12, n=42_400)
+@settings(max_examples=60, deadline=None)
+def test_shuffled_matches_the_reference_shuffle(seed, n):
+    """shuffled against the reference Fisher-Yates loop, one ledger record
+    per attempt: same permutation, ledger and generator state."""
+    source, reference = BitSource(seed), BitSource(seed)
+    assert source.shuffled("shared", "ec_permutation", n) == _permutation(n, reference).tolist()
+    assert source.ledger.counts == reference.ledger.counts
+    assert source._rng.getstate() == reference._rng.getstate()
 
 
 @pytest.mark.parametrize("bounds", [[2**32 + 1], [5, 0], [-1], [3, 2**40], [2**70]])
