@@ -42,7 +42,6 @@ from .protocol import (
 )
 from .quantum import (
     Basis,
-    DensityMatrix,
     StateVector,
     UnitarySpec,
     random_unitary,
@@ -61,7 +60,6 @@ __all__ = [
     "BitSource",
     "BlockAttackSpec",
     "ConsumptionReport",
-    "DensityMatrix",
     "EquivalenceReport",
     "JointDistribution",
     "PipelineResult",

@@ -23,6 +23,7 @@ import argparse
 import configparser
 import json
 import platform
+import re
 import sys
 import time
 from dataclasses import fields
@@ -268,6 +269,14 @@ def _session_json(config, attack, report, rates, result, margin) -> dict:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_experiment(args.config, args)
     points = _plan(cfg)
+    # a larger earlier run's reports would sit beside this run's, unlisted in its CSV
+    stale = [p for p in cfg["json_dir"].glob("session_*.json") if _report_index(p) >= len(points)]
+    if stale:
+        first = min(stale, key=_report_index)
+        raise ConfigError(
+            f"[output] json_dir holds {first}, beyond this run's {len(points)} reports;"
+            " move or delete it"
+        )
     margin = cfg["safety_margin"]
     payloads = []
     for index, (config, attack, rep) in enumerate(points):
@@ -297,6 +306,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             fh.write("\n")
     print(f"wrote {csv_path} and {len(payloads)} session reports", file=sys.stderr)
     return 0
+
+
+def _report_index(path: Path) -> int:
+    """NNNN of a session_NNNN.json report name, or -1 for another name."""
+    match = re.fullmatch(r"session_([0-9]{4,})\.json", path.name)
+    return int(match[1]) if match else -1
 
 
 def _csv_row(payload: dict) -> str:

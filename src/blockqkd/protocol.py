@@ -253,12 +253,8 @@ def estimate_qber(
             f"key of {length} bits is too short to sample at fraction {sample_fraction}"
         )
     k = max(1, round(sample_fraction * length))
-    offsets = source.randbelow_each("shared", "sampling", range(length, length - k, -1))
-    indices = list(range(length))
-    for i, offset in enumerate(offsets):
-        j = i + offset
-        indices[i], indices[j] = indices[j], indices[i]
-    disclosed = np.sort(np.array(indices[:k], dtype=np.int32))
+    sample = source.sampled("shared", "sampling", length, k)
+    disclosed = np.sort(np.array(sample, dtype=np.int32))
     mismatches = int(np.count_nonzero(alice_key[disclosed] != bob_key[disclosed]))
     return mismatches / k, disclosed
 

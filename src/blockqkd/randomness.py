@@ -5,12 +5,14 @@ charged to a (party, stage) ledger entry, so randomness consumption is an
 exact measured quantity rather than an estimate. Sampling primitives are
 bit-exact:
 
-- ``randbelow_each(bounds)`` draws, for each bound n in turn, ceil(log2 n)
-  bits and rejects out-of-range values, re-drawing until accepted; every
-  drawn bit is counted, rejected or not, and all are charged in one ledger
-  record.
-- ``shuffled(n)`` is the Fisher-Yates shuffle on those draws, each index
+- A uniform value below a bound b draws ceil(log2 b) bits and rejects
+  out-of-range values, re-drawing until accepted; every drawn bit is
+  counted, rejected or not. A bound of 1 draws nothing.
+- ``sampled(n, k)`` draws k distinct indices of range(n) on those draws:
+  the first k steps of a Fisher-Yates shuffle from the bottom, each index
   drawn and swapped in one loop, charged in one ledger record.
+- ``shuffled(n)`` is the Fisher-Yates shuffle from the top on the same
+  draws, also one loop and one ledger record.
 - ``bernoulli(p)`` refines a uniform binary expansion one bit at a time and
   stops as soon as the outcome is decided, charging the bits in one ledger
   record. A deterministic branch (p within 1e-12 of 0 or 1) consumes no
@@ -93,37 +95,35 @@ class BitSource:
         self.ledger.record(party, stage, count)
         return unpack_bits([self._rng.getrandbits(count)], count)[0]
 
-    def randbelow_each(self, party: str, stage: str, bounds) -> list[int]:
-        """A uniform integer in [0, b) for each b in `bounds`, in order.
-
-        Each value draws ceil(log2 b) bits until they are below b, so a bound
-        of 1 draws nothing. Every bit drawn goes to the ledger in one record
-        (none when no bit was drawn). Bounds must lie in [1, 2**32]; one
-        outside raises ValueError before anything is drawn.
+    def sampled(self, party: str, stage: str, n: int, k: int) -> list[int]:
+        """k distinct indices of range(n), uniform, in draw order: the first
+        k steps of a Fisher-Yates shuffle from the bottom, index i swapping
+        with i + r for r uniform below n - i, drawn and swapped in one loop.
+        Only displaced entries are stored, so memory is O(k) whatever n.
+        Every bit drawn goes to the ledger in one record (none when no bit
+        was drawn). Unless 0 <= k <= n <= 2**32, raises ValueError before
+        anything is drawn.
         """
-        if isinstance(bounds, range):
-            ends = (bounds[0], bounds[-1]) if bounds else ()  # a range is monotone
-        else:
-            bounds = ends = [int(n) for n in bounds]  # np.int64 has no bit_length
-        if ends and (min(ends) < 1 or max(ends) > 1 << 32):
-            raise ValueError("n must lie in [1, 2**32]")
-        getrandbits = self._rng.getrandbits
-        values = []
-        drawn = 0
-        for n in bounds:
-            width = (n - 1).bit_length()
-            while (value := getrandbits(width)) >= n:
+        if not 0 <= k <= n <= 1 << 32:
+            raise ValueError(f"need 0 <= k <= n <= 2**32, not n={n}, k={k}")
+        getrandbits, moved, sample, drawn = self._rng.getrandbits, {}, [], 0
+        for i in range(k):
+            bound = n - i
+            width = (bound - 1).bit_length()
+            while (r := getrandbits(width)) >= bound:
                 drawn += width
             drawn += width
-            values.append(value)
+            j = i + r
+            sample.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
         if drawn:
             self.ledger.record(party, stage, drawn)
-        return values
+        return sample
 
     def shuffled(self, party: str, stage: str, n: int) -> list[int]:
         """A uniform permutation of range(n): Fisher-Yates from the top, index
-        i swapping with randbelow_each's value for the bound i + 1, drawn and
-        swapped in one loop. Every bit drawn goes to the ledger in one record
+        i swapping with a uniform value below i + 1, drawn and swapped in one
+        loop. Every bit drawn goes to the ledger in one record
         (none when no bit was drawn)."""
         getrandbits, perm, drawn = self._rng.getrandbits, list(range(n)), 0
         for width in range((n - 1).bit_length(), 0, -1):  # the indices of each width

@@ -24,8 +24,8 @@ from blockqkd.quantum import (
     StateVector,
     UnitarySpec,
     _apply_matrix,
-    project,
 )
+from density_reference import project
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 

@@ -26,9 +26,8 @@ from blockqkd.quantum import (
     UnitarySpec,
     bb84_rows,
     prepare_bb84,
-    project,
-    reduced_density,
 )
+from density_reference import project, reduced_density
 
 
 def verify_reduction_reference(u, n: int, m: int) -> EquivalenceReport:

@@ -27,14 +27,13 @@ from blockqkd.quantum import (
     UnitarySpec,
     bb84_rows,
     prepare_bb84,
-    project,
     random_unitary,
-    reduced_density,
     rows_to_state,
     tensor,
 )
 from blockqkd.randomness import BitSource
 from circuit_oracle import Circuit, Measure, PrepSinglet, enumerate_outcomes
+from density_reference import project, reduced_density
 from measurement_reference import delayed_measurement, measure
 from reduction_reference import verify_reduction_reference
 

@@ -191,6 +191,22 @@ def test_run_bad_sweep_value_exits_2_before_any_session(tmp_path, capsys, sweep)
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_run_into_a_larger_runs_reports_exits_2_before_any_session(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    base = ["run", "--num-blocks", "40", "--output", "o/x.csv"]
+    assert main([*base, "--repetitions", "3"]) == 0
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert main([*base, "--repetitions", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(Path("o/x_sessions/session_0001.json")) in err and "point 0" not in err
+    assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+    # as many points as reports, or more, rewrite them all
+    assert main([*base, "--repetitions", "3"]) == 0
+    assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+
+
 def test_run_calls_each_session_stage_once_per_point_in_order(tmp_path, monkeypatch):
     # benchmark/workloads.py times each sweep point by wrapping these names
     # in the cli module

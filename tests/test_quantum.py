@@ -14,7 +14,6 @@ from blockqkd.quantum import (
     PAULI_X,
     PAULI_Z,
     Basis,
-    DensityMatrix,
     StateVector,
     UnitarySpec,
     _apply_matrix,
@@ -24,15 +23,14 @@ from blockqkd.quantum import (
     permute_qubits,
     prepare_bb84,
     prepare_singlet,
-    project,
     random_unitary,
-    reduced_density,
     rows_to_state,
     tensor,
 )
 from blockqkd.randomness import BitSource
 from circuit_oracle import SWAP, Apply, Circuit, Measure, Prep, PrepSinglet, enumerate_outcomes
 from circuit_sampling import RandomCoin, sample_circuit
+from density_reference import DensityMatrix, project, reduced_density
 from measurement_reference import measure
 from row_reference import flip_rows, measure_rows
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockqkd import randomness
 from blockqkd.randomness import (
     DETERMINISTIC_EPS,
     PARTIES,
@@ -197,14 +198,14 @@ def test_bernoulli_rejects_out_of_range():
 
 def test_randbelow_one_is_free():
     source = BitSource(29)
-    assert source.randbelow_each("shared", "sampling", (1,))[0] == 0
+    assert source.sampled("shared", "sampling", 1, 1)[0] == 0
     assert source.ledger.total() == 0
 
 
 def test_randbelow_power_of_two_costs_log2():
     source = BitSource(29)
     for _ in range(50):
-        value = source.randbelow_each("shared", "ec_permutation", (8,))[0]
+        value = source.sampled("shared", "ec_permutation", 8, 1)[0]
         assert 0 <= value < 8
     assert source.ledger.get("shared", "ec_permutation") == 150
 
@@ -213,7 +214,7 @@ def test_randbelow_counts_rejected_draws():
     source = BitSource(31)
     draws = 500
     for _ in range(draws):
-        value = source.randbelow_each("shared", "sampling", (3,))[0]
+        value = source.sampled("shared", "sampling", 3, 1)[0]
         assert 0 <= value < 3
     consumed = source.ledger.get("shared", "sampling")
     # every attempt costs 2 bits, and rejections make the total exceed
@@ -227,7 +228,7 @@ def test_randbelow_counts_rejected_draws():
 def test_randbelow_in_range(n):
     source = BitSource(37)
     for _ in range(5):
-        assert 0 <= source.randbelow_each("shared", "sampling", (n,))[0] < n
+        assert 0 <= source.sampled("shared", "sampling", n, 1)[0] < n
 
 
 def _randbelow_reference(source, party, stage, n):
@@ -242,51 +243,56 @@ def _randbelow_reference(source, party, stage, n):
             return value
 
 
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.lists(st.integers(min_value=1, max_value=5000), max_size=40),
-)
-@example(seed=0, bounds=[1, 1, 1])
-@settings(max_examples=100)
-def test_randbelow_each_matches_per_draw_loop(seed, bounds):
-    batch, single, reference = BitSource(seed), BitSource(seed), BitSource(seed)
-    arrayed = BitSource(seed)
-    values = batch.randbelow_each("shared", "ec_permutation", bounds)
-    assert values == [single.randbelow_each("shared", "ec_permutation", (n,))[0] for n in bounds]
-    assert values == [
-        _randbelow_reference(reference, "shared", "ec_permutation", n) for n in bounds
-    ]
-    # numpy bounds, whose np.int64 items have no bit_length
-    assert arrayed.randbelow_each(
-        "shared", "ec_permutation", np.array(bounds, dtype=np.int64)
-    ) == values
-    for twin in (single, reference, arrayed):
-        assert batch.ledger.counts == twin.ledger.counts
-        assert batch._rng.getstate() == twin._rng.getstate()
+def _sampled_reference(source, party, stage, n, k):
+    """One draw per bound n, n - 1, ..., n - k + 1, then the swap loop of a
+    bottom-up Fisher-Yates shuffle over a full index list."""
+    offsets = [_randbelow_reference(source, party, stage, n - i) for i in range(k)]
+    indices = list(range(n))
+    for i, offset in enumerate(offsets):
+        j = i + offset
+        indices[i], indices[j] = indices[j], indices[i]
+    return indices[:k]
 
 
 @st.composite
-def _descending_runs(draw):
-    """range(top, top - length, -1): long runs that cross powers of two,
-    and runs that end at 2 or hold one bound."""
-    top = draw(st.integers(min_value=2, max_value=70_000))
-    length = draw(st.integers(min_value=1, max_value=top - 1) | st.sampled_from([1, top - 1]))
-    return range(top, top - length, -1)
+def _sample_sizes(draw):
+    """(n, k): n up to 70,000 or a power of two +-1, k one of 0, 1, n - 1, n."""
+    n = draw(
+        st.integers(min_value=1, max_value=70_000)
+        | st.builds(lambda e, d: 2**e + d, st.integers(1, 16), st.sampled_from([-1, 0, 1]))
+    )
+    return n, draw(st.sampled_from([0, 1, n - 1, n]))
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1), _descending_runs())
-@example(seed=1, bounds=range(70_000, 1, -1))
-@example(seed=2, bounds=range(65_538, 65_530, -1))
-@example(seed=3, bounds=range(2, 1, -1))
-@example(seed=4, bounds=range(2**32, 2**32 - 3, -1))
+@given(st.integers(min_value=0, max_value=2**32 - 1), _sample_sizes())
+@example(seed=1, sizes=(70_000, 69_999))
+@example(seed=2, sizes=(65_537, 65_537))
+@example(seed=3, sizes=(2, 1))
+@example(seed=4, sizes=(1, 1))
+@example(seed=5, sizes=(0, 0))
+@example(seed=6, sizes=(50_000, 10_000))
 @settings(max_examples=60, deadline=None)
-def test_randbelow_each_matches_reference_on_descending_runs(seed, bounds):
-    batch, reference = BitSource(seed), BitSource(seed)
-    values = batch.randbelow_each("shared", "ec_permutation", bounds)
-    expected = [_randbelow_reference(reference, "shared", "ec_permutation", n) for n in bounds]
-    assert values == expected
-    assert batch.ledger.counts == reference.ledger.counts
-    assert batch._rng.getstate() == reference._rng.getstate()
+def test_sampled_matches_the_reference_sampler(seed, sizes):
+    """Same indices, ledger and generator state as one rejection draw per
+    bound followed by the swap loop."""
+    n, k = sizes
+    source, reference = BitSource(seed), BitSource(seed)
+    assert source.sampled("shared", "sampling", n, k) == _sampled_reference(
+        reference, "shared", "sampling", n, k
+    )
+    assert source.ledger.counts == reference.ledger.counts
+    assert source._rng.getstate() == reference._rng.getstate()
+
+
+def test_sampled_reaches_the_top_of_one_word():
+    # n = 2**32 draws 32-bit values and stores only the displaced entries; seed
+    # 4's three swap targets are distinct and past index 2, so index i holds i + r
+    source, reference = BitSource(4), BitSource(4)
+    sample = source.sampled("shared", "sampling", 2**32, 3)
+    offsets = [_randbelow_reference(reference, "shared", "sampling", 2**32 - i) for i in range(3)]
+    assert sample == [i + r for i, r in enumerate(offsets)]
+    assert source.ledger.counts == reference.ledger.counts
+    assert source._rng.getstate() == reference._rng.getstate()
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=5000))
@@ -308,13 +314,18 @@ def test_shuffled_matches_the_reference_shuffle(seed, n):
     assert source._rng.getstate() == reference._rng.getstate()
 
 
-@pytest.mark.parametrize("bounds", [[2**32 + 1], [5, 0], [-1], [3, 2**40], [2**70]])
-def test_randbelow_each_rejects_bounds_outside_one_word(bounds):
-    # bounds outside [1, 2**32], the documented domain, draw nothing
+@pytest.mark.parametrize("n, k", [(5, 6), (0, 1), (5, -1), (2**32 + 1, 1), (2**32 + 1, 0)])
+def test_sampled_rejects_sizes_outside_one_word(monkeypatch, n, k):
+    # outside 0 <= k <= n <= 2**32 nothing is drawn and no index list is built
+    def no_index_list(*args):
+        raise AssertionError("sampled built an index list before checking its sizes")
+
     source = BitSource(46)
     state = source._rng.getstate()
+    for name in ("list", "range"):
+        monkeypatch.setattr(randomness, name, no_index_list, raising=False)
     with pytest.raises(ValueError):
-        source.randbelow_each("shared", "sampling", bounds)
+        source.sampled("shared", "sampling", n, k)
     assert source.ledger.total() == 0
     assert source._rng.getstate() == state
 
