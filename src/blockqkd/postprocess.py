@@ -21,8 +21,14 @@ linear map of rank r takes at most 2^r values, so H_min(X|E,C) >=
 H_min(X|E) - r: charging the rank is sound, and it never charges more than
 counting parities would, since r is at most their number. The rank is
 taken once reconciliation ends, from the segments each pass disclosed
-(_leak_rank), through a numpy spanning forest over the atoms of the first
-two passes and the rank of the few columns left over. The first-block
+(_leak_rank). A spanning forest over the atoms of the first two passes
+counts their rank, and the later passes' atoms add the rank of the cycles'
+residuals. That rank is certified, not eliminated in full: the residuals
+of a sample of up to four positions per later atom bound it from below, the
+count of later atoms less one per later pass bounds it from above, and
+when the two differ every residual is checked at once against the kernel
+of the sample, which decides it exactly (LaMacchia & Odlyzko, 1990, on
+eliminating only what sparse structure leaves). The first-block
 factor 1.5 replaces the original protocol's 0.73 (see Martinez-Mateo et
 al., arXiv:1407.3257, on Cascade's leak and block schedule). On synthetic
 keys (scripts/cascade_schedule.py, seeds apart from every test's), among
@@ -54,7 +60,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left, insort
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -144,76 +150,242 @@ class ParitySpan:
             vector ^= pivot
         return False
 
+    def kernel(self, width: int) -> list[int]:
+        """A basis of the vectors of `width` bits orthogonal to every vector
+        added: one for each bit that leads no basis vector, set there and
+        then, leading bit by leading bit upward, wherever a basis vector's
+        product with it is odd. A basis vector has no bit above its lead, so
+        fixing its product never disturbs the ones below."""
+        leads = sorted(self._basis)
+        out = []
+        for free in range(width):
+            if free in self._basis:
+                continue
+            y = 1 << free
+            # a basis vector led below `free` has no bit where y has one
+            for lead in leads[bisect_left(leads, free) :]:
+                if (self._basis[lead] & y).bit_count() & 1:
+                    y |= 1 << lead
+            out.append(y)
+        return out
+
 
 def _prefix_parities(bits: np.ndarray) -> bytes:
     """Byte k is the parity of bits[:k], for k = 0 .. len(bits)."""
     return b"\0" + np.bitwise_xor.accumulate(bits).tobytes()
 
 
-def _atoms(
+def _atom_runs(
     orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]]
-) -> tuple[list[np.ndarray], list[int]]:
-    """Each pass's atom index for every position, and its atom count: the
-    segment ends of pass p, with 0 and n, cut orders[p] into atoms."""
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """For each pass p, the atom holding each step of orders[p] and the
+    steps where its atoms start: the segment ends of pass p, with 0, cut
+    orders[p] into atoms."""
     n = len(orders[0])
-    told = np.fromiter(chain.from_iterable(segments), dtype=np.int64).reshape(-1, 3)
-    atom_of, counts = [], []
-    for p, order in enumerate(orders):
-        cut = np.zeros(n + 1, dtype=np.int32)
-        cut[told[told[:, 0] == p, 1:]] = 1  # pass p's segment ends
-        cut[0] = 0  # 0 opens the first atom and n closes the last
-        ids = np.empty(n, dtype=np.int32)
-        ids[order] = np.cumsum(cut[:n])  # the cuts in (0, rank]
-        atom_of.append(ids)
-        counts.append(int(cut[:n].sum()) + 1)
-    return atom_of, counts
+    told = np.fromiter(chain.from_iterable(segments), dtype=np.intp).reshape(-1, 3)
+    # one row of cut flags per pass: row p, column s is set when a segment
+    # of pass p starts or stops at s
+    cut = np.zeros((len(orders), n + 1), dtype=bool)
+    cut[told[:, 0], told[:, 1]] = True
+    cut[told[:, 0], told[:, 2]] = True
+    cut[:, 0] = True
+    starts = [np.flatnonzero(row[:n]) for row in cut]
+    atom_at = [np.repeat(np.arange(len(s)), np.diff(s, append=n)) for s in starts]
+    return atom_at, starts
 
 
-def _forest(
-    ends_u: np.ndarray, ends_v: np.ndarray, nodes: int, labels: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """A spanning forest of the edges (ends_u[x], ends_v[x]), edge x
-    labelled by the row labels[x] of uint64 words. Returns how many edges
-    joined two trees, and each node's potential: the XOR of the labels on
-    its tree path to its root.
+class _Forest:
+    """A spanning forest of the graph whose nodes are the atoms of passes 0
+    and 1 and whose edges are the key positions, edge i joining the two
+    atoms that hold position i.
 
-    Each round hangs every root with an edge to a smaller root (a larger
-    one, in alternate rounds, so that a root with many neighbours does not
-    take a round each) under one such root through one such edge; pointer
-    jumping then flattens every tree, XORing potentials on the way.
+    orders[0] is the identity, so pass-0 atom u is the run of positions
+    starts0[u] onward, and pass-1 atom v the run of orders[1] from its first
+    position first[v]. The runs give most of the forest without a search:
+    - every pass-1 atom v hangs from the pass-0 atom holding first[v];
+    - through it, every position i is a path from atom0[i] to the pass-0
+      atom holding first[atom1[i]], its partner;
+    - every pass-0 atom u hangs from the partner of starts0[u], except the
+      smallest atom on each cycle of that map, which is a root.
+    Hooking rounds then join the trees left over: first along the last
+    position of each pass-0 atom, then along every position whose ends
+    still lie in two trees. Each round hangs every root with such a
+    position under the root at its other end, smaller or larger in
+    alternate rounds; pointer jumping flattens the trees after each round.
+
+    `tree` lists the positions of the tree edges; potentials() replays the
+    same steps on a word per tree edge.
     """
-    root = np.arange(nodes, dtype=np.int32)
-    potential = np.zeros((nodes, labels.shape[1]), dtype=np.uint64)
-    edges = np.arange(len(ends_u), dtype=np.int32)
-    joins, upward = 0, False
-    while True:
-        ru, rv = root[ends_u[edges]], root[ends_v[edges]]
-        live = ru != rv
-        if not live.any():
-            return joins, potential
-        edges, ru, rv = edges[live], ru[live], rv[live]
-        child, into = np.maximum(ru, rv), np.minimum(ru, rv)
-        if upward:
-            child, into = into, child
-        upward = not upward
-        pick = np.full(nodes, -1, dtype=np.int32)
-        pick[child] = np.arange(len(child), dtype=np.int32)  # one edge per hanging root
-        pick = pick[pick >= 0]
-        x = edges[pick]
-        potential[child[pick]] = potential[ends_u[x]] ^ potential[ends_v[x]] ^ labels[x]
-        root[child[pick]] = into[pick]
-        joins += len(pick)
+
+    def __init__(
+        self, atom0: np.ndarray, atom1: np.ndarray, first: np.ndarray, starts0: np.ndarray
+    ) -> None:
+        nodes = len(starts0)
+        self.atom0, self.atom1, self.first = atom0, atom1, first
+        partner = atom0.take(first.take(atom1))
+        # the map u -> partner[starts0[u]]: after 2^m >= nodes doublings
+        # `ahead` reaches u's cycle and `low` holds the smallest of the 2^m
+        # atoms from u on, so low[ahead[u]] is the smallest atom on the cycle
+        hang = partner.take(starts0)
+        atoms = np.arange(nodes)
+        low, ahead, span = atoms, hang, 1
+        while span < nodes:
+            low = np.minimum(low, low.take(ahead))
+            ahead = ahead.take(ahead)
+            span *= 2
+        is_root = low.take(ahead) == atoms
+        self.up = [np.where(is_root, atoms, hang)]
         while True:
-            up = root[root]
-            if np.array_equal(up, root):
+            up = self.up[-1].take(self.up[-1])
+            if np.array_equal(up, self.up[-1]):
                 break
-            potential ^= potential[root]
-            root = up
+            self.up.append(up)
+        self.hangs = np.flatnonzero(~is_root)
+        self.root = self.up[-1].copy()
+        self.rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]] = []
+        hooks: list[np.ndarray] = []
+        last = np.append(starts0[1:], len(atom0)) - 1
+        hooks += self._hook(last, partner.take(last))
+        live = np.flatnonzero(self.root.take(atom0) != self.root.take(partner))
+        hooks += self._hook(live, partner.take(live))
+        self.tree = np.concatenate([first, starts0.take(self.hangs), *hooks])
+        self.joins = len(self.tree)
+
+    def _hook(self, edges: np.ndarray, far: np.ndarray) -> list[np.ndarray]:
+        """Hooking rounds over pass-0 edges (atom0[edges], far); returns the
+        positions that joined two trees, round by round."""
+        near, root, upward, joined = self.atom0.take(edges), self.root, True, []
+        while len(edges):
+            rn, rf = root.take(near), root.take(far)
+            live = rn != rf
+            if not live.all():
+                edges, near, far, rn, rf = (
+                    a.compress(live) for a in (edges, near, far, rn, rf)
+                )
+                if not len(edges):
+                    break
+            flip = (rf < rn) if upward else (rf > rn)  # the far root hangs
+            upward = not upward
+            child = np.where(flip, rf, rn)
+            pick = np.full(len(root), -1)
+            pick[child] = np.arange(len(edges))  # one edge per hanging root
+            pick = pick.compress(pick >= 0)
+            flip, child, near_p, far_p = (a.take(pick) for a in (flip, child, near, far))
+            root[child] = np.where(flip, rn.take(pick), rf.take(pick))
+            jumps = []
+            while True:
+                up = root.take(root)
+                if np.array_equal(up, root):
+                    break
+                jumps.append(root)
+                root = up
+            hung, other = np.where(flip, far_p, near_p), np.where(flip, near_p, far_p)
+            self.rounds.append((child, hung, other, jumps))
+            joined.append(edges.take(pick))
+        self.root = root
+        return joined
+
+    def potentials(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each atom's potential, the XOR of the labels on its tree path to
+        its root, for labels[j] (a row of uint64 words) on edge tree[j]: the
+        pass-0 atoms' and the pass-1 atoms'."""
+        first = labels[: len(self.first)]
+        # a pass-0 edge i runs atom0[i] -> pass-1 atom -> partner: its label
+        # is that of i XOR that of the pass-1 atom's first position
+        pass1 = self.atom1.take(self.tree[len(self.first) :])
+        step = labels[len(self.first) :] ^ first.take(pass1, axis=0)
+        pot = np.zeros((len(self.up[0]),) + labels.shape[1:], dtype=np.uint64)
+        pot[self.hangs] = step[: len(self.hangs)]
+        for up in self.up:
+            pot ^= pot.take(up, axis=0)
+        edge = len(self.hangs)
+        for child, near, far, jumps in self.rounds:
+            joining = step[edge : edge + len(child)]
+            pot[child] = pot.take(near, axis=0) ^ pot.take(far, axis=0) ^ joining
+            edge += len(child)
+            for root in jumps:
+                pot ^= pot.take(root, axis=0)
+        return pot, pot.take(self.atom0.take(self.first), axis=0) ^ first
+
+
+_LABEL_WORDS = 8  # label columns per forest replay, in 64-bit words
+
+
+def _label_words(later: list[np.ndarray], at: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Words lo .. hi-1 of each position's label: bit j is set when later
+    atom j holds the position at[x]."""
+    out = np.zeros((len(at), hi - lo + 1), dtype=np.uint64)
+    rows = np.arange(len(at))
+    for atom in later:
+        j = atom.take(at)
+        word = np.clip((j >> 6) - lo, -1, hi - lo)  # other words land in column -1 or hi - lo
+        out[rows, word] ^= np.uint64(1) << (j & 63).astype(np.uint64)
+    return out[:, : hi - lo]
+
+
+def _residuals(forest: _Forest, later: list[np.ndarray], at: np.ndarray, width: int) -> np.ndarray:
+    """Each position's residual row, its label XOR both ends' potentials,
+    as words, _LABEL_WORDS at a time."""
+    words = -(-width // 64)
+    out = np.empty((len(at), words), dtype=np.uint64)
+    for lo in range(0, words, _LABEL_WORDS):
+        hi = min(lo + _LABEL_WORDS, words)
+        pot0, pot1 = forest.potentials(_label_words(later, forest.tree, lo, hi))
+        out[:, lo:hi] = (
+            _label_words(later, at, lo, hi)
+            ^ pot0.take(forest.atom0.take(at), axis=0)
+            ^ pot1.take(forest.atom1.take(at), axis=0)
+        )
+    return out
+
+
+_ROW_BLOCK = 256  # sample rows unpacked to one byte per bit at a time
+
+
+def _crossings(rows: np.ndarray) -> np.ndarray:
+    """How many rows have each bit set."""
+    total = np.zeros(rows.shape[1] * 64, dtype=np.int64)
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        bits = np.unpackbits(rows[lo : lo + _ROW_BLOCK].view(np.uint8), axis=1, bitorder="little")
+        total += bits.sum(axis=0, dtype=np.int64)
+    return total
+
+
+def _as_ints(rows: np.ndarray, column: np.ndarray) -> Iterator[int]:
+    """Rows of words as ints, bit k taken from column column[k]."""
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        bits = np.unpackbits(rows[lo : lo + _ROW_BLOCK].view(np.uint8), axis=1, bitorder="little")
+        bits = np.packbits(bits.take(column, axis=1), axis=1, bitorder="little")
+        yield from (int.from_bytes(row.tobytes(), "little") for row in bits)
+
+
+def _products(
+    forest: _Forest, later: list[np.ndarray], kernel: list[int], column: np.ndarray
+) -> np.ndarray:
+    """For up to 64 vectors y over the later atoms (bit k of y standing for
+    atom column[k]), every position's residual row times each y: bit k of
+    word i is the parity of y_k on the cycle that position i closes (zero
+    on tree edges)."""
+    width = len(column)
+    size = width // 8 + 1
+    packed = np.frombuffer(b"".join(y.to_bytes(size, "little") for y in kernel), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(kernel), size), axis=1, bitorder="little")[:, :width]
+    # word j: bit k is bit j of kernel[k]
+    by_bit = np.zeros((width, 8), dtype=np.uint8)
+    by_bit[:, : -(-len(kernel) // 8)] = np.packbits(bits.T, axis=1, bitorder="little")
+    words = np.empty(width, dtype=np.uint64)
+    words[column] = by_bit.view(np.uint64).ravel()
+    label = words.take(later[0])
+    for atom in later[1:]:
+        label ^= words.take(atom)
+    pot0, pot1 = forest.potentials(label.take(forest.tree))
+    return label ^ pot0.take(forest.atom0) ^ pot1.take(forest.atom1)
 
 
 def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]]) -> int:
     """GF(2) rank of the parities of orders[p][start:stop] over all
-    (p, start, stop) in segments, computed without n-bit vectors.
+    (p, start, stop) in segments, computed without n-bit vectors. orders[0]
+    is the identity: pass 0 reads the key in place.
 
     If every cut point of a pass is joined to 0 by a chain of its segments,
     as in cascade (each pass discloses all its blocks, and each search
@@ -223,36 +395,94 @@ def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]
     the rank is that of the atoms-by-positions incidence matrix.
 
     Passes 0 and 1 hold most atoms. Their atoms are the nodes of a graph
-    whose edges are the positions, each labelled with the bits of the
-    later-pass atoms that contain it. The edges that join two trees count
-    the rank of passes 0 and 1 alone. An edge's residual, its label XOR
-    both ends' potentials, is the XOR of the labels around the cycle it
-    closes (zero on tree edges), and a set of later-pass atoms lies in the
-    span of passes 0 and 1 exactly when it meets every such cycle evenly.
-    So the later passes add the rank of the residuals, taken over its few
-    columns rather than its n rows.
+    whose edges are the positions (_Forest), each labelled with the later
+    atoms that contain it. The edges that join two trees count the rank of
+    passes 0 and 1 alone. An edge's residual, its label XOR both ends'
+    potentials, is the XOR of the labels around the cycle it closes, and a
+    set y of later atoms lies in the span of passes 0 and 1 exactly when
+    every residual is even on y. So the later atoms add R, the rank of the
+    residual rows, and R <= c - (passes - 2) for c later atoms: each later
+    pass's atoms sum to the whole key, which pass 0 already spans.
+
+    R is certified rather than eliminated in full:
+    - The residual rows of a sample, the positions off the tree among the
+      first two and last two of each later atom, give a lower bound:
+      their rank. When it meets the upper bound, it is R.
+    - Otherwise every vector y in the kernel of the sample is checked
+      against every residual row at once, 64 vectors per word: R y is the
+      edge's label times y XOR both ends' potentials of the labels times y.
+      The kernel of all rows is the part of the sample's kernel that every
+      row passes, so R is the sample's rank plus the rank of those
+      products over the sample's kernel. With more than 64 kernel vectors,
+      rows that fail them join the sample first, each raising its rank.
+    Memory stays O(n): labels are replayed on the forest a few words at a
+    time, and only the sample's rows are ever built.
     """
-    atom_of, counts = _atoms(orders, segments)
+    atom_at, starts = _atom_runs(orders, segments)
     if len(orders) == 1:
-        return counts[0]
-    n, shift, total = len(orders[0]), 0, sum(counts[2:])
-    labels = np.zeros((n, -(-total // 64)), dtype=np.uint64)
-    for ids, count in zip(atom_of[2:], counts[2:]):
-        bit = ids + shift  # atom j of this pass is bit shift + j of an edge's label
-        labels[np.arange(n), bit >> 6] |= np.uint64(1) << (bit & 63).astype(np.uint64)
-        shift += count
-    ends_u, ends_v = atom_of[0], atom_of[1] + counts[0]
-    joins, potential = _forest(ends_u, ends_v, counts[0] + counts[1], labels)
-    span = ParitySpan()
-    for k in range(labels.shape[1]):
-        residual = labels[:, k] ^ potential[ends_u, k] ^ potential[ends_v, k]
-        # row j of the transposed bytes holds bits 8j..8j+7 of every edge
-        rows = np.ascontiguousarray(residual.view(np.uint8).reshape(n, 8).T)
-        live = total - 64 * k  # label bits past this are zero in every edge
-        for b in range(min(live, 8)):
-            for column in np.packbits((rows[: (live - b + 7) // 8] >> b) & 1, axis=1):
-                span.add(int.from_bytes(column.tobytes(), "big"))
-    return joins + span.rank
+        return len(starts[0])
+    n = len(orders[0])
+    order1 = np.asarray(orders[1], dtype=np.intp)
+    atom1 = np.empty(n, dtype=np.intp)
+    atom1[order1] = atom_at[1]
+    forest = _Forest(atom_at[0], atom1, order1.take(starts[1]), starts[0])
+    if len(orders) == 2:
+        return forest.joins
+    later, heads, tails, seconds, penultimates, width = [], [], [], [], [], 0
+    for p in range(2, len(orders)):
+        order = np.asarray(orders[p], dtype=np.intp)
+        atom = np.empty(n, dtype=np.intp)
+        atom[order] = atom_at[p] + width
+        later.append(atom)
+        width += len(starts[p])
+        ends = np.append(starts[p][1:], n) - 1
+        heads.append(order.take(starts[p]))
+        tails.append(order.take(ends))
+        seconds.append(order.take(np.minimum(starts[p] + 1, ends)))
+        penultimates.append(order.take(np.maximum(ends - 1, starts[p])))
+    top = width - (len(orders) - 2)
+    on_tree = np.zeros(n, dtype=bool)
+    on_tree[forest.tree] = True
+    sample = np.concatenate(heads + tails + seconds + penultimates)
+    sample = sample.compress(~on_tree.take(sample))
+    rows = _residuals(forest, later, sample, width)
+    # atoms that many sampled cycles cross take the low bits, so elimination,
+    # which cancels the leading bit, meets them last (structured Gaussian
+    # elimination leaves its dense columns to the end the same way)
+    column = np.argsort(-_crossings(rows)[:width], kind="stable")
+    span, refill = ParitySpan(), False
+    while True:
+        before = span.rank
+        for row in _as_ints(rows, column):
+            span.add(row)
+            if span.rank == top:
+                return forest.joins + top
+        # rows that fail a kernel vector are independent of the sample
+        if refill and span.rank == before:
+            raise ArithmeticError("rows failing the sample's kernel lie in its span")
+        kernel = span.kernel(width)
+        if len(kernel) <= 64:
+            products = _products(forest, later, kernel, column)
+            products = np.sort(products.compress(products != 0))
+            extra = ParitySpan()
+            distinct = np.diff(products, prepend=np.uint64(0)) != 0
+            for word in products.compress(distinct).tolist():
+                extra.add(word)
+                if span.rank + extra.rank == top:  # no higher: the pass sums stay in the kernel
+                    break
+            return forest.joins + span.rank + extra.rank
+        sample = []
+        for k in range(0, len(kernel), 64):
+            products = _products(forest, later, kernel[k : k + 64], column)
+            fails = np.flatnonzero(products)
+            seen = ParitySpan()
+            words = products.take(fails).tolist()
+            sample = [i for i, word in zip(fails.tolist(), words) if seen.add(word)]
+            if sample:
+                break
+        if not sample:
+            return forest.joins + span.rank
+        rows, refill = _residuals(forest, later, np.array(sample, dtype=np.intp), width), True
 
 
 def cascade(

@@ -27,6 +27,7 @@ from blockqkd.protocol import (
 )
 from blockqkd.randomness import BitSource
 from cascade_reference import cascade_reference
+from rank_reference import leak_rank_reference, upper_bound
 
 
 # --- reconciliation -----------------------------------------------------------
@@ -214,6 +215,24 @@ def test_parity_span_rank_matches_dense_elimination(case):
     assert not any(span.add(_as_int(row)) for row in rows)
 
 
+@given(_planted_matrices())
+@settings(max_examples=200, deadline=None)
+def test_parity_span_kernel_is_the_orthogonal_complement(case):
+    rows, _ = case
+    width = rows.shape[1]
+    span = ParitySpan()
+    for row in rows:
+        span.add(_as_int(row))
+    kernel = span.kernel(width)
+    assert len(kernel) == width - span.rank
+    # each kernel vector is even on every row, and they are independent
+    for y in kernel:
+        assert y < 1 << width
+        assert all((_as_int(row) & y).bit_count() % 2 == 0 for row in rows)
+    independent = ParitySpan()
+    assert all(independent.add(y) for y in kernel)
+
+
 @st.composite
 def _segment_families(draw, min_n=4, max_n=40, passes=None, small_blocks=False):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
@@ -279,6 +298,103 @@ def test_cascade_leak_is_rank_of_disclosed_parities(monkeypatch):
         assert result.disclosed_parities == _dense_rank(_segment_rows(orders, segments))
         # each later pass's top-level parities sum to the whole-key parity
         assert len(segments) - result.disclosed_parities >= CASCADE_PASSES - 1
+
+
+def _disclosed(length, qber, seed):
+    """cascade's pass orders, disclosed segments and reported leak on a
+    fixed synthetic key pair with independent flips at rate qber."""
+    rng = np.random.default_rng(seed)
+    alice = rng.integers(0, 2, length).astype(np.uint8)
+    bob = alice ^ (rng.random(length) < qber).astype(np.uint8)
+    calls = []
+
+    def recording(orders, segments):
+        calls.append((orders, dict(segments)))
+        return _leak_rank(orders, segments)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(postprocess, "_leak_rank", recording)
+        result = cascade(alice, bob, qber, BitSource(seed))
+    orders, segments = calls[-1]
+    return orders, segments, result.disclosed_parities
+
+
+@pytest.mark.parametrize(
+    "length, qber, seed", [(2000, 0.05, 0), (4000, 0.03, 6), (8000, 0.02, 27), (60000, 0.02, 0)]
+)
+def test_leak_rank_below_its_upper_bound_matches_reference(length, qber, seed):
+    # these keys' parities fall short of joins + c - (passes - 2), so the
+    # sample's rank cannot meet the bound and the kernel check decides
+    orders, segments, reported = _disclosed(length, qber, seed)
+    bound, _ = upper_bound(orders, segments)
+    expected = leak_rank_reference(orders, segments)
+    assert expected < bound
+    assert reported == _leak_rank(orders, segments) == expected
+
+
+def test_leak_rank_matches_reference_on_a_disconnected_graph():
+    # at QBER 0.1 many bits are isolated in both passes 0 and 1, and the
+    # graph of their atoms falls apart into dozens of components
+    orders, segments, reported = _disclosed(6000, 0.1, 5)
+    bound, components = upper_bound(orders, segments)
+    expected = leak_rank_reference(orders, segments)
+    assert components > 1
+    assert expected < bound
+    assert reported == expected
+
+
+def _sampled_on_the_forest(seed, n=480):
+    """Passes 0 and 1 cut into atoms of 4; every atom of passes 2 and 3
+    spans 8 steps that start and end with two positions on the spanning
+    forest of passes 0 and 1 (read off a two-pass rank), so the positions
+    `_leak_rank` samples first are nearly all on the forest."""
+    rng = np.random.default_rng(seed)
+    orders = [np.arange(n), rng.permutation(n)]
+    segments = [(p, a, a + 4) for p in (0, 1) for a in range(0, n, 4)]
+    forests = []
+
+    class Recording(postprocess._Forest):
+        def __init__(self, *args):
+            super().__init__(*args)
+            forests.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(postprocess, "_Forest", Recording)
+        _leak_rank(orders, segments)
+    on_tree = np.zeros(n, dtype=bool)
+    on_tree[forests[0].tree] = True
+    tree, free = np.flatnonzero(on_tree), np.flatnonzero(~on_tree)
+    for p in (2, 3):
+        tree, free = rng.permutation(tree), rng.permutation(free)
+        atoms = min(len(tree), len(free)) // 4
+        order = []
+        for a in range(atoms):
+            t, f = tree[4 * a : 4 * a + 4], free[4 * a : 4 * a + 4]
+            order += [t[0], t[1], *f, t[2], t[3]]
+        order += list(rng.permutation(np.setdiff1d(np.arange(n), order)))
+        orders.append(np.array(order))
+        cuts = [*range(0, 8 * atoms, 8), n]
+        segments += [(p, a, b) for a, b in zip(cuts, cuts[1:])]
+    return orders, sorted(set(segments))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_leak_rank_refills_a_short_sample(seed, monkeypatch):
+    # the first sample leaves more than 64 kernel vectors, so rows that fail
+    # them are added and the sample is eliminated again
+    orders, segments = _sampled_on_the_forest(seed)
+    batches = []
+    residuals = postprocess._residuals
+
+    def counting(*args):
+        batches.append(args[2])
+        return residuals(*args)
+
+    monkeypatch.setattr(postprocess, "_residuals", counting)
+    rank = _leak_rank(orders, segments)
+    assert len(batches) > 1
+    assert rank == leak_rank_reference(orders, segments)
+    assert rank == _dense_rank(_segment_rows(orders, segments))
 
 # --- privacy amplification -----------------------------------------------------
 

@@ -22,6 +22,10 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
             ["randomness_savings.py", "--blocks", "5"],
             "n raw qubits alice block alice/qubit ratio exact bob ratio",
         ),
+        (
+            ["leak_rank_scaling.py", "--sifted", "2000"],
+            "sifted key session_s pipeline_s leak_rank_s peak_mb reason",
+        ),
     ],
 )
 def test_script_runs(argv, header):
