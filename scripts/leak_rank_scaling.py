@@ -22,6 +22,9 @@ from blockqkd.attacks import BlockAttackSpec
 from blockqkd.protocol import ProtocolConfig, empirical_rates, run_session
 
 BLOCK_SIZE = 4
+SEED = 5
+FLIP = 0.02  # channel flip probability
+FRACTION = 0.3  # intercepted fraction
 
 
 def main() -> int:
@@ -31,12 +34,9 @@ def main() -> int:
         default="50000,100000,200000,400000",
         help="comma-separated target sifted lengths (default 50000,100000,200000,400000)",
     )
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--flip", type=float, default=0.02, help="channel flip probability")
-    parser.add_argument("--fraction", type=float, default=0.3, help="intercepted fraction")
     args = parser.parse_args()
     targets = [int(part) for part in args.sifted.split(",") if part.strip()]
-    attack = BlockAttackSpec.intercept(args.fraction, "per_qubit")
+    attack = BlockAttackSpec.intercept(FRACTION, "per_qubit")
 
     rank_seconds = []
     leak_rank = postprocess._leak_rank
@@ -56,9 +56,7 @@ def main() -> int:
     print("-" * len(header))
     for target in targets:
         # a kept n = 4 block adds 4 sifted bits, and half the blocks are kept
-        config = ProtocolConfig(
-            BLOCK_SIZE, max(1, target // 2), "per_block", args.flip, seed=args.seed
-        )
+        config = ProtocolConfig(BLOCK_SIZE, max(1, target // 2), "per_block", FLIP, seed=SEED)
         started = time.perf_counter()
         report = run_session(config, attack)
         session_s = time.perf_counter() - started

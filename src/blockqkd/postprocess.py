@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left, insort
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -207,9 +207,8 @@ class _Forest:
       atom holding first[atom1[i]], its partner;
     - every pass-0 atom u hangs from the partner of starts0[u], except the
       smallest atom on each cycle of that map, which is a root.
-    Hooking rounds then join the trees left over: first along the last
-    position of each pass-0 atom, then along every position whose ends
-    still lie in two trees. Each round hangs every root with such a
+    Hooking rounds then join the trees left over along the positions whose
+    ends still lie in two trees. Each round hangs every root with such a
     position under the root at its other end, smaller or larger in
     alternate rounds; pointer jumping flattens the trees after each round.
 
@@ -243,11 +242,8 @@ class _Forest:
         self.hangs = np.flatnonzero(~is_root)
         self.root = self.up[-1].copy()
         self.rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]] = []
-        hooks: list[np.ndarray] = []
-        last = np.append(starts0[1:], len(atom0)) - 1
-        hooks += self._hook(last, partner.take(last))
         live = np.flatnonzero(self.root.take(atom0) != self.root.take(partner))
-        hooks += self._hook(live, partner.take(live))
+        hooks = self._hook(live, partner.take(live))
         self.tree = np.concatenate([first, starts0.take(self.hangs), *hooks])
         self.joins = len(self.tree)
 
@@ -339,47 +335,42 @@ def _residuals(forest: _Forest, later: list[np.ndarray], at: np.ndarray, width: 
     return out
 
 
-_ROW_BLOCK = 256  # sample rows unpacked to one byte per bit at a time
-
-
-def _crossings(rows: np.ndarray) -> np.ndarray:
-    """How many rows have each bit set."""
-    total = np.zeros(rows.shape[1] * 64, dtype=np.int64)
-    for lo in range(0, len(rows), _ROW_BLOCK):
-        bits = np.unpackbits(rows[lo : lo + _ROW_BLOCK].view(np.uint8), axis=1, bitorder="little")
-        total += bits.sum(axis=0, dtype=np.int64)
-    return total
-
-
-def _as_ints(rows: np.ndarray, column: np.ndarray) -> Iterator[int]:
-    """Rows of words as ints, bit k taken from column column[k]."""
-    for lo in range(0, len(rows), _ROW_BLOCK):
-        bits = np.unpackbits(rows[lo : lo + _ROW_BLOCK].view(np.uint8), axis=1, bitorder="little")
-        bits = np.packbits(bits.take(column, axis=1), axis=1, bitorder="little")
-        yield from (int.from_bytes(row.tobytes(), "little") for row in bits)
-
-
 def _products(
-    forest: _Forest, later: list[np.ndarray], kernel: list[int], column: np.ndarray
+    forest: _Forest, later: list[np.ndarray], kernel: list[int], width: int
 ) -> np.ndarray:
-    """For up to 64 vectors y over the later atoms (bit k of y standing for
-    atom column[k]), every position's residual row times each y: bit k of
-    word i is the parity of y_k on the cycle that position i closes (zero
-    on tree edges)."""
-    width = len(column)
+    """For up to 64 vectors y over the later atoms, every position's
+    residual row times each y: bit k of word i is the parity of y_k on the
+    cycle that position i closes (zero on tree edges)."""
     size = width // 8 + 1
     packed = np.frombuffer(b"".join(y.to_bytes(size, "little") for y in kernel), np.uint8)
     bits = np.unpackbits(packed.reshape(len(kernel), size), axis=1, bitorder="little")[:, :width]
     # word j: bit k is bit j of kernel[k]
     by_bit = np.zeros((width, 8), dtype=np.uint8)
     by_bit[:, : -(-len(kernel) // 8)] = np.packbits(bits.T, axis=1, bitorder="little")
-    words = np.empty(width, dtype=np.uint64)
-    words[column] = by_bit.view(np.uint64).ravel()
+    words = by_bit.view(np.uint64).ravel()
     label = words.take(later[0])
     for atom in later[1:]:
         label ^= words.take(atom)
     pot0, pot1 = forest.potentials(label.take(forest.tree))
     return label ^ pot0.take(forest.atom0) ^ pot1.take(forest.atom1)
+
+
+def _independent(products: np.ndarray, most: int) -> list[int]:
+    """Up to `most` positions whose product words are independent: the first
+    position of each distinct nonzero word, in position order, kept when its
+    word is independent of those kept before. Their residual rows are
+    independent of the sample's and of each other, since any sum of them
+    fails some kernel vector."""
+    fails = np.flatnonzero(products)
+    _, first = np.unique(products.take(fails), return_index=True)
+    fails = fails.take(np.sort(first))
+    seen, picked = ParitySpan(), []
+    for i, word in zip(fails.tolist(), products.take(fails).tolist()):
+        if len(picked) == most:
+            break
+        if seen.add(word):
+            picked.append(i)
+    return picked
 
 
 def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]]) -> int:
@@ -413,8 +404,10 @@ def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]
       edge's label times y XOR both ends' potentials of the labels times y.
       The kernel of all rows is the part of the sample's kernel that every
       row passes, so R is the sample's rank plus the rank of those
-      products over the sample's kernel. With more than 64 kernel vectors,
-      rows that fail them join the sample first, each raising its rank.
+      products over the sample's kernel (_independent picks rows whose
+      products are a basis of them). With more than 64 kernel vectors,
+      the rows picked by the first word of them that any row fails join
+      the sample, each raising its rank, and the check runs again.
     Memory stays O(n): labels are replayed on the forest a few words at a
     time, and only the sample's rows are ever built.
     """
@@ -429,7 +422,9 @@ def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]
     if len(orders) == 2:
         return forest.joins
     later, heads, tails, seconds, penultimates, width = [], [], [], [], [], 0
-    for p in range(2, len(orders)):
+    # the last pass's atoms, the longest, cross the most cycles: they take the
+    # low bits, which elimination (cancelling the leading bit) meets last
+    for p in range(len(orders) - 1, 1, -1):
         order = np.asarray(orders[p], dtype=np.intp)
         atom = np.empty(n, dtype=np.intp)
         atom[order] = atom_at[p] + width
@@ -446,43 +441,28 @@ def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]
     sample = np.concatenate(heads + tails + seconds + penultimates)
     sample = sample.compress(~on_tree.take(sample))
     rows = _residuals(forest, later, sample, width)
-    # atoms that many sampled cycles cross take the low bits, so elimination,
-    # which cancels the leading bit, meets them last (structured Gaussian
-    # elimination leaves its dense columns to the end the same way)
-    column = np.argsort(-_crossings(rows)[:width], kind="stable")
     span, refill = ParitySpan(), False
     while True:
         before = span.rank
-        for row in _as_ints(rows, column):
-            span.add(row)
+        for row in rows:
+            span.add(int.from_bytes(row.tobytes(), "little"))
             if span.rank == top:
                 return forest.joins + top
-        # rows that fail a kernel vector are independent of the sample
-        if refill and span.rank == before:
-            raise ArithmeticError("rows failing the sample's kernel lie in its span")
+        # the picked rows are independent of the sample and of each other
+        if refill and span.rank < before + len(rows):
+            raise ArithmeticError("rows picked by the sample's kernel lie in its span")
         kernel = span.kernel(width)
-        if len(kernel) <= 64:
-            products = _products(forest, later, kernel, column)
-            products = np.sort(products.compress(products != 0))
-            extra = ParitySpan()
-            distinct = np.diff(products, prepend=np.uint64(0)) != 0
-            for word in products.compress(distinct).tolist():
-                extra.add(word)
-                if span.rank + extra.rank == top:  # no higher: the pass sums stay in the kernel
-                    break
-            return forest.joins + span.rank + extra.rank
-        sample = []
         for k in range(0, len(kernel), 64):
-            products = _products(forest, later, kernel[k : k + 64], column)
-            fails = np.flatnonzero(products)
-            seen = ParitySpan()
-            words = products.take(fails).tolist()
-            sample = [i for i, word in zip(fails.tolist(), words) if seen.add(word)]
-            if sample:
+            chunk = kernel[k : k + 64]
+            most = min(len(chunk), top - span.rank)  # no higher: the pass sums stay in the kernel
+            picked = _independent(_products(forest, later, chunk, width), most)
+            if len(chunk) == len(kernel) or span.rank + len(picked) == top:
+                return forest.joins + span.rank + len(picked)
+            if picked:
                 break
-        if not sample:
+        else:
             return forest.joins + span.rank
-        rows, refill = _residuals(forest, later, np.array(sample, dtype=np.intp), width), True
+        rows, refill = _residuals(forest, later, np.array(picked, dtype=np.intp), width), True
 
 
 def cascade(
