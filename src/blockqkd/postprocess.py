@@ -8,9 +8,11 @@ Fixing a bit flips the parity of the blocks that contain it in every other
 pass, which re-queues them; those follow-up searches are what lets one
 disclosed error correct several. Both parties remember every parity already
 exchanged, so a re-searched block only pays for segments never disclosed
-before. A segment's parity is the XOR of two prefix parities in its pass's
-order: Alice's, and Bob's as his key stood when the pass was built, with
-the bits he has flipped since kept as sorted ranks and counted by bisection.
+before. Alice's parity of a segment is the XOR of two of her prefix
+parities in its pass's order, and Bob's differs from it exactly when the
+segment holds an odd number of his errors. The simulator holds both keys,
+so each pass keeps the sorted ranks of Bob's remaining errors in its order:
+a comparison is two bisections and a fix deletes one rank per pass.
 
 The leak is the GF(2) rank of the disclosed parity vectors, not their
 count. Parities are linear in the key, so the eavesdropper learns exactly
@@ -45,8 +47,8 @@ may know: disclosed parities, the attack-model information estimate, and
 a safety margin. All output bits come from one float64 FFT convolution of
 the seed with the reversed key, in O(L log L) (Tang et al. 2019 do the
 same at scale; Hayashi & Tsurumaru, arXiv:1311.5322, on Toeplitz
-hashing). The transform is the next power of two at or above the seed
-length, since wrap-around lands only outside the output window. Each
+hashing). The transform size is the smallest 2^a 3^b 5^c at or above the
+seed length, since wrap-around lands only outside the output window. Each
 window sum is an integer of at most L, and the float64 error stays many
 orders below 1/2 (about 1e-10 at L = 10^6), so rounding recovers it
 exactly; a residual of 0.25 or more raises instead of returning a key.
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
@@ -168,11 +170,6 @@ class ParitySpan:
                     y |= 1 << lead
             out.append(y)
         return out
-
-
-def _prefix_parities(bits: np.ndarray) -> bytes:
-    """Byte k is the parity of bits[:k], for k = 0 .. len(bits)."""
-    return b"\0" + np.bitwise_xor.accumulate(bits).tobytes()
 
 
 def _atom_runs(
@@ -482,9 +479,9 @@ def cascade(
     ledgered permutation and doubles the block length.
     """
     alice = np.asarray(alice_key, dtype=np.uint8)
-    working = np.asarray(bob_key, dtype=np.uint8).copy()
+    bob = np.asarray(bob_key, dtype=np.uint8)
     n = len(alice)
-    if n != len(working):
+    if n != len(bob):
         raise ValueError("keys must have equal length")
     if n < MIN_KEY_LENGTH:
         raise ValueError(f"reconciliation needs at least {MIN_KEY_LENGTH} bits")
@@ -494,101 +491,117 @@ def cascade(
     first_block = min(max(round(block_factor / q), 4), n)
 
     # Pass p reads the key in orders[p], ranks[p][i] being position i's
-    # index there, and cuts it into blocks of sizes[p].
+    # index there, and cuts it into blocks of sizes[p]. errors[p] holds the
+    # sorted ranks in pass p of Bob's remaining errors, and byte k of
+    # alice_prefix[p] the parity of Alice's first k bits in pass order.
     orders: list[np.ndarray] = []
     ranks: list[np.ndarray] = []
     sizes: list[int] = []
-    # Prefix parities in pass order, index k covering the first k bits:
-    # Alice's, and Bob's as his key stood when the pass was built; fixed[p]
-    # holds the sorted ranks in pass p of the bits he has flipped since.
+    errors: list[list[int]] = []
     alice_prefix: list[bytes] = []
-    bob_prefix: list[bytes] = []
-    fixed: list[list[int]] = []
     queue: list[tuple[int, int]] = []
     # Alice's parities, once disclosed, are remembered by both parties and
     # never change, so a segment is disclosed at most once; keyed by
     # (pass, start, stop) over the pass's order.
     told: dict[tuple[int, int, int], int] = {}
 
-    def differs(p: int, start: int, stop: int) -> bool:
-        """Compare the parities of orders[p][start:stop], disclosing Alice's."""
-        key = (p, start, stop)
-        if key not in told:
-            told[key] = alice_prefix[p][start] ^ alice_prefix[p][stop]
-        flips = bisect_left(fixed[p], stop) - bisect_left(fixed[p], start)
-        return told[key] != bob_prefix[p][start] ^ bob_prefix[p][stop] ^ (flips & 1)
-
-    def bounds(p: int, b: int) -> tuple[int, int]:
-        start = b * sizes[p]
-        return start, min(start + sizes[p], n)
-
-    def mismatched(p: int, b: int) -> bool:
-        return differs(p, *bounds(p, b))
+    def odd(p: int, b: int) -> bool:
+        """Whether block b of pass p holds an odd number of Bob's errors."""
+        found = errors[p]
+        return (bisect_left(found, (b + 1) * sizes[p]) - bisect_left(found, b * sizes[p])) & 1 == 1
 
     def search(p: int, b: int) -> int:
-        # Binary search over a block with an odd number of errors: compare
-        # the left half's parities and recurse into the differing half. The
-        # right half never needs disclosure (parent XOR left), so a fresh
-        # segment costs exactly one parity per halving step.
-        lo, hi = bounds(p, b)
+        # Binary search over a block with an odd number of errors: disclose
+        # the left half's parity and recurse into the half holding an odd
+        # number of errors. The right half never needs disclosure (parent
+        # XOR left), so a fresh segment costs exactly one parity per
+        # halving step. errors[p][first:last] are the errors in [lo, hi).
+        found, prefix = errors[p], alice_prefix[p]
+        lo = b * sizes[p]
+        hi = min(lo + sizes[p], n)
+        first, last = bisect_left(found, lo), bisect_left(found, hi)
         while hi - lo > 1:
             mid = lo + (hi - lo + 1) // 2
-            if differs(p, lo, mid):
-                hi = mid
+            told.setdefault((p, lo, mid), prefix[lo] ^ prefix[mid])
+            split = bisect_left(found, mid, first, last)
+            if (split - first) & 1:
+                hi, last = mid, split
             else:
-                lo = mid
+                lo, first = mid, split
         return int(orders[p][lo])
 
     def drain() -> None:
         while queue:
             p, b = queue.pop()
-            if not mismatched(p, b):
+            if not odd(p, b):
                 continue
             error = search(p, b)
-            working[error] ^= 1
-            for p2 in range(len(orders)):
-                rank = int(ranks[p2][error])
-                insort(fixed[p2], rank)
-                if mismatched(p2, rank // sizes[p2]):
+            # fixing it leaves the block holding it in every pass one error
+            # short, which re-queues that block when that leaves it odd
+            for p2, rank in enumerate(ranks):
+                rank = int(rank[error])
+                del errors[p2][bisect_left(errors[p2], rank)]
+                if odd(p2, rank // sizes[p2]):
                     queue.append((p2, rank // sizes[p2]))
 
     for p in range(CASCADE_PASSES):
         if p == 0:
             order = np.arange(n, dtype=np.int32)
         else:
-            order = np.array(source.shuffled("shared", "ec_permutation", n), dtype=np.int32)
+            order = np.fromiter(source.shuffled("shared", "ec_permutation", n), np.int32, n)
         rank = np.empty(n, dtype=np.int32)
         rank[order] = np.arange(n, dtype=np.int32)
+        size = min(first_block << p, n)
         orders.append(order)
         ranks.append(rank)
-        sizes.append(min(first_block << p, n))
-        alice_prefix.append(_prefix_parities(alice[order]))
-        bob_prefix.append(_prefix_parities(working[order]))
-        fixed.append([])
-        # mismatched() discloses each block's top-level parity here, once.
-        queue.extend((p, b) for b in range(-(-n // sizes[p])) if mismatched(p, b))
+        sizes.append(size)
+        wrong = np.sort(rank.take(errors[0] if p else np.flatnonzero(alice != bob)))
+        errors.append(wrong.tolist())
+        prefix = b"\0" + np.bitwise_xor.accumulate(alice[order]).tobytes()
+        alice_prefix.append(prefix)
+        # each block's top-level parity is disclosed here, once
+        cuts = [*range(0, n, size), n]
+        told.update(((p, s, t), prefix[s] ^ prefix[t]) for s, t in zip(cuts, cuts[1:]))
+        queue.extend((p, b) for b in np.flatnonzero(np.bincount(wrong // size) & 1).tolist())
         drain()
 
-    residual = int(np.count_nonzero(alice != working))
+    # Bob's key as corrected: Alice's with his remaining errors flipped
+    corrected = alice.copy()
+    corrected[np.array(errors[0], dtype=np.intp)] ^= 1
     return ReconciliationResult(
-        corrected_key=working,
+        corrected_key=corrected,
         disclosed_parities=_leak_rank(orders, told),
         passes=CASCADE_PASSES,
-        residual_mismatches=residual,
+        residual_mismatches=len(errors[0]),
     )
+
+
+def _fast_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c at or above n >= 1: a size the FFT factors
+    into radix-2, -3 and -5 steps."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1  # each 3^b 5^c below best, times the least power of two that reaches n
+    while odd < best:
+        part = odd
+        while part < best:
+            best = min(best, part << (-(-n // part) - 1).bit_length())
+            part *= 3
+        odd *= 5
+    return best
 
 
 def _window_sums(seed: np.ndarray, key: np.ndarray) -> np.ndarray:
     """sum(key AND seed[j : j + len(key)]) for j = 0 .. len(seed) - len(key).
 
     A float64 real FFT convolution of the seed with the reversed key, on
-    the next power of two >= len(seed): wrap-around adds only to outputs
-    below len(key) - 1 or past len(seed) - 1, outside the window read here.
-    Each sum is an integer of at most len(key); a residual of 0.25 from
-    rint would mean rounding may have picked the wrong one, so it raises.
+    the smallest 5-smooth size >= len(seed) (_fast_length): wrap-around adds
+    only to outputs below len(key) - 1 or past len(seed) - 1, outside the
+    window read here. Each sum is an integer of at most len(key); a
+    residual of 0.25 from rint would mean rounding may have picked the
+    wrong one, so it raises.
     """
     length = len(key)
-    size = 1 << (len(seed) - 1).bit_length()
+    size = _fast_length(len(seed))
     spectrum = np.fft.rfft(seed, size) * np.fft.rfft(key[::-1], size)
     sums = np.fft.irfft(spectrum, size)[length - 1 : len(seed)]
     rounded = np.rint(sums)

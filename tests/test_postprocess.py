@@ -13,6 +13,7 @@ from blockqkd.postprocess import (
     DEFAULT_SAFETY_MARGIN,
     MIN_KEY_LENGTH,
     ParitySpan,
+    _fast_length,
     _leak_rank,
     _window_sums,
     cascade,
@@ -135,6 +136,19 @@ def test_cascade_estimate_floor_and_clamp():
 @example(MIN_KEY_LENGTH, 0.2, 0)
 @example(5000, 0.01, 1)
 @example(5000, 0.2, 2)
+# estimates of 0.3-0.45: 8, 2 and 2 errors are left after the four passes
+@example(MIN_KEY_LENGTH, 0.35, 1)
+@example(MIN_KEY_LENGTH, 0.45, 0)
+@example(200, 0.3, 7)
+# at most 149 bits at 0.01: the first block, round(1.5 / 0.01), and so every
+# block is the whole key; of 2 and 3 errors, 2 are left
+@example(100, 0.01, 1)
+@example(149, 0.01, 2)
+# estimates far from the true rate: 6 errors in 64 bits (all left) and 27 in
+# 1000 against an estimate of 0.01, one error in 64 bits against 0.2
+@example(MIN_KEY_LENGTH, 0.01, 17116)
+@example(1000, 0.01, 94574)
+@example(MIN_KEY_LENGTH, 0.2, 48727)
 @settings(max_examples=100, deadline=None)
 def test_cascade_matches_reference(length, qber, seed):
     # prefix parities and ledgered shuffles against the per-query reference:
@@ -522,6 +536,54 @@ def test_toeplitz_million_bit_key_matches_int_parity():
     for j in sorted(picks):
         window = (seed_int >> (len(seed) - j - length)) & mask
         assert amp.final_key[j] == (key_int & window).bit_count() & 1, j
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_fast_length_is_the_next_5_smooth_number():
+    # brute force, downward: the answer at n is n when n is 5-smooth, else
+    # the answer at n + 1
+    top = 20_000
+    above = top + 1
+    while not _is_5_smooth(above):
+        above += 1
+    for n in range(top, 0, -1):
+        above = n if _is_5_smooth(n) else above
+        assert _fast_length(n) == above, n
+    for n in range(2**20 - 2, 2**20 + 3):
+        m = n
+        while not _is_5_smooth(m):
+            m += 1
+        assert _fast_length(n) == m, n
+    assert _fast_length(2**20 + 1) == 2**5 * 3**8 * 5 == 1_049_760
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_window_sums_after_a_power_of_two(k):
+    # a seed of 2^k + 1 bits: the power-of-two transform would take 2^(k+1)
+    # points, the 5-smooth one about half as many
+    length = 2 ** (k - 1) + 1
+    rng = np.random.default_rng(k)
+    seed = rng.integers(0, 2, 2**k + 1).astype(np.uint8)
+    key = rng.integers(0, 2, length).astype(np.uint8)
+    sums = _window_sums(seed, key)
+    size = 2 ** (k + 1)
+    spectrum = np.fft.rfft(seed, size) * np.fft.rfft(key[::-1], size)
+    expected = np.rint(np.fft.irfft(spectrum, size)[length - 1 : len(seed)])
+    assert np.array_equal(sums, expected)
+    key_int = int("".join(map(str, key.tolist())), 2)
+    seed_int = int("".join(map(str, seed.tolist())), 2)
+    mask = (1 << length) - 1
+    direct = [
+        (key_int & (seed_int >> (len(seed) - j - length)) & mask).bit_count()
+        for j in range(len(sums))
+    ]
+    assert sums.tolist() == direct
 
 
 def test_window_sums_reject_inexact_rounding(monkeypatch):
