@@ -39,7 +39,13 @@ from .quantum import (
     collapse,
     outcome_probability,
 )
-from .randomness import BitSource, ConsumptionReport, RandomnessLedger, bernoulli_draw, unpack_bits
+from .randomness import (
+    BitSource,
+    ConsumptionReport,
+    RandomnessLedger,
+    bernoulli_digits,
+    unpack_bits,
+)
 
 MODES = ("per_block", "per_qubit")
 
@@ -52,10 +58,11 @@ _ALICE_BASIS, _ALICE_BITS = ("alice", "alice_basis"), ("alice", "alice_bits")
 _BOB_BASIS, _BOB_MEASUREMENT = ("bob", "bob_basis"), ("bob", "bob_measurement")
 _EVE = ("eve", "attack")
 
-# At about 100 bytes a node (an int key, a float and a dict slot: 6.0 MB
-# at the cap by tracemalloc for n=4, m=3), an attack's register memo stays
-# under 7 MB over all the sessions it runs, however few blocks repeat;
-# past this size it stops growing.
+# At about 250 bytes a node (an int key, a dict slot and a tuple of a
+# float, its digit string of about 53 bytes and an int: 16.1 MB at the cap
+# by tracemalloc for n=4, m=3), an attack's register memo stays under
+# 17 MB over all the sessions it runs, however few blocks repeat; past
+# this size it stops growing.
 _MEMO_NODES = 1 << 16
 
 
@@ -127,11 +134,13 @@ class _RegisterPaths:
     Bob's basis value (after `forced`) and one bit per outcome so far. The
     key's length and fields fix which (qubit, basis) its node measures
     (_key_steps), so `probs` maps a key to the node's snapped probability
-    of outcome 1 (`outcome_probability`). It is the attack's own memo, kept
-    across every session the attack runs: a value depends only on the
-    attack's unitary, sizes and the key, since a miss rebuilds the register
-    by replaying the key's steps with the same float operations. Only keys
-    and floats outlive a block. The walk draws from the generator directly
+    p1 of outcome 1 (`outcome_probability`) beside its binary digits
+    (`bernoulli_digits`), worked out once, on the miss. It is the attack's
+    own memo, kept across every session the attack runs: a value depends
+    only on the attack's unitary, sizes and the key, since a miss rebuilds
+    the register by replaying the key's steps with the same float
+    operations. Only keys, floats and digit strings outlive a block. The
+    walk draws from the generator directly, against each node's digits,
     and charges each stage once per block.
     """
 
@@ -177,17 +186,22 @@ class _RegisterPaths:
         probs, getrandbits = self.probs, self.getrandbits
         drawn = 0
         for _ in range(count):
-            p1 = probs.get(key)
-            if p1 is None:
-                p1 = self._miss(key)
-            outcome, digits = bernoulli_draw(getrandbits, p1)
-            drawn += digits
+            node = probs.get(key)
+            if node is None:
+                node = self._miss(key)
+            _, digits, outcome = node
+            for digit in digits:  # bernoulli_draw, inlined
+                drawn += 1
+                if getrandbits(1) != digit:
+                    outcome = digit
+                    break
             key = key << 1 | outcome
         return key, drawn
 
-    def _miss(self, key: int) -> float:
+    def _miss(self, key: int) -> tuple[float, bytes, int]:
         """Replay `key`'s steps from where the block's register stopped and
-        memoize its node's p1; its (p1, moved) serves the next step."""
+        memoize its node: p1 and ``bernoulli_digits(p1)``. Its (p1, moved)
+        serves the next step."""
         attack = self.attack
         basis, bits, steps, (qubit, node_basis) = _key_steps(attack, key)
         if self.state is None:  # the block's first miss builds its register
@@ -202,9 +216,11 @@ class _RegisterPaths:
             self.pending = None
         self.replayed = len(steps)
         self.pending = outcome_probability(self.state, qubit, Basis(node_basis))
+        p1 = self.pending[0]
+        node = (p1, *bernoulli_digits(p1))
         if len(self.probs) < _MEMO_NODES:
-            self.probs[key] = self.pending[0]
-        return self.pending[0]
+            self.probs[key] = node
+        return node
 
 
 def _key_steps(attack: BlockAttackSpec, key: int):
@@ -308,6 +324,8 @@ def run_session(
     if attack.variant == "unitary_block":
         register = _RegisterPaths(attack, source, forced)
     intercept = attack.variant == "intercept_resend"
+    if intercept:
+        digits, last = bernoulli_digits(attack.fraction)
     flips = _channel_flips(config)
     flip_masks = [0] * config.num_blocks if flips is None else _pack(flips)
 
@@ -329,10 +347,14 @@ def run_session(
             prep, value = alice_basis, alice_bits
             if intercept:
                 attacked, eve_basis, eve_bits, eve_spent = 0, 0, 0, 0
-                for _ in range(n):
-                    hit, drawn = bernoulli_draw(getrandbits, attack.fraction)
-                    attacked = attacked << 1 | hit
-                    eve_spent += drawn
+                for _ in range(n):  # bernoulli_draw, inlined
+                    for digit in digits:
+                        eve_spent += 1
+                        if getrandbits(1) != digit:
+                            break
+                    else:
+                        digit = last
+                    attacked = attacked << 1 | digit
                 if attacked:
                     count = 1 if attack.granularity == "per_block" else attacked.bit_count()
                     eve_basis = getrandbits(count)  # one basis per block, or per attacked qubit

@@ -10,7 +10,8 @@ Conventions, fixed across the package:
 - Measurement probabilities within 1e-12 of 0, 1/2 or 1 are snapped to
   that value (`outcome_probability`), so a certain outcome consumes no
   randomness and an even one costs a single fair bit; any other outcome is
-  drawn bit by bit (`randomness.bernoulli_draw`).
+  drawn against p's binary digits, one fair bit each until one differs
+  (`randomness.bernoulli_draw`).
 """
 
 from __future__ import annotations

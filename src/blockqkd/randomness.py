@@ -13,10 +13,11 @@ bit-exact:
   drawn and swapped in one loop, charged in one ledger record.
 - ``shuffled(n)`` is the Fisher-Yates shuffle from the top on the same
   draws, also one loop and one ledger record.
-- ``bernoulli(p)`` refines a uniform binary expansion one bit at a time and
-  stops as soon as the outcome is decided, charging the bits in one ledger
-  record. A deterministic branch (p within 1e-12 of 0 or 1) consumes no
-  bits; p = 1/2 consumes exactly one.
+- ``bernoulli(p)`` compares fair digits, drawn one at a time, with p's
+  binary digits (``bernoulli_digits``) and stops at the first that differs,
+  which decides the outcome (Knuth & Yao, 1976); the bits go to the ledger
+  in one record. A deterministic branch (p within 1e-12 of 0 or 1)
+  consumes no bits; p = 1/2 consumes exactly one.
 """
 
 from __future__ import annotations
@@ -141,13 +142,12 @@ class BitSource:
     def bernoulli(self, party: str, stage: str, p: float) -> int:
         """Return 1 with probability p, consuming the minimum number of bits.
 
-        Builds a uniform X in [0,1) one binary digit at a time and answers
-        X < p as soon as the remaining interval lies on one side of p
+        Draws fair digits against p's binary digits until one differs
         (`bernoulli_draw`). The digits drawn go to the ledger in one record.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError("probability must lie in [0, 1]")
-        outcome, drawn = bernoulli_draw(self._rng.getrandbits, p)
+        outcome, drawn = bernoulli_draw(self._rng.getrandbits, *bernoulli_digits(p))
         if drawn:
             self.ledger.record(party, stage, drawn)
         return outcome
@@ -158,29 +158,38 @@ class BitSource:
         return self._rng.getrandbits
 
 
-def bernoulli_draw(getrandbits, p: float) -> tuple[int, int]:
-    """One exact Bernoulli(p) trial on ``getrandbits(1)`` digits: (outcome,
-    digits drawn). No digit is drawn when p is within 1e-12 of 0 or 1."""
+def bernoulli_digits(p: float) -> tuple[bytes, int]:
+    """p's binary digits after the point, up to its last 1-digit, and the
+    outcome of a draw that matches them all: 0, since the drawn X then
+    equals p. A deterministic p (within 1e-12 of 0 or 1) has no digits,
+    and its outcome is 0 or 1."""
     if p < DETERMINISTIC_EPS:
-        return 0, 0
+        return b"", 0
     if p > 1.0 - DETERMINISTIC_EPS:
-        return 1, 0
-    lo = 0.0
-    half = 0.5
-    drawn = 1
-    while True:
-        if getrandbits(1):
-            lo += half
-        if lo >= p or lo + half <= p:
-            break
-        half *= 0.5
-        drawn += 1
-    return (0 if lo >= p else 1), drawn
+        return b"", 1
+    num, den = p.as_integer_ratio()  # den = 2**width, num odd
+    width = den.bit_length() - 1
+    return bytes(num >> (width - 1 - i) & 1 for i in range(width)), 0
+
+
+def bernoulli_draw(getrandbits, digits: bytes, outcome: int) -> tuple[int, int]:
+    """One exact Bernoulli(p) trial on ``getrandbits(1)`` digits, given
+    ``bernoulli_digits(p)``: (outcome, digits drawn). The uniform X whose
+    digits are drawn is below p exactly when its first digit that differs
+    from p's is a 0 where p has a 1, so that digit of p is the outcome."""
+    for drawn, digit in enumerate(digits, 1):
+        if getrandbits(1) != digit:
+            return digit, drawn
+    return outcome, len(digits)
 
 
 def unpack_bits(values, n: int) -> np.ndarray:
     """(len(values), n) uint8 bits of n-bit ints, position i from bit n-1-i:
-    a getrandbits(n) value's first drawn bit is its top bit."""
+    a getrandbits(n) value's first drawn bit is its top bit. Values of at
+    most 64 bits are read as one big-endian uint64 array."""
+    if n <= 64:
+        words = np.array(values, dtype=">u8").view(np.uint8)
+        return np.unpackbits(words).reshape(-1, 64)[:, 64 - n :]
     step = -(-n // 8)
     raw = b"".join(v.to_bytes(step, "big") for v in values)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).reshape(len(values), 8 * step)

@@ -30,7 +30,7 @@ from blockqkd.quantum import (
     outcome_probability,
     random_unitary,
 )
-from blockqkd.randomness import BitSource
+from blockqkd.randomness import BitSource, bernoulli_digits
 from circuit_oracle import Apply, Circuit, Measure, Prep, enumerate_outcomes
 from measurement_reference import empirical_joint, measure
 from row_reference import flip_rows, intercept_resend, measure_rows
@@ -565,7 +565,7 @@ def _reference_row_session(config, attack, forced):
 
 _ROW_ATTACKS = [BlockAttackSpec.none()] + [
     BlockAttackSpec.intercept(fraction, granularity)
-    for fraction in (0.0, 1e-13, 0.3, 1.0)
+    for fraction in (0.0, 1e-13, 0.3, 1.0, 0.25, 0.5, 1 - 5e-13)
     for granularity in ("per_qubit", "per_block")
 ]
 
@@ -795,7 +795,8 @@ def test_register_memo_keys_replay_to_their_probabilities(n, m, delayed):
         config = ProtocolConfig(n, 30, "per_block", flip, seed=400 + k)
         run_session(config, attack, force_shared_basis=forced)
     assert attack._register_memo
-    for key, p1 in attack._register_memo.items():
+    for key, (p1, digits, outcome) in attack._register_memo.items():
+        assert (digits, outcome) == bernoulli_digits(p1)
         basis, bits, steps, (qubit, node_basis) = decoded = _decode_key(attack, key)
         assert protocol._key_steps(attack, key) == decoded
         state = entangle_block(bb84_rows(bits, Basis(basis)), u, m)

@@ -14,6 +14,7 @@ from blockqkd.randomness import (
     BitSource,
     ConsumptionReport,
     RandomnessLedger,
+    bernoulli_digits,
     consumption_ratio,
     unpack_bits,
 )
@@ -64,6 +65,16 @@ def test_draw_bits_reads_each_value_from_its_top_bit(count):
     assert out.dtype == np.uint8
     assert out.tolist() == [value >> (count - 1 - i) & 1 for i in range(count)]
     assert unpack_bits([5, 0, 7], 3).tolist() == [[1, 0, 1], [0, 0, 0], [1, 1, 1]]
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000])
+def test_unpack_bits_on_both_sides_of_64(n):
+    # up to 64 bits a value is read as one uint64 word, past that byte by byte
+    values = [v for v in (0, 1, (1 << n) - 1, 1 << 63) if v < 1 << n]
+    out = unpack_bits(values, n)
+    assert out.dtype == np.uint8
+    assert out.tolist() == [[v >> (n - 1 - i) & 1 for i in range(n)] for v in values]
+    assert unpack_bits([], n).shape == (0, n)
 
 
 def test_bits_are_binary():
@@ -146,7 +157,9 @@ def test_bernoulli_returns_bit_and_counts(p):
 
 
 def _bernoulli_reference(source, party, stage, p):
-    """Bit-by-bit sampler, one ledger record per drawn bit."""
+    """Bit-by-bit sampler on a float interval: each drawn bit halves
+    [lo, lo + half) until it lies on one side of p. One ledger record per
+    drawn bit."""
     if p < DETERMINISTIC_EPS:
         return 0
     if p > 1.0 - DETERMINISTIC_EPS:
@@ -178,6 +191,11 @@ def _bernoulli_reference(source, party, stage, p):
     ),
 )
 @example(seed=0, draws=[(("eve", "attack"), 1e-300), (("bob", "bob_measurement"), 0.3)])
+# dyadic p: a draw can match every digit, and must then answer 0
+@example(seed=1, draws=[(("eve", "attack"), p) for p in (0.25, 0.75, 0.3) * 8])
+@example(seed=2, draws=[(("eve", "attack"), p) for p in (0.25, 0.75) * 12])
+# 39 digits just above the deterministic cutoff, and about 92 digits
+@example(seed=3, draws=[(("eve", "attack"), p) for p in (2**-39, 1 - 2**-39, 1.0000001e-12) * 4])
 @settings(max_examples=150)
 def test_bernoulli_matches_per_bit_loop(seed, draws):
     batch, reference = BitSource(seed), BitSource(seed)
@@ -187,6 +205,22 @@ def test_bernoulli_matches_per_bit_loop(seed, draws):
         )
     assert list(batch.ledger.counts.items()) == list(reference.ledger.counts.items())
     assert batch._rng.getstate() == reference._rng.getstate()
+
+
+@given(st.floats(min_value=0.0, max_value=1.0))
+@example(DETERMINISTIC_EPS)
+@example(1.0 - DETERMINISTIC_EPS)
+@example(2**-39)
+@example(1.0000001e-12)
+@example(0.25)
+def test_bernoulli_digits_sum_to_p(p):
+    digits, outcome = bernoulli_digits(p)
+    if p < DETERMINISTIC_EPS or p > 1.0 - DETERMINISTIC_EPS:
+        assert (digits, outcome) == (b"", int(p > 0.5))
+        return
+    assert sum(Fraction(d, 2 ** (i + 1)) for i, d in enumerate(digits)) == Fraction(p)
+    assert digits[-1] == 1 and set(digits) <= {0, 1}
+    assert outcome == 0
 
 
 def test_bernoulli_rejects_out_of_range():
