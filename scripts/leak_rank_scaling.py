@@ -41,9 +41,9 @@ def main() -> int:
     rank_seconds = []
     leak_rank = postprocess._leak_rank
 
-    def timed(orders, segments):
+    def timed(orders, cuts):
         started = time.perf_counter()
-        rank = leak_rank(orders, segments)
+        rank = leak_rank(orders, cuts)
         rank_seconds.append(time.perf_counter() - started)
         return rank
 

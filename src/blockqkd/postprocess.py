@@ -8,8 +8,7 @@ Fixing a bit flips the parity of the blocks that contain it in every other
 pass, which re-queues them; those follow-up searches are what lets one
 disclosed error correct several. Both parties remember every parity already
 exchanged, so a re-searched block only pays for segments never disclosed
-before. Alice's parity of a segment is the XOR of two of her prefix
-parities in its pass's order, and Bob's differs from it exactly when the
+before. Bob's parity of a segment differs from Alice's exactly when the
 segment holds an odd number of his errors. The simulator holds both keys,
 so each pass keeps the sorted ranks of Bob's remaining errors in its order:
 a comparison is two bisections and a fix deletes one rank per pass.
@@ -22,7 +21,7 @@ every pass after the first discloses at least one dependent parity. A
 linear map of rank r takes at most 2^r values, so H_min(X|E,C) >=
 H_min(X|E) - r: charging the rank is sound, and it never charges more than
 counting parities would, since r is at most their number. The rank is
-taken once reconciliation ends, from the segments each pass disclosed
+taken once reconciliation ends, from the points where each pass was cut
 (_leak_rank). A spanning forest over the atoms of the first two passes
 counts their rank, and the later passes' atoms add the rank of the cycles'
 residuals. That rank is certified, not eliminated in full: the residuals
@@ -62,9 +61,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -170,25 +167,6 @@ class ParitySpan:
                     y |= 1 << lead
             out.append(y)
         return out
-
-
-def _atom_runs(
-    orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """For each pass p, the atom holding each step of orders[p] and the
-    steps where its atoms start: the segment ends of pass p, with 0, cut
-    orders[p] into atoms."""
-    n = len(orders[0])
-    told = np.fromiter(chain.from_iterable(segments), dtype=np.intp).reshape(-1, 3)
-    # one row of cut flags per pass: row p, column s is set when a segment
-    # of pass p starts or stops at s
-    cut = np.zeros((len(orders), n + 1), dtype=bool)
-    cut[told[:, 0], told[:, 1]] = True
-    cut[told[:, 0], told[:, 2]] = True
-    cut[:, 0] = True
-    starts = [np.flatnonzero(row[:n]) for row in cut]
-    atom_at = [np.repeat(np.arange(len(s)), np.diff(s, append=n)) for s in starts]
-    return atom_at, starts
 
 
 class _Forest:
@@ -370,17 +348,16 @@ def _independent(products: np.ndarray, most: int) -> list[int]:
     return picked
 
 
-def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]]) -> int:
-    """GF(2) rank of the parities of orders[p][start:stop] over all
-    (p, start, stop) in segments, computed without n-bit vectors. orders[0]
-    is the identity: pass 0 reads the key in place.
+def _leak_rank(orders: list[np.ndarray], cuts: np.ndarray) -> int:
+    """GF(2) rank of the parities cascade disclosed, computed without n-bit
+    vectors. Row p of cuts flags the points 0 .. n of orders[p] where pass
+    p's disclosed segments start or stop, 0 and n among them; orders[0] is
+    the identity: pass 0 reads the key in place.
 
-    If every cut point of a pass is joined to 0 by a chain of its segments,
-    as in cascade (each pass discloses all its blocks, and each search
-    segment starts at a point already cut), the pass's parities span
-    exactly its atoms' indicator vectors; otherwise that span is larger and
-    the result an upper bound. Every position lies in one atom per pass, so
-    the rank is that of the atoms-by-positions incidence matrix.
+    A pass's parities span exactly its atoms' indicator vectors, the runs
+    between its consecutive cut points (see cascade). Every position lies
+    in one atom per pass, so the rank is that of the atoms-by-positions
+    incidence matrix.
 
     Passes 0 and 1 hold most atoms. Their atoms are the nodes of a graph
     whose edges are the positions (_Forest), each labelled with the later
@@ -408,10 +385,11 @@ def _leak_rank(orders: list[np.ndarray], segments: Iterable[tuple[int, int, int]
     Memory stays O(n): labels are replayed on the forest a few words at a
     time, and only the sample's rows are ever built.
     """
-    atom_at, starts = _atom_runs(orders, segments)
+    n = len(orders[0])
+    starts = [np.flatnonzero(row[:n]) for row in cuts]
+    atom_at = [np.repeat(np.arange(len(s)), np.diff(s, append=n)) for s in starts]
     if len(orders) == 1:
         return len(starts[0])
-    n = len(orders[0])
     order1 = np.asarray(orders[1], dtype=np.intp)
     atom1 = np.empty(n, dtype=np.intp)
     atom1[order1] = atom_at[1]
@@ -492,18 +470,18 @@ def cascade(
 
     # Pass p reads the key in orders[p], ranks[p][i] being position i's
     # index there, and cuts it into blocks of sizes[p]. errors[p] holds the
-    # sorted ranks in pass p of Bob's remaining errors, and byte k of
-    # alice_prefix[p] the parity of Alice's first k bits in pass order.
+    # sorted ranks in pass p of Bob's remaining errors.
     orders: list[np.ndarray] = []
     ranks: list[np.ndarray] = []
     sizes: list[int] = []
     errors: list[list[int]] = []
-    alice_prefix: list[bytes] = []
     queue: list[tuple[int, int]] = []
-    # Alice's parities, once disclosed, are remembered by both parties and
-    # never change, so a segment is disclosed at most once; keyed by
-    # (pass, start, stop) over the pass's order.
-    told: dict[tuple[int, int, int], int] = {}
+    # cuts[p, s] is set when a disclosed segment of pass p starts or stops
+    # at s; both parties remember it, so each cut point past 0 is one parity.
+    # A segment starts at a point already cut (a block start or an earlier
+    # halving point), so a pass's parities span exactly its atoms, the runs
+    # between its consecutive cut points (_leak_rank).
+    cuts = np.zeros((CASCADE_PASSES, n + 1), dtype=np.uint8)
 
     def odd(p: int, b: int) -> bool:
         """Whether block b of pass p holds an odd number of Bob's errors."""
@@ -516,13 +494,13 @@ def cascade(
         # number of errors. The right half never needs disclosure (parent
         # XOR left), so a fresh segment costs exactly one parity per
         # halving step. errors[p][first:last] are the errors in [lo, hi).
-        found, prefix = errors[p], alice_prefix[p]
+        found = errors[p]
         lo = b * sizes[p]
         hi = min(lo + sizes[p], n)
         first, last = bisect_left(found, lo), bisect_left(found, hi)
         while hi - lo > 1:
             mid = lo + (hi - lo + 1) // 2
-            told.setdefault((p, lo, mid), prefix[lo] ^ prefix[mid])
+            cuts[p, mid] = 1
             split = bisect_left(found, mid, first, last)
             if (split - first) & 1:
                 hi, last = mid, split
@@ -557,11 +535,9 @@ def cascade(
         sizes.append(size)
         wrong = np.sort(rank.take(errors[0] if p else np.flatnonzero(alice != bob)))
         errors.append(wrong.tolist())
-        prefix = b"\0" + np.bitwise_xor.accumulate(alice[order]).tobytes()
-        alice_prefix.append(prefix)
         # each block's top-level parity is disclosed here, once
-        cuts = [*range(0, n, size), n]
-        told.update(((p, s, t), prefix[s] ^ prefix[t]) for s, t in zip(cuts, cuts[1:]))
+        cuts[p, ::size] = 1
+        cuts[p, n] = 1
         queue.extend((p, b) for b in np.flatnonzero(np.bincount(wrong // size) & 1).tolist())
         drain()
 
@@ -570,7 +546,7 @@ def cascade(
     corrected[np.array(errors[0], dtype=np.intp)] ^= 1
     return ReconciliationResult(
         corrected_key=corrected,
-        disclosed_parities=_leak_rank(orders, told),
+        disclosed_parities=_leak_rank(orders, cuts),
         passes=CASCADE_PASSES,
         residual_mismatches=len(errors[0]),
     )
@@ -670,8 +646,6 @@ def pipeline(
         raise ValueError("safety_margin must be >= 0")
     if report.sifted_bits == 0:
         raise ValueError("session produced an empty sifted key")
-    if report.source is None:
-        raise ValueError("report carries no randomness source to continue")
     empty = np.zeros(0, dtype=np.uint8)
     disclosed = np.asarray(report.disclosed_indices, dtype=np.int64)
     alice = np.delete(report.alice_key, disclosed)

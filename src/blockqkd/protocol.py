@@ -117,8 +117,11 @@ class SessionReport:
     alice_key: np.ndarray
     bob_key: np.ndarray
     eve_symbols: tuple | None
-    ledger: RandomnessLedger
-    source: BitSource = field(repr=False, default=None)
+    source: BitSource = field(repr=False)
+
+    @property
+    def ledger(self) -> RandomnessLedger:
+        return self.source.ledger
 
     @property
     def consumption(self) -> ConsumptionReport:
@@ -428,7 +431,6 @@ def run_session(
         alice_key=alice_key,
         bob_key=bob_key,
         eve_symbols=None if attack.variant == "none" else tuple(symbols),
-        ledger=source.ledger,
         source=source,
     )
 

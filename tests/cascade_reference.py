@@ -1,10 +1,11 @@
 """The block-parity reconciliation that `postprocess.cascade` is checked
-against, parity for parity.
+against, cut point for cut point.
 
 Every parity is read off the key as it stands, one numpy reduction per
 query, and each shuffle draws its indices one rejection loop at a time,
-charging every attempt to (shared, ec_permutation). The leak is the same
-`_leak_rank` of the disclosed segments.
+charging every attempt to (shared, ec_permutation). The leak is the
+column elimination of `rank_reference.leak_rank_reference` over the
+disclosed segments, not the package's certificate.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from blockqkd.postprocess import (
     MIN_KEY_LENGTH,
     QBER_FLOOR,
     ReconciliationResult,
-    _leak_rank,
 )
 from blockqkd.randomness import BitSource
+from rank_reference import leak_rank_reference
 
 
 def _parity(key: np.ndarray, idx: np.ndarray) -> int:
@@ -136,7 +137,7 @@ def cascade_reference(
     residual = int(np.count_nonzero(alice != working))
     result = ReconciliationResult(
         corrected_key=working,
-        disclosed_parities=_leak_rank(orders, told),
+        disclosed_parities=leak_rank_reference(orders, told),
         passes=CASCADE_PASSES,
         residual_mismatches=residual,
     )

@@ -151,18 +151,18 @@ def test_cascade_estimate_floor_and_clamp():
 @example(MIN_KEY_LENGTH, 0.2, 48727)
 @settings(max_examples=100, deadline=None)
 def test_cascade_matches_reference(length, qber, seed):
-    # prefix parities and ledgered shuffles against the per-query reference:
-    # same corrections, the same segments with the same parities, the same
-    # leak, ledger and generator state
+    # error lists and ledgered shuffles against the per-query reference:
+    # same corrections, the same cut points, the same leak (against the
+    # reference's column elimination), ledger and generator state
     rng = np.random.default_rng(seed)
     alice = rng.integers(0, 2, length).astype(np.uint8)
     bob = alice ^ (rng.random(length) < qber).astype(np.uint8)
     source, twin = BitSource(seed), BitSource(seed)
     calls = []
 
-    def recording(orders, segments):
-        calls.append(dict(segments))
-        return _leak_rank(orders, segments)
+    def recording(orders, cuts):
+        calls.append((orders, cuts))
+        return _leak_rank(orders, cuts)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(postprocess, "_leak_rank", recording)
@@ -171,7 +171,8 @@ def test_cascade_matches_reference(length, qber, seed):
     assert np.array_equal(result.corrected_key, expected.corrected_key)
     assert result.disclosed_parities == expected.disclosed_parities
     assert result.residual_mismatches == expected.residual_mismatches
-    assert calls == [told]
+    [(orders, cuts)] = calls
+    assert np.array_equal(cuts, _cut_rows(orders, told))
     assert source.ledger.counts == twin.ledger.counts
     assert source._rng.getstate() == twin._rng.getstate()
 
@@ -273,6 +274,26 @@ def _segment_families(draw, min_n=4, max_n=40, passes=None, small_blocks=False):
     return orders, sorted(segments)
 
 
+def _cut_rows(orders, segments) -> np.ndarray:
+    """The cut rows `_leak_rank` reads: row p flags 0 and each start and
+    stop of a segment of pass p."""
+    cuts = np.zeros((len(orders), len(orders[0]) + 1), dtype=np.uint8)
+    for p, start, stop in segments:
+        cuts[p, [start, stop]] = 1
+    cuts[:, 0] = 1
+    return cuts
+
+
+def _atom_segments(cuts) -> list[tuple[int, int, int]]:
+    """(p, a, b) for each pair of consecutive cut points a < b of pass p:
+    pass p's atoms, which span what its disclosed segments span."""
+    out = []
+    for p, row in enumerate(cuts):
+        points = np.flatnonzero(row).tolist()
+        out += [(p, a, b) for a, b in zip(points, points[1:])]
+    return out
+
+
 def _segment_rows(orders, segments) -> np.ndarray:
     rows = np.zeros((len(segments), len(orders[0])), dtype=np.uint8)
     for row, (p, start, stop) in zip(rows, segments):
@@ -287,19 +308,20 @@ def _segment_rows(orders, segments) -> np.ndarray:
 @settings(max_examples=200, deadline=None)
 def test_leak_rank_matches_dense_elimination(family):
     orders, segments = family
-    rank = _leak_rank(orders, segments)
+    rank = _leak_rank(orders, _cut_rows(orders, segments))
     assert rank == _dense_rank(_segment_rows(orders, segments))
     assert rank <= len(segments)
 
 
 def test_cascade_leak_is_rank_of_disclosed_parities(monkeypatch):
-    # Record the segments cascade disclosed, then check the reported leak
-    # against a dense elimination of their parity vectors.
+    # Record where cascade cut each pass, then check the reported leak
+    # against a dense elimination of the parity vectors of its atoms and of
+    # the segments the per-query reference disclosed on the same keys.
     calls = []
 
-    def recording(orders, segments):
-        calls.append((orders, list(segments)))
-        return _leak_rank(orders, calls[-1][1])
+    def recording(orders, cuts):
+        calls.append((orders, cuts))
+        return _leak_rank(orders, cuts)
 
     monkeypatch.setattr(postprocess, "_leak_rank", recording)
     for trial in range(3):
@@ -308,23 +330,30 @@ def test_cascade_leak_is_rank_of_disclosed_parities(monkeypatch):
         bob = (alice ^ (rng.random(600) < 0.1)).astype(np.uint8)
         result = cascade(alice, bob, 0.1, BitSource(3200 + trial))
         assert result.residual_mismatches == 0
-        orders, segments = calls[-1]
-        assert result.disclosed_parities == _dense_rank(_segment_rows(orders, segments))
-        # each later pass's top-level parities sum to the whole-key parity
-        assert len(segments) - result.disclosed_parities >= CASCADE_PASSES - 1
+        orders, cuts = calls[-1]
+        rows = _segment_rows(orders, _atom_segments(cuts))
+        assert result.disclosed_parities == _dense_rank(rows)
+        _, told = cascade_reference(alice, bob, 0.1, BitSource(3200 + trial))
+        assert result.disclosed_parities == _dense_rank(_segment_rows(orders, told))
+        # each cut point past 0 is one disclosed parity, and each later
+        # pass's top-level parities sum to the whole-key parity
+        disclosed = int(cuts.sum()) - CASCADE_PASSES
+        assert len(told) == disclosed
+        assert disclosed - result.disclosed_parities >= CASCADE_PASSES - 1
 
 
 def _disclosed(length, qber, seed):
-    """cascade's pass orders, disclosed segments and reported leak on a
-    fixed synthetic key pair with independent flips at rate qber."""
+    """cascade's pass orders, the atoms its cut points define and its
+    reported leak on a fixed synthetic key pair with independent flips at
+    rate qber."""
     rng = np.random.default_rng(seed)
     alice = rng.integers(0, 2, length).astype(np.uint8)
     bob = alice ^ (rng.random(length) < qber).astype(np.uint8)
     calls = []
 
-    def recording(orders, segments):
-        calls.append((orders, dict(segments)))
-        return _leak_rank(orders, segments)
+    def recording(orders, cuts):
+        calls.append((orders, _atom_segments(cuts)))
+        return _leak_rank(orders, cuts)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(postprocess, "_leak_rank", recording)
@@ -343,7 +372,7 @@ def test_leak_rank_below_its_upper_bound_matches_reference(length, qber, seed):
     bound, _ = upper_bound(orders, segments)
     expected = leak_rank_reference(orders, segments)
     assert expected < bound
-    assert reported == _leak_rank(orders, segments) == expected
+    assert reported == _leak_rank(orders, _cut_rows(orders, segments)) == expected
 
 
 def test_leak_rank_matches_reference_on_a_disconnected_graph():
@@ -374,7 +403,7 @@ def _sampled_on_the_forest(seed, n=480):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(postprocess, "_Forest", Recording)
-        _leak_rank(orders, segments)
+        _leak_rank(orders, _cut_rows(orders, segments))
     on_tree = np.zeros(n, dtype=bool)
     on_tree[forests[0].tree] = True
     tree, free = np.flatnonzero(on_tree), np.flatnonzero(~on_tree)
@@ -405,7 +434,7 @@ def test_leak_rank_refills_a_short_sample(seed, monkeypatch):
         return residuals(*args)
 
     monkeypatch.setattr(postprocess, "_residuals", counting)
-    rank = _leak_rank(orders, segments)
+    rank = _leak_rank(orders, _cut_rows(orders, segments))
     assert len(batches) > 1
     assert rank == leak_rank_reference(orders, segments)
     assert rank == _dense_rank(_segment_rows(orders, segments))
@@ -694,7 +723,6 @@ def test_pipeline_reconciliation_failed():
         alice_key=alice,
         bob_key=bob,
         eve_symbols=None,
-        ledger=BitSource(902).ledger,
         source=BitSource(902),
     )
     rates = RateReport(1.0, 0.0, 0.0, 1.0, True)
