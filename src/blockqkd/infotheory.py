@@ -2,7 +2,8 @@
 
 All logarithms are base 2; every quantity is in bits. Distributions are
 exact probability tables keyed by outcome tuples; the package builds them
-by counting a session's outcomes (protocol.empirical_rates).
+by counting a session's integer columns, its two sifted keys and Eve's
+codes (protocol.empirical_rates).
 """
 
 from __future__ import annotations

@@ -100,10 +100,16 @@ class SessionReport:
 
     alice_key/bob_key are the full sifted keys (disclosed estimation
     positions included, so qber_true is computed over all sifted bits);
-    downstream consumers must drop disclosed_indices. eve_symbols aligns
-    with the sifted keys, one opaque symbol per position, None when no
-    attack was configured. `source` keeps the session's randomness source
-    alive so post-processing continues the same ledger.
+    downstream consumers must drop disclosed_indices. eve_symbols is Eve's
+    view as one uint16 code per sifted position, None when no attack was
+    configured. Under intercept_resend it is 0 where Eve stayed out, else
+    1 + 2 * her bit + whether her basis matched the announced one. Under
+    unitary_block it is her block's code, the same at each of its n
+    positions: ``first << m | outcomes``, where `first` is the announced
+    basis value (delayed) or whether her guessed basis matched it
+    (immediate) and `outcomes` are her m ancilla outcomes, the first at the
+    top bit. `source` keeps the session's randomness source alive so
+    post-processing continues the same ledger.
     """
 
     config: ProtocolConfig
@@ -116,7 +122,7 @@ class SessionReport:
     disclosed_indices: np.ndarray
     alice_key: np.ndarray
     bob_key: np.ndarray
-    eve_symbols: tuple | None
+    eve_symbols: np.ndarray | None
     source: BitSource = field(repr=False)
 
     @property
@@ -150,14 +156,12 @@ class _RegisterPaths:
     def __init__(self, attack, source, forced):
         self.attack, self.forced, self.probs = attack, forced, attack._register_memo
         self.getrandbits, self.spent = source.unledgered(), source.ledger.counts
-        m = attack.num_ancillas
-        self.eve_bits = [tuple(v >> (m - 1 - j) & 1 for j in range(m)) for v in range(1 << m)]
 
     def run_block(self, announced: int, bits: int, flips: int):
         """Eve's attack, the channel, Bob's measurement and Eve's delayed
         measurement on one block, given Alice's basis value and bit and flip
         masks (position i at bit n-1-i): (Bob's basis value, his outcome
-        mask, Eve's symbol)."""
+        mask, Eve's code)."""
         attack, spent, getrandbits = self.attack, self.spent, self.getrandbits
         n, m = attack.num_block_qubits, attack.num_ancillas
         key = (2 | announced) << n | bits
@@ -166,7 +170,7 @@ class _RegisterPaths:
             guess = getrandbits(1)
             key, drawn = self._walk((key << 1 | guess) if m else key, m)
             spent[_EVE] = spent.get(_EVE, 0) + 1 + drawn
-            symbol = (guess == announced, self.eve_bits[key & (1 << m) - 1])
+            symbol = (guess == announced) << m | key & (1 << m) - 1
         bob_basis = getrandbits(1)
         spent[_BOB_BASIS] = spent.get(_BOB_BASIS, 0) + 1
         if self.forced is not None:
@@ -179,7 +183,7 @@ class _RegisterPaths:
             key, drawn = self._walk(key, m)
             if drawn:
                 spent[_EVE] = spent.get(_EVE, 0) + drawn
-            symbol = (announced, self.eve_bits[key & (1 << m) - 1])
+            symbol = announced << m | key & (1 << m) - 1
         self.state = self.pending = None
         return bob_basis, outcomes, symbol
 
@@ -336,7 +340,7 @@ def run_session(
         return -forced & full if forced is not None else -drawn & full if width == 1 else drawn
 
     kept_rows: list[tuple] = []  # Alice's bits, Bob's outcomes, kept, Eve's masks
-    symbols: list = []
+    symbols: list = []  # Eve's codes (SessionReport), one per kept unitary_block block
     attacked = eve_basis = eve_bits = 0
     for flip in flip_masks:
         alice_basis = basis_mask(getrandbits(width))
@@ -387,22 +391,15 @@ def run_session(
             continue
         kept_rows.append((alice_bits, outcomes, kept, attacked, eve_bits, eve_basis ^ alice_basis))
         if register is not None:
-            # One symbol per block, the same for each of its kept bits:
-            # the announced basis (or guess-match flag) and her ancilla bits.
-            symbols.extend([symbol] * n)
+            symbols.append(symbol)
 
     if kept_rows:
         columns = list(zip(*kept_rows))
         keep = unpack_bits(columns[2], n).astype(bool)
         alice_key, bob_key = (unpack_bits(column, n)[keep] for column in columns[:2])
         if intercept:
-            # '?' where Eve stayed out, else (her bit, whether her basis
-            # matched the announced one).
-            attacked, eve_bits, differs = (unpack_bits(c, n)[keep].tolist() for c in columns[3:])
-            symbols = [
-                (bit, not differ) if hit else "?"
-                for hit, bit, differ in zip(attacked, eve_bits, differs)
-            ]
+            attacked, eve_bits, differs = (unpack_bits(c, n)[keep] for c in columns[3:])
+            symbols = 2 * eve_bits + attacked * (2 - differs)
     else:
         alice_key = np.zeros(0, dtype=np.uint8)
         bob_key = alice_key.copy()
@@ -419,6 +416,9 @@ def run_session(
     else:
         # Too short to sample: no estimate, so pipeline distils no key.
         qber_estimated, disclosed = 0.0, np.zeros(0, dtype=np.int32)
+    eve_symbols = None
+    if attack.variant != "none":  # a unitary_block code is its block's, n times
+        eve_symbols = np.repeat(np.array(symbols, dtype=np.uint16), 1 if intercept else n)
     return SessionReport(
         config=config,
         attack=attack,
@@ -430,7 +430,7 @@ def run_session(
         disclosed_indices=disclosed,
         alice_key=alice_key,
         bob_key=bob_key,
-        eve_symbols=None if attack.variant == "none" else tuple(symbols),
+        eve_symbols=eve_symbols,
         source=source,
     )
 
@@ -502,23 +502,17 @@ def empirical_rates(report: SessionReport) -> RateReport:
     )
 
 
-def _joint_counts(columns: list, variables: tuple[str, ...]) -> JointDistribution:
-    """Plug-in frequency table of the rows of `columns` (0/1 key arrays,
-    then Eve's symbols if any), counted with numpy: each outcome tuple, in
-    order of first occurrence, with its frequency."""
+def _joint_counts(columns: list[np.ndarray], variables: tuple[str, ...]) -> JointDistribution:
+    """Plug-in frequency table of the rows of integer `columns` (the 0/1
+    keys, then Eve's codes if any), counted with numpy: each outcome tuple,
+    in order of first occurrence, with its frequency."""
     length = len(columns[0])
     code = np.zeros(length, dtype=np.int32)
     for column in columns:
-        if not isinstance(column, np.ndarray):
-            index: dict = {}
-            column = np.fromiter(
-                (index.setdefault(s, len(index)) for s in column), np.int32, length
-            )
         code = code * (int(column.max()) + 1) + column
     _, first, counts = np.unique(code, return_index=True, return_counts=True)
     table = {}
     for k in np.argsort(first):
         i = first[k]
-        outcome = tuple(int(c[i]) if isinstance(c, np.ndarray) else c[i] for c in columns)
-        table[outcome] = int(counts[k]) / length
+        table[tuple(int(c[i]) for c in columns)] = int(counts[k]) / length
     return JointDistribution(variables, table)

@@ -7,7 +7,10 @@ estimate.
 - `delayed_measurement` is Eve's measurement of her kept singlet halves and
   ancillas once the basis is public, built on `measure`.
 - `empirical_joint` is the plug-in frequency table of a list of outcome
-  tuples, which `protocol._joint_counts` reproduces with numpy.
+  tuples, which `protocol._joint_counts` reproduces with numpy over integer
+  columns.
+- `eve_tuples` decodes a session's integer codes for Eve's view back into
+  one Python tuple per sifted position, the form the references build.
 """
 
 from __future__ import annotations
@@ -77,3 +80,24 @@ def empirical_joint(
         counts[key] = counts.get(key, 0) + 1
     n = len(samples)
     return JointDistribution(variables, {k: c / n for k, c in counts.items()})
+
+
+def eve_tuples(report) -> tuple | None:
+    """`report.eve_symbols` decoded into one Python tuple per sifted
+    position, with the types the references build; None with no attack.
+    intercept_resend: '?' where Eve stayed out, else (her bit: int, her
+    basis matched the announced one: bool). unitary_block: (the announced
+    basis value: int when delayed, or her guess matched it: bool when
+    immediate; her m ancilla outcomes as a tuple of ints, first ancilla
+    first)."""
+    if report.eve_symbols is None:
+        return None
+    codes = report.eve_symbols.tolist()
+    attack = report.attack
+    if attack.variant == "intercept_resend":
+        return tuple("?" if c == 0 else ((c - 1) >> 1, bool((c - 1) & 1)) for c in codes)
+    m = attack.num_ancillas
+    first = int if attack.delayed else bool
+    return tuple(
+        (first(c >> m), tuple(c >> (m - 1 - j) & 1 for j in range(m))) for c in codes
+    )

@@ -23,7 +23,7 @@ from blockqkd.quantum import Basis
 from blockqkd.randomness import BitSource, consumption_ratio
 from circuit_oracle import Circuit, Measure, Prep, PrepSinglet, enumerate_outcomes, mixture
 from circuit_sampling import RandomCoin, sample_circuit
-from measurement_reference import empirical_joint
+from measurement_reference import empirical_joint, eve_tuples
 
 MC_TRIALS = 100_000
 
@@ -249,7 +249,7 @@ def test_criterion_6_oracle_agreement():
         report = run_session(config, full_intercept, force_shared_basis=prep_basis)
         readouts = [
             eve_bit == alice_bit
-            for (eve_bit, matched), alice_bit in zip(report.eve_symbols, report.alice_key)
+            for (eve_bit, matched), alice_bit in zip(eve_tuples(report), report.alice_key)
             if not matched
         ]
         freq = sum(readouts) / len(readouts)
@@ -367,7 +367,7 @@ def test_criterion_6_oracle_agreement():
     config = ProtocolConfig(100, 2 * MC_TRIALS // 100, "per_qubit", seed=616)
     report = run_session(config, full_intercept)
     triples = list(
-        zip(report.alice_key.tolist(), report.bob_key.tolist(), report.eve_symbols)
+        zip(report.alice_key.tolist(), report.bob_key.tolist(), eve_tuples(report))
     )
     joint = empirical_joint(triples, ("alice", "bob", "eve"))
     assert abs(mutual_information(joint, "eve", "alice") - exact_iea) <= 0.02

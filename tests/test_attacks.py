@@ -34,7 +34,7 @@ from blockqkd.quantum import (
 from blockqkd.randomness import BitSource
 from circuit_oracle import Circuit, Measure, PrepSinglet, enumerate_outcomes
 from density_reference import project, reduced_density
-from measurement_reference import delayed_measurement, measure
+from measurement_reference import delayed_measurement, eve_tuples, measure
 from reduction_reference import verify_reduction_reference
 
 IDENTITY4 = UnitarySpec.from_matrix(np.eye(4))
@@ -91,14 +91,14 @@ def test_intercept_zero_fraction_is_transparent():
     report = run_session(config, BlockAttackSpec.intercept(0.0, "per_qubit"))
     assert np.array_equal(report.alice_key, clean.alice_key)
     assert np.array_equal(report.bob_key, clean.bob_key)
-    assert set(report.eve_symbols) == {"?"}
+    assert set(eve_tuples(report)) == {"?"}
     assert report.ledger.get("eve", "attack") == 0
     assert report.ledger.counts == clean.ledger.counts
 
 
 def test_intercept_full_reprepares_in_eve_basis():
     report = intercept_session(1.0, "per_qubit", seed=2, n=8)
-    mismatched = sum(1 for _, matched in report.eve_symbols if not matched)
+    mismatched = sum(1 for _, matched in eve_tuples(report) if not matched)
     assert 0 < mismatched < report.raw_qubits
     # selection at p=1 is free, one basis bit per qubit, one fair bit per
     # basis mismatch
@@ -110,7 +110,7 @@ def test_intercept_full_reprepares_in_eve_basis():
 
 def test_intercept_per_block_uses_one_basis():
     report = intercept_session(1.0, "per_block", seed=3, n=16, num_blocks=40)
-    matched = np.array([m for _, m in report.eve_symbols]).reshape(40, 16)
+    matched = np.array([m for _, m in eve_tuples(report)]).reshape(40, 16)
     assert (matched == matched[:, :1]).all()
     assert matched[:, 0].any() and not matched[:, 0].all()
     # one basis bit per block, one fair bit per qubit of a mismatched block
@@ -123,7 +123,7 @@ def test_intercept_matched_basis_reads_exactly():
     # state untouched.
     report = intercept_session(1.0, "per_qubit", seed=4)
     matched = 0
-    for (eve_bit, match), alice, bob in zip(report.eve_symbols, report.alice_key, report.bob_key):
+    for (eve_bit, match), alice, bob in zip(eve_tuples(report), report.alice_key, report.bob_key):
         if match:
             matched += 1
             assert eve_bit == alice == bob
@@ -132,7 +132,7 @@ def test_intercept_matched_basis_reads_exactly():
 
 def test_intercept_partial_fraction_marks_subset():
     report = intercept_session(0.25, "per_qubit", seed=5, num_blocks=500)
-    hits = sum(1 for symbol in report.eve_symbols if symbol != "?")
+    hits = sum(1 for symbol in eve_tuples(report) if symbol != "?")
     sigma = math.sqrt(2000 * 0.25 * 0.75)
     assert abs(hits - 500) <= 5 * sigma
 
@@ -173,7 +173,7 @@ def test_unitary_immediate_measures_now():
     report = run_session(config, attack, force_shared_basis=Basis.Z)
     assert report.sifted_bits == report.raw_qubits
     assert len(report.eve_symbols) == report.sifted_bits
-    for guessed_right, ancilla_bits in report.eve_symbols:
+    for guessed_right, ancilla_bits in eve_tuples(report):
         assert isinstance(guessed_right, bool)
         assert len(ancilla_bits) == 1
     assert report.ledger.get("eve", "attack") >= config.num_blocks

@@ -32,7 +32,7 @@ from blockqkd.quantum import (
 )
 from blockqkd.randomness import BitSource, bernoulli_digits
 from circuit_oracle import Apply, Circuit, Measure, Prep, enumerate_outcomes
-from measurement_reference import empirical_joint, measure
+from measurement_reference import empirical_joint, eve_tuples, measure
 from row_reference import flip_rows, intercept_resend, measure_rows
 
 X_GATE = UnitarySpec(2, np.array([[0, 1], [1, 0]], dtype=complex))
@@ -334,7 +334,7 @@ def test_same_seed_identical_reports():
     assert r1.qber_true == r2.qber_true
     assert r1.qber_estimated == r2.qber_estimated
     assert np.array_equal(r1.disclosed_indices, r2.disclosed_indices)
-    assert r1.eve_symbols == r2.eve_symbols
+    assert np.array_equal(r1.eve_symbols, r2.eve_symbols)
     assert r1.ledger.as_dict() == r2.ledger.as_dict()
 
 
@@ -396,8 +396,8 @@ def test_session_outputs_match_golden_digests(name):
     """Fixed sessions reproduce the digests recorded for package 0.2.0.
 
     The digest covers both sifted keys (dtype and bytes), kept_blocks, the
-    disclosed indices, Eve's symbols (by repr, so their Python types count)
-    and the ledger entries. A refactor must leave every digest as it is; a
+    disclosed indices, Eve's codes decoded by eve_tuples (by repr, so the
+    decoded Python types count) and the ledger entries. A refactor must leave every digest as it is; a
     deliberate change of the random-stream layout updates these digests
     together with ``__version__``.
     """
@@ -410,7 +410,7 @@ def test_session_outputs_match_golden_digests(name):
     summary = (
         report.kept_blocks,
         tuple(map(int, report.disclosed_indices)),
-        report.eve_symbols,
+        eve_tuples(report),
         sorted(report.ledger.counts.items()),
     )
     h.update(repr(summary).encode())
@@ -484,7 +484,7 @@ def test_unitary_attack_session_runs():
         # Every register's ancilla was measured: at the announcement, recorded
         # with the announced basis value, or before the block went on,
         # recorded with whether Eve's guessed basis matched the announced one.
-        for symbol in report.eve_symbols:
+        for symbol in eve_tuples(report):
             basis_value, ancilla_bits = symbol
             assert basis_value in (0, 1)
             assert isinstance(basis_value, bool) == (not delayed)
@@ -522,7 +522,7 @@ def assert_same_session(report, reference):
     assert report.bob_key.dtype == bob_key.dtype
     assert np.array_equal(report.bob_key, bob_key)
     assert report.kept_blocks == kept_blocks
-    assert repr(report.eve_symbols) == repr(symbols)
+    assert repr(eve_tuples(report)) == repr(symbols)
     assert np.array_equal(report.disclosed_indices, disclosed)
     assert list(report.ledger.counts.items()) == list(source.ledger.counts.items())
     assert report.source._rng.getstate() == source._rng.getstate()
@@ -812,14 +812,16 @@ def test_register_memo_keys_replay_to_their_probabilities(n, m, delayed):
 # --- empirical rates ----------------------------------------------------------
 
 
-def _rates_reference(report):
-    """empirical_rates through per-bit Python lists and empirical_joint."""
-    a = [int(b) for b in report.alice_key]
-    b = [int(b) for b in report.bob_key]
-    if report.eve_symbols is None:
+def _list_rates(alice, bob, symbols):
+    """empirical_rates through per-bit Python lists and empirical_joint,
+    Eve's view given as one symbol per position (None with no attack):
+    the joint table and the rates."""
+    a = [int(b) for b in alice]
+    b = [int(b) for b in bob]
+    if symbols is None:
         joint = empirical_joint(list(zip(a, b)), ("alice", "bob"))
         return joint, ck_rate(mutual_information(joint, "alice", "bob"), 0.0, 0.0)
-    joint = empirical_joint(list(zip(a, b, report.eve_symbols)), ("alice", "bob", "eve"))
+    joint = empirical_joint(list(zip(a, b, symbols)), ("alice", "bob", "eve"))
     return joint, ck_rate(
         mutual_information(joint, "alice", "bob"),
         mutual_information(joint, "eve", "alice"),
@@ -827,21 +829,17 @@ def _rates_reference(report):
     )
 
 
-_EVE_SYMBOLS = {
-    "none": None,
-    "intercept_resend": st.one_of(
-        st.just("?"), st.tuples(st.integers(0, 1), st.booleans())
-    ),
-    "unitary_delayed": st.tuples(
-        st.integers(0, 1), st.lists(st.integers(0, 1), max_size=2).map(tuple)
-    ),
-    "unitary_immediate": st.tuples(
-        st.booleans(), st.lists(st.integers(0, 1), max_size=2).map(tuple)
-    ),
-}
+def _rates_reference(report):
+    """empirical_rates counted over Eve's decoded tuples."""
+    return _list_rates(report.alice_key, report.bob_key, eve_tuples(report))[1]
 
 
-@given(data=st.data(), variant=st.sampled_from(sorted(_EVE_SYMBOLS)),
+# The largest code of each alphabet: no attack, intercept_resend's 0-4,
+# unitary_block's below 2^(m+1) for m <= 2, and the whole uint16 range.
+_EVE_CODES = {"none": None, "intercept_resend": 4, "unitary_block": 7, "uint16": 2**16 - 1}
+
+
+@given(data=st.data(), variant=st.sampled_from(sorted(_EVE_CODES)),
        length=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_empirical_rates_match_list_counting(data, variant, length, seed):
@@ -849,13 +847,14 @@ def test_empirical_rates_match_list_counting(data, variant, length, seed):
     alice = rng.integers(0, 2, length).astype(np.uint8)
     bob = rng.integers(0, 2, length).astype(np.uint8)
     symbols = None
-    if _EVE_SYMBOLS[variant] is not None:
-        alphabet = data.draw(st.lists(_EVE_SYMBOLS[variant], min_size=1, max_size=6))
-        symbols = tuple(alphabet[i] for i in rng.integers(0, len(alphabet), length))
+    if _EVE_CODES[variant] is not None:
+        codes = st.integers(0, _EVE_CODES[variant])
+        alphabet = data.draw(st.lists(codes, min_size=1, max_size=6))
+        symbols = np.array(alphabet, dtype=np.uint16)[rng.integers(0, len(alphabet), length)]
     report = SimpleNamespace(
         sifted_bits=length, alice_key=alice, bob_key=bob, eve_symbols=symbols
     )
-    joint, rates = _rates_reference(report)
+    joint, rates = _list_rates(alice, bob, None if symbols is None else symbols.tolist())
     columns = [alice, bob] + ([] if symbols is None else [symbols])
     counted = _joint_counts(columns, joint.variables)
     assert repr(list(counted.probabilities.items())) == repr(list(joint.probabilities.items()))
@@ -863,19 +862,54 @@ def test_empirical_rates_match_list_counting(data, variant, length, seed):
 
 
 @pytest.mark.parametrize(
-    "attack",
+    "attack,flip",
     [
-        BlockAttackSpec.none(),
-        BlockAttackSpec.intercept(0.4, "per_qubit"),
-        BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=True),
-        BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=False),
+        pytest.param(attack, flip, id=attack.label + ("" if flip else ",flip=0"))
+        for attack, flip in [
+            (BlockAttackSpec.none(), 0.03),
+            (BlockAttackSpec.intercept(0.4, "per_qubit"), 0.03),
+            (BlockAttackSpec.intercept(0.4, "per_block"), 0.03),
+            (BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=True), 0.03),
+            (BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=False), 0.03),
+            (BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=True), 0.0),
+        ]
     ],
-    ids=lambda attack: attack.label,
 )
-def test_empirical_rates_match_list_counting_on_sessions(attack):
-    config = ProtocolConfig(2, 400, "per_block", 0.03, seed=31)
+def test_empirical_rates_match_list_counting_on_sessions(attack, flip):
+    config = ProtocolConfig(2, 400, "per_block", flip, seed=31)
     report = run_session(config, attack)
-    assert empirical_rates(report) == _rates_reference(report)[1]
+    assert empirical_rates(report) == _rates_reference(report)
+
+
+@pytest.mark.parametrize(
+    "mode,attack",
+    [
+        ("per_block", BlockAttackSpec.none()),
+        ("per_block", BlockAttackSpec.intercept(0.4, "per_qubit")),
+        ("per_qubit", BlockAttackSpec.intercept(0.4, "per_block")),
+        ("per_block", BlockAttackSpec.unitary(cnot_entangler(), 2, 1, delayed=True)),
+        ("per_block", BlockAttackSpec.unitary(random_unitary(4, 33), 2, 2, delayed=True)),
+        ("per_block", BlockAttackSpec.unitary(random_unitary(4, 34), 2, 2, delayed=False)),
+    ],
+    ids=lambda value: value if isinstance(value, str) else value.label,
+)
+def test_eve_symbols_are_integer_codes(mode, attack):
+    """Eve's view is one uint16 code per sifted position: 0-4 under
+    intercept_resend, and under unitary_block a code below 2^(m+1) that is
+    constant over each kept block; None with no attack."""
+    report = run_session(ProtocolConfig(2, 300, mode, 0.03, seed=32), attack)
+    codes = report.eve_symbols
+    if attack.variant == "none":
+        assert codes is None
+        return
+    assert isinstance(codes, np.ndarray) and codes.dtype == np.uint16
+    assert codes.shape == (report.sifted_bits,)
+    if attack.variant == "intercept_resend":
+        assert set(codes.tolist()) == {0, 1, 2, 3, 4}
+    else:
+        assert int(codes.max()) < 1 << (attack.num_ancillas + 1)
+        blocks = codes.reshape(report.kept_blocks, 2)
+        assert (blocks == blocks[:, :1]).all()
 
 
 
