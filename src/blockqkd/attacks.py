@@ -368,6 +368,8 @@ def reduction_corpus(
     seeded Haar-random unitaries cycling over the (n, m) grid."""
     if random_count < 0:
         raise ValueError("random_count must be >= 0")
+    if seed < 0:  # numpy's default_rng would reject it mid-corpus, naming no setting
+        raise ValueError("seed must be >= 0")
     cases = []
     combos = [(n, m) for n in block_sizes for m in ancillas]
     if not combos:

@@ -16,7 +16,8 @@ whole session's flip mask is drawn from it up front.
 Blocks run in Python-int bit masks (run_session); a block that a
 unitary_block attack entangles walks its exact register path instead
 (_RegisterPaths), memoized on the attack and so shared by every session
-that attack runs.
+that attack runs. The block loop counts each stage's bits in locals and
+charges the ledger once per session, after the last block.
 """
 
 from __future__ import annotations
@@ -150,42 +151,39 @@ class _RegisterPaths:
     the register by replaying the key's steps with the same float
     operations. Only keys, floats and digit strings outlive a block. The
     walk draws from the generator directly, against each node's digits,
-    and charges each stage once per block.
+    and returns each block's bit counts for run_session to charge once per
+    session.
     """
 
     def __init__(self, attack, source, forced):
         self.attack, self.forced, self.probs = attack, forced, attack._register_memo
-        self.getrandbits, self.spent = source.unledgered(), source.ledger.counts
+        self.getrandbits = source.unledgered()
 
     def run_block(self, announced: int, bits: int, flips: int):
         """Eve's attack, the channel, Bob's measurement and Eve's delayed
         measurement on one block, given Alice's basis value and bit and flip
         masks (position i at bit n-1-i): (Bob's basis value, his outcome
-        mask, Eve's code)."""
-        attack, spent, getrandbits = self.attack, self.spent, self.getrandbits
+        mask, Eve's code, the bits Eve drew, the bits Bob's measurement
+        drew). Bob's basis bit is the caller's to charge."""
+        attack, getrandbits = self.attack, self.getrandbits
         n, m = attack.num_block_qubits, attack.num_ancillas
         key = (2 | announced) << n | bits
         self.state, self.replayed, self.pending = None, 0, None
         if not attack.delayed:
             guess = getrandbits(1)
-            key, drawn = self._walk((key << 1 | guess) if m else key, m)
-            spent[_EVE] = spent.get(_EVE, 0) + 1 + drawn
+            key, eve_drawn = self._walk((key << 1 | guess) if m else key, m)
+            eve_drawn += 1
             symbol = (guess == announced) << m | key & (1 << m) - 1
         bob_basis = getrandbits(1)
-        spent[_BOB_BASIS] = spent.get(_BOB_BASIS, 0) + 1
         if self.forced is not None:
             bob_basis = self.forced
-        key, drawn = self._walk((key << n | flips) << 1 | bob_basis, n)
-        if drawn:
-            spent[_BOB_MEASUREMENT] = spent.get(_BOB_MEASUREMENT, 0) + drawn
+        key, bob_drawn = self._walk((key << n | flips) << 1 | bob_basis, n)
         outcomes = key & (1 << n) - 1
         if attack.delayed:
-            key, drawn = self._walk(key, m)
-            if drawn:
-                spent[_EVE] = spent.get(_EVE, 0) + drawn
+            key, eve_drawn = self._walk(key, m)
             symbol = announced << m | key & (1 << m) - 1
         self.state = self.pending = None
-        return bob_basis, outcomes, symbol
+        return bob_basis, outcomes, symbol, eve_drawn, bob_drawn
 
     def _walk(self, key: int, count: int) -> tuple[int, int]:
         """Measure the next `count` nodes from `key`: the key with their
@@ -306,7 +304,9 @@ def run_session(
     other draws share one ledgered stream in the order Alice, Eve, Bob,
     Eve's delayed measurement, and how many bits each takes depends on the
     outcomes before it, so drawing them in bulk would change the outputs.
-    Each stage is charged once per block, keys in first-charge order.
+    Each stage is charged once per session, after the loop, with the
+    ledger's keys in first-charge order: by the first block that drew from
+    the stage, then by the order a block draws in.
 
     A per_block n-qubit block is prepared in only 2 * 2^n ways, so on small
     blocks a unitary_block attack repeats the same evolution, in a session
@@ -324,9 +324,13 @@ def run_session(
     full = (1 << n) - 1
     width = 1 if config.mode == "per_block" else n  # basis bits per block
     forced = None if force_shared_basis is None else force_shared_basis.value
+    # A drawn basis value times `spread`, or'd with `fixed`, is the block's
+    # basis mask: the value at every position (per_block), one bit per
+    # position (per_qubit), or the forced value at every position.
+    spread = 0 if forced is not None else full if width == 1 else 1
+    fixed = 0 if forced is None else -forced & full
     source = BitSource(config.seed)
     getrandbits = source.unledgered()
-    spent = source.ledger.counts  # new keys in first-charge order, as record() makes them
     register = None
     if attack.variant == "unitary_block":
         register = _RegisterPaths(attack, source, forced)
@@ -336,20 +340,20 @@ def run_session(
     flips = _channel_flips(config)
     flip_masks = [0] * config.num_blocks if flips is None else _pack(flips)
 
-    def basis_mask(drawn: int) -> int:
-        return -forced & full if forced is not None else -drawn & full if width == 1 else drawn
-
-    kept_rows: list[tuple] = []  # Alice's bits, Bob's outcomes, kept, Eve's masks
-    symbols: list = []  # Eve's codes (SessionReport), one per kept unitary_block block
-    attacked = eve_basis = eve_bits = 0
-    for flip in flip_masks:
-        alice_basis = basis_mask(getrandbits(width))
+    # One entry per kept block: Alice's bits, Bob's outcomes, the kept mask, Eve's
+    # attacked, bit and basis-differs masks, and her code under unitary_block.
+    alice_col, bob_col, kept_col, attacked_col, eve_col, differs_col = [], [], [], [], [], []
+    symbols: list = []
+    attacked = eve_basis = eve_bits = eve_spent = 0
+    eve_total = eve_first = measured = measured_first = 0  # bits and first block charged
+    for index, flip in enumerate(flip_masks):
+        alice_basis = getrandbits(width) * spread | fixed
         alice_bits = getrandbits(n)
-        spent[_ALICE_BASIS] = spent.get(_ALICE_BASIS, 0) + width
-        spent[_ALICE_BITS] = spent.get(_ALICE_BITS, 0) + n
         if register is not None:
-            bob_basis, outcomes, symbol = register.run_block(alice_basis & 1, alice_bits, flip)
-            bob_basis = -bob_basis & full
+            bob_basis, outcomes, symbol, eve_spent, count = register.run_block(
+                alice_basis & 1, alice_bits, flip
+            )
+            bob_basis *= full
         else:
             prep, value = alice_basis, alice_bits
             if intercept:
@@ -375,30 +379,53 @@ def run_session(
                         eve_spent += count
                     prep = prep & ~attacked | eve_basis
                     value = value & ~attacked | eve_bits
-                if eve_spent:
-                    spent[_EVE] = spent.get(_EVE, 0) + eve_spent
             value ^= flip
-            bob_basis = basis_mask(getrandbits(width))
-            spent[_BOB_BASIS] = spent.get(_BOB_BASIS, 0) + width
+            bob_basis = getrandbits(width) * spread | fixed
             guessed = prep ^ bob_basis  # Bob's fair outcomes
             outcomes = value & ~guessed
             count = guessed.bit_count()
             if count:
                 outcomes |= _deposit(getrandbits(count), guessed)
-                spent[_BOB_MEASUREMENT] = spent.get(_BOB_MEASUREMENT, 0) + count
+        if eve_spent:
+            if not eve_total:
+                eve_first = index
+            eve_total += eve_spent
+        if count:
+            if not measured:
+                measured_first = index
+            measured += count
         kept = full & ~(alice_basis ^ bob_basis)
         if not kept:
             continue
-        kept_rows.append((alice_bits, outcomes, kept, attacked, eve_bits, eve_basis ^ alice_basis))
+        alice_col.append(alice_bits)
+        bob_col.append(outcomes)
+        kept_col.append(kept)
+        attacked_col.append(attacked)
+        eve_col.append(eve_bits)
+        differs_col.append(eve_basis ^ alice_basis)
         if register is not None:
             symbols.append(symbol)
 
-    if kept_rows:
-        columns = list(zip(*kept_rows))
-        keep = unpack_bits(columns[2], n).astype(bool)
-        alice_key, bob_key = (unpack_bits(column, n)[keep] for column in columns[:2])
+    # The ledger's keys in first-charge order: by the first block that drew
+    # from a stage, then by the order a block draws in.
+    bases = width * config.num_blocks
+    charges = [  # (first block charged, stage, bits) in a block's draw order
+        (0, _ALICE_BASIS, bases), (0, _ALICE_BITS, config.raw_qubits), (eve_first, _EVE, eve_total),
+        (0, _BOB_BASIS, bases), (measured_first, _BOB_MEASUREMENT, measured),
+    ]
+    if register is not None and attack.delayed:  # Eve measures after Bob
+        charges.append(charges.pop(2))
+    for _, key, bits in sorted(charges, key=lambda charge: charge[0]):
+        if bits:
+            source.ledger.counts[key] = bits
+
+    if kept_col:
+        keep = unpack_bits(kept_col, n).astype(bool)
+        alice_key, bob_key = (unpack_bits(column, n)[keep] for column in (alice_col, bob_col))
         if intercept:
-            attacked, eve_bits, differs = (unpack_bits(c, n)[keep] for c in columns[3:])
+            attacked, eve_bits, differs = (
+                unpack_bits(column, n)[keep] for column in (attacked_col, eve_col, differs_col)
+            )
             symbols = 2 * eve_bits + attacked * (2 - differs)
     else:
         alice_key = np.zeros(0, dtype=np.uint8)
@@ -423,7 +450,7 @@ def run_session(
         config=config,
         attack=attack,
         raw_qubits=config.raw_qubits,
-        kept_blocks=len(kept_rows),
+        kept_blocks=len(kept_col),
         sifted_bits=sifted_bits,
         qber_true=qber_true,
         qber_estimated=qber_estimated,
@@ -436,18 +463,40 @@ def run_session(
 
 
 def _deposit(value: int, mask: int) -> int:
-    """The low bits of `value` at the set bits of `mask`, lowest first, so a
-    drawn value's first (top) bit lands at the first position in index order."""
-    if mask & (mask + 1) == 0:  # a low run of ones: the bits stay in place
+    """The bits of `value`, below 2**mask.bit_count(), at the set bits of
+    `mask`, lowest first, so a drawn value's first (top) bit lands at the
+    first position in index order. A mask under 256 is one lookup in
+    _DEPOSIT8, a low run of ones keeps the bits in place, and any other mask
+    is read a byte at a time."""
+    if mask < 256:
+        return _DEPOSIT8[mask][value]
+    if mask & (mask + 1) == 0:
         return value & mask
-    out = 0
+    out = shift = 0
     while mask:
-        low = mask & -mask
-        if value & 1:
-            out |= low
-        value >>= 1
-        mask ^= low
+        table = _DEPOSIT8[mask & 255]
+        size = len(table)
+        out |= table[value % size] << shift
+        value //= size
+        mask >>= 8
+        shift += 8
     return out
+
+
+def _deposit_table() -> list[list[int]]:
+    """_deposit for every mask under 256: entry [mask][value] for each value
+    below 2**mask.bit_count(), 6,561 in all. A mask's row is the row of the
+    mask without its top set bit, then that row again with the top bit set,
+    where the value's top bit lands."""
+    table = [[0]]
+    for mask in range(1, 256):
+        top = 1 << mask.bit_length() - 1
+        rest = table[mask ^ top]
+        table.append(rest + [bits | top for bits in rest])
+    return table
+
+
+_DEPOSIT8 = _deposit_table()
 
 
 def _pack(rows: np.ndarray) -> list[int]:

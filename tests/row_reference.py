@@ -1,5 +1,6 @@
 """The amplitude-row loop that run_session's bit-mask blocks are checked
-against, draw for draw.
+against, draw for draw, and the bit loop that their table-driven deposit
+of drawn bits is checked against.
 
 A block no attack has entangled is an (n, 2) array of BB84 amplitude
 rows, one per qubit (`bb84_rows`). Measuring it, flipping it in the
@@ -72,3 +73,18 @@ def intercept_resend(rows, prep_bases, spec, source):
     rows[attacked] = resent
     prep_bases[attacked] = eve_bases
     return rows, prep_bases, attacked, eve_bits
+
+
+def deposit_reference(value: int, mask: int) -> int:
+    """The low bits of `value` at the set bits of `mask`, lowest first, one
+    bit at a time; a low run of ones keeps the bits in place."""
+    if mask & (mask + 1) == 0:
+        return value & mask
+    out = 0
+    while mask:
+        low = mask & -mask
+        if value & 1:
+            out |= low
+        value >>= 1
+        mask ^= low
+    return out

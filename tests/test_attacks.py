@@ -392,6 +392,13 @@ def test_corpus_rejects_negative_random_count():
     assert len(reduction_corpus(random_count=0, block_sizes=(2,), ancillas=(0,))) == 1
 
 
+def test_corpus_rejects_negative_seed():
+    for random_count in (0, 3):  # before any case is built, drawn or not
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            reduction_corpus(random_count=random_count, seed=-5)
+    assert len(reduction_corpus(random_count=1, seed=0, block_sizes=(2,), ancillas=(0,))) == 2
+
+
 def test_corpus_rejects_unverifiable_sizes():
     # reduction_corpus holds its grid to verify_reduction's size rule
     with pytest.raises(ValueError):

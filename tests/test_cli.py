@@ -538,6 +538,15 @@ def test_verify_negative_random_count_exits_2(capsys):
     assert captured.out == ""
 
 
+def test_verify_negative_seed_exits_2(capsys):
+    for count in ("0", "2"):
+        args = ["verify", "--block-sizes", "2", "--ancillas", "0", "--random-count", count]
+        assert main(args + ["--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "seed" in captured.err
+        assert captured.out == ""
+
+
 # --- report ---------------------------------------------------------------------
 
 

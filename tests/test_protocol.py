@@ -22,18 +22,20 @@ from blockqkd.protocol import (
     empirical_rates,
 )
 from blockqkd.quantum import (
+    HADAMARD,
     Basis,
     UnitarySpec,
     apply_unitary,
     bb84_rows,
     collapse,
+    embed,
     outcome_probability,
     random_unitary,
 )
 from blockqkd.randomness import BitSource, bernoulli_digits
 from circuit_oracle import Apply, Circuit, Measure, Prep, enumerate_outcomes
 from measurement_reference import empirical_joint, eve_tuples, measure
-from row_reference import flip_rows, intercept_resend, measure_rows
+from row_reference import deposit_reference, flip_rows, intercept_resend, measure_rows
 
 X_GATE = UnitarySpec(2, np.array([[0, 1], [1, 0]], dtype=complex))
 Z_GATE = UnitarySpec(2, np.array([[1, 0], [0, -1]], dtype=complex))
@@ -571,7 +573,7 @@ _ROW_ATTACKS = [BlockAttackSpec.none()] + [
 
 
 @given(
-    n=st.sampled_from([1, 2, 3, 4, 5, 33, 70]),
+    n=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 70]),
     mode=st.sampled_from(protocol.MODES),
     attack=st.sampled_from(_ROW_ATTACKS),
     flip=st.sampled_from([0.0, 0.05, 1.0]),
@@ -589,6 +591,30 @@ def test_mask_engine_matches_row_loop(n, mode, attack, flip, forced, seed, num_b
     config = ProtocolConfig(n, num_blocks, mode, flip, seed=seed)
     report = run_session(config, attack, force_shared_basis=forced)
     assert_same_session(report, _reference_row_session(config, attack, forced))
+
+
+def test_deposit_table_matches_bit_loop_on_short_masks():
+    """_deposit against the bit loop on every mask of up to 10 bits, for
+    every value it takes."""
+    for mask in range(1 << 10):
+        for value in range(1 << mask.bit_count()):
+            assert protocol._deposit(value, mask) == deposit_reference(value, mask)
+
+
+@given(mask=st.integers(1 << 10, (1 << 1100) - 1), draw=st.integers(0, (1 << 1100) - 1))
+@example(mask=(1 << 1000) - 1, draw=(1 << 1100) - 3)  # a low run of ones
+@example(mask=0, draw=5)
+@example(mask=0xFD, draw=0xAB)  # byte widths 8, 9, 16, 17, 64, 65, one hole each
+@example(mask=0x1FD, draw=0xAB)
+@example(mask=0xFFFD, draw=0x5A5A)
+@example(mask=0x1FFFD, draw=0xA5A5)
+@example(mask=(1 << 64) - 3, draw=(1 << 62) + 12345)
+@example(mask=(1 << 65) - 3, draw=(1 << 63) + 12345)
+def test_deposit_table_matches_bit_loop(mask, draw):
+    """_deposit against the bit loop on long masks: a value takes the low
+    mask.bit_count() bits of `draw`."""
+    value = draw & (1 << mask.bit_count()) - 1
+    assert protocol._deposit(value, mask) == deposit_reference(value, mask)
 
 
 @given(
@@ -679,6 +705,8 @@ def _reference_unitary_session(config, attack, forced):
          seed=307, num_blocks=60, memo_nodes=protocol._MEMO_NODES)
 @example(n=2, m=1, unitary_seed=None, delayed=False, flip=0.5, forced=Basis.X,
          seed=308, num_blocks=60, memo_nodes=7)
+@example(n=2, m=1, unitary_seed="hadamard", delayed=True, flip=0.0, forced=None,
+         seed=304, num_blocks=20, memo_nodes=protocol._MEMO_NODES)
 @settings(max_examples=100, deadline=None)
 def test_register_memo_matches_per_block_register(
     n, m, unitary_seed, delayed, flip, forced, seed, num_blocks, memo_nodes
@@ -686,14 +714,29 @@ def test_register_memo_matches_per_block_register(
     """The memoized register path of run_session against the register
     evolved block by block: same keys, kept blocks, Eve's symbols, ledger
     and generator state, also with the memo capped or kept empty.
-    unitary_seed None stands for the CNOT entangler."""
-    u = cnot_entangler() if unitary_seed is None else random_unitary(n + m, unitary_seed)
+    unitary_seed None stands for the CNOT entangler, "hadamard" for a
+    Hadamard on the ancilla alone."""
+    if unitary_seed == "hadamard":
+        u = embed(n + m, UnitarySpec(2, HADAMARD), (n,))
+    else:
+        u = cnot_entangler() if unitary_seed is None else random_unitary(n + m, unitary_seed)
     attack = BlockAttackSpec.unitary(u, n, m, delayed=delayed)
     config = ProtocolConfig(n, num_blocks, "per_block", flip, seed=seed)
     reference = _reference_unitary_session(config, attack, forced)
     with mock.patch.object(protocol, "_MEMO_NODES", memo_nodes):
         report = run_session(config, attack, force_shared_basis=forced)
     assert_same_session(report, reference)
+    if unitary_seed == "hadamard":
+        # Block 0 is kept in Z: Bob's outcomes are certain and Eve's Z reading
+        # of her |+> ancilla is fair, so her delayed charge comes first.
+        assert list(report.ledger.counts) == [
+            ("alice", "alice_basis"),
+            ("alice", "alice_bits"),
+            ("bob", "bob_basis"),
+            ("eve", "attack"),
+            ("bob", "bob_measurement"),
+            ("shared", "sampling"),
+        ]
 
 
 _SWEEP_SESSION = st.tuples(
