@@ -15,7 +15,7 @@ Three attack families:
   branch, the exact ensemble a real-block attack would produce.
 
 protocol.run_session runs the first two; this module describes them
-(BlockAttackSpec) and builds the register they entangle (entangle_block).
+(BlockAttackSpec) and builds the registers they entangle (entangle_patterns).
 
 Eve's kept quantum state is anti-correlated with the simulated qubits
 (singlet in every basis), so her recorded bit for a simulated slot is the
@@ -25,7 +25,7 @@ complement of her kept-half outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 
@@ -46,7 +46,6 @@ from .quantum import (
     prepare_bb84,
     prepare_singlet,
     random_unitary,
-    rows_to_state,
     tensor,
 )
 
@@ -73,9 +72,6 @@ class BlockAttackSpec:
     num_block_qubits: int = 0
     num_ancillas: int = 0
     delayed: bool = False
-    # unitary_block's register-path memo, shared by every session it runs
-    # (protocol._RegisterPaths); outside equality, hash and repr.
-    _register_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in ATTACK_VARIANTS:
@@ -183,21 +179,10 @@ class EntangledBlock:
         return tuple(range(self.num_block_qubits))
 
 
-def entangle_block(rows: np.ndarray, u: UnitarySpec, num_ancillas: int) -> StateVector:
-    """The block's qubits, then `num_ancillas` ancillas in |0>, after `u`
-    on all of them."""
-    state = rows_to_state(rows)
-    if num_ancillas:
-        ancillas = np.zeros(2**num_ancillas, dtype=complex)
-        ancillas[0] = 1.0
-        state = tensor(state, StateVector(num_ancillas, ancillas))
-    return apply_unitary(state, u, range(state.num_qubits))
-
-
 def entangle_patterns(u: UnitarySpec, n: int, m: int, basis: Basis) -> np.ndarray:
-    """entangle_block for every n-bit pattern at once: column p holds the
-    block whose bits are p's binary digits (qubit 0's the top one), prepared
-    in `basis`, and `m` ancillas in |0>, after `u`."""
+    """Every n-bit pattern's register at once: column p holds the block
+    whose bits are p's binary digits (qubit 0's the top one), prepared in
+    `basis`, and `m` ancillas in |0>, after `u` on all of them."""
     patterns = reduce(np.kron, [bb84_rows([0, 1], basis).T] * n)
     ancillas = np.zeros((2**m, 1))
     ancillas[0] = 1.0

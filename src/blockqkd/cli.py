@@ -194,8 +194,8 @@ def _build_attack(cfg: dict, block_size: int) -> BlockAttackSpec:
 
 def _plan(cfg: dict) -> list[tuple[ProtocolConfig, BlockAttackSpec, int]]:
     """Each sweep point's (config, attack, repetition) in order, all checked
-    before any session runs. The points of one block size share an attack,
-    and with it its register memo."""
+    before any session runs. The points of one block size share an attack;
+    each session builds its own outcome tables from it."""
     protocol = {key: cfg[key] for section, key, *_ in SETTINGS if section == "protocol"}
     points = []
     try:

@@ -14,10 +14,10 @@ read as n uniforms per block, in block order, whatever the attack, so the
 whole session's flip mask is drawn from it up front.
 
 Blocks run in Python-int bit masks (run_session); a block that a
-unitary_block attack entangles walks its exact register path instead
-(_RegisterPaths), memoized on the attack and so shared by every session
-that attack runs. The block loop counts each stage's bits in locals and
-charges the ledger once per session, after the last block.
+unitary_block attack entangles walks the attack's outcome tables instead
+(_outcome_tables), built once per session. The block loop counts each
+stage's bits in locals and charges the ledger once per session, after the
+last block.
 """
 
 from __future__ import annotations
@@ -25,22 +25,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .attacks import BlockAttackSpec, entangle_block
+from .attacks import BlockAttackSpec, entangle_patterns
 from .infotheory import JointDistribution, RateReport, ck_rate, mutual_information
-from .quantum import (
-    PAULI_X,
-    PAULI_Z,
-    Basis,
-    UnitarySpec,
-    apply_unitary,
-    bb84_rows,
-    collapse,
-    outcome_probability,
-)
+from .quantum import HADAMARD, Basis
 from .randomness import (
+    DETERMINISTIC_EPS,
     BitSource,
     ConsumptionReport,
     RandomnessLedger,
@@ -50,21 +43,9 @@ from .randomness import (
 
 MODES = ("per_block", "per_qubit")
 
-_FLIP_GATES = {
-    0: UnitarySpec(2, PAULI_X),  # swaps the Z-basis eigenstates
-    1: UnitarySpec(2, PAULI_Z),  # swaps the X-basis eigenstates
-}
-
 _ALICE_BASIS, _ALICE_BITS = ("alice", "alice_basis"), ("alice", "alice_bits")
 _BOB_BASIS, _BOB_MEASUREMENT = ("bob", "bob_basis"), ("bob", "bob_measurement")
 _EVE = ("eve", "attack")
-
-# At about 250 bytes a node (an int key, a dict slot and a tuple of a
-# float, its digit string of about 53 bytes and an int: 16.1 MB at the cap
-# by tracemalloc for n=4, m=3), an attack's register memo stays under
-# 17 MB over all the sessions it runs, however few blocks repeat; past
-# this size it stops growing.
-_MEMO_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,122 +116,53 @@ class SessionReport:
         return ConsumptionReport.from_ledger(self.ledger, self.raw_qubits)
 
 
-class _RegisterPaths:
-    """Exact register path of unitary_block blocks, memoized on the attack.
-
-    A node's key is one int, and it is also the block's replay log: a
-    leading 1, Alice's basis value and her n bits, in immediate mode with
-    ancillas Eve's guess and their outcomes, then the n-bit flip mask,
-    Bob's basis value (after `forced`) and one bit per outcome so far. The
-    key's length and fields fix which (qubit, basis) its node measures
-    (_key_steps), so `probs` maps a key to the node's snapped probability
-    p1 of outcome 1 (`outcome_probability`) beside its binary digits
-    (`bernoulli_digits`), worked out once, on the miss. It is the attack's
-    own memo, kept across every session the attack runs: a value depends
-    only on the attack's unitary, sizes and the key, since a miss rebuilds
-    the register by replaying the key's steps with the same float
-    operations. Only keys, floats and digit strings outlive a block. The
-    walk draws from the generator directly, against each node's digits,
-    and returns each block's bit counts for run_session to charge once per
-    session.
-    """
-
-    def __init__(self, attack, source, forced):
-        self.attack, self.forced, self.probs = attack, forced, attack._register_memo
-        self.getrandbits = source.unledgered()
-
-    def run_block(self, announced: int, bits: int, flips: int):
-        """Eve's attack, the channel, Bob's measurement and Eve's delayed
-        measurement on one block, given Alice's basis value and bit and flip
-        masks (position i at bit n-1-i): (Bob's basis value, his outcome
-        mask, Eve's code, the bits Eve drew, the bits Bob's measurement
-        drew). Bob's basis bit is the caller's to charge."""
-        attack, getrandbits = self.attack, self.getrandbits
-        n, m = attack.num_block_qubits, attack.num_ancillas
-        key = (2 | announced) << n | bits
-        self.state, self.replayed, self.pending = None, 0, None
-        if not attack.delayed:
-            guess = getrandbits(1)
-            key, eve_drawn = self._walk((key << 1 | guess) if m else key, m)
-            eve_drawn += 1
-            symbol = (guess == announced) << m | key & (1 << m) - 1
-        bob_basis = getrandbits(1)
-        if self.forced is not None:
-            bob_basis = self.forced
-        key, bob_drawn = self._walk((key << n | flips) << 1 | bob_basis, n)
-        outcomes = key & (1 << n) - 1
-        if attack.delayed:
-            key, eve_drawn = self._walk(key, m)
-            symbol = announced << m | key & (1 << m) - 1
-        self.state = self.pending = None
-        return bob_basis, outcomes, symbol, eve_drawn, bob_drawn
-
-    def _walk(self, key: int, count: int) -> tuple[int, int]:
-        """Measure the next `count` nodes from `key`: the key with their
-        outcomes appended, and the digits drawn."""
-        probs, getrandbits = self.probs, self.getrandbits
-        drawn = 0
-        for _ in range(count):
-            node = probs.get(key)
-            if node is None:
-                node = self._miss(key)
-            _, digits, outcome = node
-            for digit in digits:  # bernoulli_draw, inlined
-                drawn += 1
-                if getrandbits(1) != digit:
-                    outcome = digit
-                    break
-            key = key << 1 | outcome
-        return key, drawn
-
-    def _miss(self, key: int) -> tuple[float, bytes, int]:
-        """Replay `key`'s steps from where the block's register stopped and
-        memoize its node: p1 and ``bernoulli_digits(p1)``. Its (p1, moved)
-        serves the next step."""
-        attack = self.attack
-        basis, bits, steps, (qubit, node_basis) = _key_steps(attack, key)
-        if self.state is None:  # the block's first miss builds its register
-            rows = bb84_rows(bits, Basis(basis))
-            self.state = entangle_block(rows, attack.u, attack.num_ancillas)
-        for q, b, outcome in steps[self.replayed :]:
-            if outcome is None:  # a flip in Alice's basis
-                self.state = apply_unitary(self.state, _FLIP_GATES[b], (q,))
-            else:
-                p, moved = self.pending or outcome_probability(self.state, q, Basis(b))
-                self.state = collapse(moved, q, Basis(b), outcome, p if outcome else 1.0 - p)
-            self.pending = None
-        self.replayed = len(steps)
-        self.pending = outcome_probability(self.state, qubit, Basis(node_basis))
-        p1 = self.pending[0]
-        node = (p1, *bernoulli_digits(p1))
-        if len(self.probs) < _MEMO_NODES:
-            self.probs[key] = node
-        return node
-
-
-def _key_steps(attack: BlockAttackSpec, key: int):
-    """A register-walk key decoded: Alice's basis value, her n bits, the
-    steps taken so far in order, each (qubit, basis, outcome), a flip in
-    Alice's basis being (qubit, basis, None), and the (qubit, basis) the
-    key's node measures."""
+def _outcome_tables(attack: BlockAttackSpec) -> dict:
+    """A unitary_block attack's outcome law, built once per session:
+    ``tables[alice, eve][bob][pattern]`` is the row for those basis values
+    and Alice's n-bit pattern, a heap of measurement nodes in draw order:
+    Bob's n qubits, then Eve's m ancillas in Alice's basis (delayed; only
+    those rows are built), or her ancillas first. Node 1 is the root, node
+    k's children are 2k and 2k + 1 for outcomes 0 and 1, and its p1 (the
+    probability of outcome 1 given its path) is a ratio of level sums of
+    the leaves' |amplitude|^2 (entangle_patterns after one Hadamard layer
+    per basis in X), snapped to 0, 1/2 or 1 within 1e-12. A row is (each
+    node's bernoulli_digits(p1), its bernoulli_digits(1 - p1), the p1
+    array): a channel flip in Bob's basis swaps his two outcomes."""
     n, m = attack.num_block_qubits, attack.num_ancillas
-    digits = [int(d) for d in bin(key)[3:]]  # after the leading 1
-    basis, bits, rest = digits[0], digits[1 : n + 1], digits[n + 1 :]
-    nodes = []
-    if not attack.delayed and m:
-        guess, rest = rest[0], rest[1:]
-        nodes = [(q, guess) for q in range(n, n + m)]
-    steps = [(q, b, outcome) for (q, b), outcome in zip(nodes, rest)]
-    done = len(nodes)  # Eve's immediate measurements come before the flips
-    if len(rest) < done:
-        return basis, bits, steps, nodes[len(rest)]
-    flips, bob_basis, rest = rest[done : done + n], rest[done + n], rest[done + n + 1 :]
-    steps += [(q, basis, None) for q in range(n) if flips[q]]
-    nodes = [(q, bob_basis) for q in range(n)]
-    if attack.delayed:
-        nodes += [(q, basis) for q in range(n, n + m)]
-    steps += [(q, b, outcome) for (q, b), outcome in zip(nodes, rest)]
-    return basis, bits, steps, nodes[len(rest)]
+    block_x = reduce(np.kron, [HADAMARD] * n)  # the Hadamard layers
+    ancillas_x = reduce(np.kron, [HADAMARD] * m, np.ones((1, 1)))
+    in_z = entangle_patterns(attack.u, n, m, Basis.Z)
+    keys, amplitudes = [], []
+    for alice, states in enumerate((in_z, in_z @ block_x)):
+        for bob in (0, 1):
+            in_bob = block_x @ states.reshape(2**n, -1) if bob else states
+            in_bob = in_bob.reshape(2**n, 2**m, -1)
+            for eve in (alice,) if attack.delayed else (0, 1):
+                keys.append((alice, eve, bob))
+                amplitudes.append(ancillas_x @ in_bob if eve else in_bob)
+    leaves = np.abs(np.stack(amplitudes)) ** 2  # (row key, block, ancillas, pattern)
+    if not attack.delayed:  # ancillas first
+        leaves = leaves.transpose(0, 2, 1, 3)
+    level = leaves.reshape(len(keys), 2 ** (n + m), -1).transpose(0, 2, 1)
+    heap = np.zeros_like(level)  # node 0 unused
+    while level.shape[2] > 1:
+        pairs = level.reshape(len(keys), 2**n, -1, 2)
+        level = pairs[..., 0] + pairs[..., 1]
+        width = level.shape[2]
+        np.divide(pairs[..., 1], level, out=heap[..., width : 2 * width], where=level > 0)
+    eps = DETERMINISTIC_EPS
+    heap = np.where(np.abs(heap - 0.5) < eps, 0.5, heap)
+    p1 = np.where(heap < eps, 0.0, np.where(heap > 1.0 - eps, 1.0, heap))
+    values = np.stack([p1, 1.0 - p1])
+    digits = {value: bernoulli_digits(value) for value in set(values.ravel().tolist())}
+    straight, flipped = (
+        [[[digits[value] for value in row] for row in rows] for rows in side]
+        for side in values.tolist()
+    )
+    tables: dict = {}
+    for t, (alice, eve, bob) in enumerate(keys):
+        tables.setdefault((alice, eve), {})[bob] = list(zip(straight[t], flipped[t], p1[t]))
+    return tables
 
 
 def estimate_qber(
@@ -308,12 +220,12 @@ def run_session(
     ledger's keys in first-charge order: by the first block that drew from
     the stage, then by the order a block draws in.
 
-    A per_block n-qubit block is prepared in only 2 * 2^n ways, so on small
-    blocks a unitary_block attack repeats the same evolution, in a session
-    and across sessions: such blocks walk the attack's memo of outcome
-    probabilities (_RegisterPaths), shared by every session the attack
-    runs and keyed by one int that is also the block's replay log so far,
-    and draw from the generator directly as the mask loop does.
+    A per_block n-qubit block is prepared in only 2 * 2^n ways, so a
+    unitary_block block draws each outcome against its node's p1 in the
+    session's outcome tables (_outcome_tables), from the generator
+    directly as the mask loop does. Eve's immediate outcomes are drawn on
+    the row of Bob's basis Z, before his basis: her odds do not depend on
+    it.
     force_shared_basis is a test hook that overrides every drawn basis
     value after the draw (ledger counts are unchanged), forcing all blocks
     to be kept.
@@ -331,9 +243,13 @@ def run_session(
     fixed = 0 if forced is None else -forced & full
     source = BitSource(config.seed)
     getrandbits = source.unledgered()
-    register = None
-    if attack.variant == "unitary_block":
-        register = _RegisterPaths(attack, source, forced)
+    tables = _outcome_tables(attack) if attack.variant == "unitary_block" else None
+    m, delayed = attack.num_ancillas, attack.delayed
+    # A block's path through its row: Bob's n outcomes from bit bob_low up,
+    # Eve's m below them (delayed) or above them; the first party to draw
+    # stops at bit first_end.
+    bob_low, first_end = (m, m) if delayed else (0, n)
+    bob_top, shifts = bob_low + n - 1, range(n + m - 1, -1, -1)
     intercept = attack.variant == "intercept_resend"
     if intercept:
         digits, last = bernoulli_digits(attack.fraction)
@@ -349,11 +265,37 @@ def run_session(
     for index, flip in enumerate(flip_masks):
         alice_basis = getrandbits(width) * spread | fixed
         alice_bits = getrandbits(n)
-        if register is not None:
-            bob_basis, outcomes, symbol, eve_spent, count = register.run_block(
-                alice_basis & 1, alice_bits, flip
-            )
-            bob_basis *= full
+        if tables is not None:
+            announced = eve_guess = alice_basis & 1
+            if not delayed:
+                eve_guess = getrandbits(1)
+            rows = tables[announced, eve_guess]  # by Bob's basis value
+            row, node, flipped, drawn, first = rows[0][alice_bits], 1, 0, 0, 0
+            for shift in shifts:  # the path bit this node's outcome sets
+                if shift == bob_top:  # Bob's basis, after Eve's immediate draws
+                    bob_basis = getrandbits(width) * spread | fixed
+                    row = rows[bob_basis & 1][alice_bits]
+                    if bob_basis == alice_basis:  # the flips swap his outcomes
+                        flipped = flip << bob_low
+                flip_bit = flipped >> shift & 1
+                node_digits, node_last = row[flip_bit][node]
+                for digit in node_digits:  # bernoulli_draw, inlined
+                    drawn += 1
+                    if getrandbits(1) != digit:
+                        break
+                else:
+                    digit = node_last
+                node = 2 * node + (digit ^ flip_bit)
+                if shift == first_end:
+                    first = drawn
+            path = node ^ (1 << n + m)
+            outcomes = (path ^ flipped) >> bob_low & full
+            if delayed:
+                count, eve_spent = first, drawn - first
+                symbol = announced << m | path & (1 << m) - 1
+            else:
+                count, eve_spent = drawn - first, first + 1
+                symbol = (eve_guess == announced) << m | path >> n
         else:
             prep, value = alice_basis, alice_bits
             if intercept:
@@ -403,7 +345,7 @@ def run_session(
         attacked_col.append(attacked)
         eve_col.append(eve_bits)
         differs_col.append(eve_basis ^ alice_basis)
-        if register is not None:
+        if tables is not None:
             symbols.append(symbol)
 
     # The ledger's keys in first-charge order: by the first block that drew
@@ -413,7 +355,7 @@ def run_session(
         (0, _ALICE_BASIS, bases), (0, _ALICE_BITS, config.raw_qubits), (eve_first, _EVE, eve_total),
         (0, _BOB_BASIS, bases), (measured_first, _BOB_MEASUREMENT, measured),
     ]
-    if register is not None and attack.delayed:  # Eve measures after Bob
+    if tables is not None and delayed:  # Eve measures after Bob
         charges.append(charges.pop(2))
     for _, key, bits in sorted(charges, key=lambda charge: charge[0]):
         if bits:

@@ -8,9 +8,9 @@ Conventions, fixed across the package:
 - Global phase is never compared directly: state equivalence goes through
   density matrices or outcome distributions.
 - Measurement probabilities within 1e-12 of 0, 1/2 or 1 are snapped to
-  that value (`outcome_probability`), so a certain outcome consumes no
-  randomness and an even one costs a single fair bit; any other outcome is
-  drawn against p's binary digits, one fair bit each until one differs
+  that value (`protocol._outcome_tables`), so a certain outcome consumes
+  no randomness and an even one costs a single fair bit; any other outcome
+  is drawn against p's binary digits, one fair bit each until one differs
   (`randomness.bernoulli_draw`).
 """
 
@@ -23,8 +23,6 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-
-from .randomness import DETERMINISTIC_EPS
 
 MAX_REGISTER_QUBITS = 12
 
@@ -144,47 +142,6 @@ def prepare_singlet() -> StateVector:
     return StateVector(2, np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex))
 
 
-def _snap_probability(p: float) -> float:
-    """Collapse float noise around the decision points 0, 1/2 and 1."""
-    if p < DETERMINISTIC_EPS:
-        return 0.0
-    if p > 1.0 - DETERMINISTIC_EPS:
-        return 1.0
-    if abs(p - 0.5) < DETERMINISTIC_EPS:
-        return 0.5
-    return p
-
-
-def outcome_probability(
-    state: StateVector, qubit_index: int, basis: Basis
-) -> tuple[float, np.ndarray]:
-    """Probability that measuring one qubit in `basis` gives 1, snapped to
-    0, 1/2 or 1 within 1e-12 (the value an outcome is drawn on), and
-    the amplitudes in that basis with the qubit on axis 0, for `collapse`."""
-    n = state.num_qubits
-    if not 0 <= qubit_index < n:
-        raise IndexError(f"qubit {qubit_index} out of range for {n} qubits")
-    amps = state.amplitudes
-    if basis is Basis.X:
-        amps = _apply_matrix(amps, HADAMARD, (qubit_index,), n)
-    moved = np.moveaxis(amps.reshape([2] * n), qubit_index, 0)
-    return _snap_probability(float(np.sum(np.abs(moved[1]) ** 2))), moved
-
-
-def collapse(
-    moved: np.ndarray, qubit_index: int, basis: Basis, outcome: int, prob: float
-) -> StateVector:
-    """Post-measurement state for `outcome`, of probability `prob`, from the
-    amplitudes `outcome_probability` returned for that qubit and basis."""
-    n = moved.ndim
-    projected = np.zeros_like(moved)
-    projected[outcome] = moved[outcome]
-    post = np.moveaxis(projected, 0, qubit_index).reshape(-1) / math.sqrt(prob)
-    if basis is Basis.X:
-        post = _apply_matrix(post, HADAMARD, (qubit_index,), n)
-    return StateVector(n, post)
-
-
 def embed(num_qubits: int, u: UnitarySpec, targets: Sequence[int]) -> UnitarySpec:
     """Full 2^num_qubits matrix acting as `u` on `targets`, identity elsewhere."""
     targets = tuple(targets)
@@ -254,7 +211,7 @@ def random_unitary(num_qubits: int, seed: int) -> UnitarySpec:
 #
 # A block as Alice prepares it is a product of 1-qubit BB84 states, written
 # as an (n, 2) amplitude array, one row per qubit, until an attack entangles
-# it into a register (attacks.entangle_block).
+# it into a register (attacks.entangle_patterns).
 
 
 def bb84_rows(bits: np.ndarray, bases) -> np.ndarray:

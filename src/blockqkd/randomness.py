@@ -158,6 +158,9 @@ class BitSource:
         return self._rng.getrandbits
 
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" to digit bytes
+
+
 def bernoulli_digits(p: float) -> tuple[bytes, int]:
     """p's binary digits after the point, up to its last 1-digit, and the
     outcome of a draw that matches them all: 0, since the drawn X then
@@ -169,7 +172,7 @@ def bernoulli_digits(p: float) -> tuple[bytes, int]:
         return b"", 1
     num, den = p.as_integer_ratio()  # den = 2**width, num odd
     width = den.bit_length() - 1
-    return bytes(num >> (width - 1 - i) & 1 for i in range(width)), 0
+    return format(num, f"0{width}b").encode().translate(_DIGIT_BYTES), 0
 
 
 def bernoulli_draw(getrandbits, digits: bytes, outcome: int) -> tuple[int, int]:

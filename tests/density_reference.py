@@ -4,8 +4,8 @@ register branch by branch.
 - `DensityMatrix` is a checked Hermitian, unit-trace, positive-semidefinite
   matrix.
 - `project` conditions a register on a chosen measurement outcome without
-  sampling, through the `outcome_probability` and `collapse` that the
-  session's register path uses.
+  sampling, through `measurement_reference`'s `outcome_probability` and
+  `collapse`.
 - `reduced_density` is the partial trace onto a set of qubits.
 """
 
@@ -16,14 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from blockqkd.quantum import (
-    BRANCH_CUTOFF,
-    TRACE_TOL,
-    Basis,
-    StateVector,
-    collapse,
-    outcome_probability,
-)
+from blockqkd.quantum import BRANCH_CUTOFF, TRACE_TOL, Basis, StateVector
+from measurement_reference import collapse, outcome_probability
 
 HERMITIAN_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10

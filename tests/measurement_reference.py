@@ -1,6 +1,10 @@
-"""Sample-by-sample references for the package's register walk and rate
+"""Sample-by-sample references for the package's outcome tables and rate
 estimate.
 
+- `outcome_probability` and `collapse` are one qubit's measurement on a
+  full register, its probability of outcome 1 snapped to 0, 1/2 or 1
+  within 1e-12 (`snap_probability`) as `protocol._outcome_tables` snaps
+  its nodes, and the post-measurement state for a chosen outcome.
 - `measure` is one projective measurement on a full register, its outcome
   drawn from a Bernoulli sampler such as
   ``functools.partial(source.bernoulli, party, stage)``.
@@ -15,13 +19,56 @@ estimate.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from blockqkd.attacks import EntangledBlock
 from blockqkd.infotheory import JointDistribution
-from blockqkd.quantum import Basis, StateVector, collapse, outcome_probability
+from blockqkd.quantum import HADAMARD, Basis, StateVector, _apply_matrix
+from blockqkd.randomness import DETERMINISTIC_EPS
+
+
+def snap_probability(p: float) -> float:
+    """Collapse float noise around the decision points 0, 1/2 and 1."""
+    if p < DETERMINISTIC_EPS:
+        return 0.0
+    if p > 1.0 - DETERMINISTIC_EPS:
+        return 1.0
+    if abs(p - 0.5) < DETERMINISTIC_EPS:
+        return 0.5
+    return p
+
+
+def outcome_probability(
+    state: StateVector, qubit_index: int, basis: Basis
+) -> tuple[float, np.ndarray]:
+    """Probability that measuring one qubit in `basis` gives 1, snapped to
+    0, 1/2 or 1 within 1e-12 (the value an outcome is drawn on), and
+    the amplitudes in that basis with the qubit on axis 0, for `collapse`."""
+    n = state.num_qubits
+    if not 0 <= qubit_index < n:
+        raise IndexError(f"qubit {qubit_index} out of range for {n} qubits")
+    amps = state.amplitudes
+    if basis is Basis.X:
+        amps = _apply_matrix(amps, HADAMARD, (qubit_index,), n)
+    moved = np.moveaxis(amps.reshape([2] * n), qubit_index, 0)
+    return snap_probability(float(np.sum(np.abs(moved[1]) ** 2))), moved
+
+
+def collapse(
+    moved: np.ndarray, qubit_index: int, basis: Basis, outcome: int, prob: float
+) -> StateVector:
+    """Post-measurement state for `outcome`, of probability `prob`, from the
+    amplitudes `outcome_probability` returned for that qubit and basis."""
+    n = moved.ndim
+    projected = np.zeros_like(moved)
+    projected[outcome] = moved[outcome]
+    post = np.moveaxis(projected, 0, qubit_index).reshape(-1) / math.sqrt(prob)
+    if basis is Basis.X:
+        post = _apply_matrix(post, HADAMARD, (qubit_index,), n)
+    return StateVector(n, post)
 
 
 def measure(

@@ -1,5 +1,5 @@
 """The branch-by-branch reduction check that `attacks.verify_reduction` is
-checked against.
+checked against, and `entangle_block`, the real block it compares with.
 
 Each kept-outcome branch of the singlet-built register is reached by a
 chain of `project` calls, one per kept half, its weight the product of
@@ -15,19 +15,30 @@ from itertools import product
 
 import numpy as np
 
-from blockqkd.attacks import (
-    REDUCTION_TOL,
-    EquivalenceReport,
-    entangle_block,
-    singlet_simulation,
-)
+from blockqkd.attacks import REDUCTION_TOL, EquivalenceReport, singlet_simulation
 from blockqkd.quantum import (
     Basis,
+    StateVector,
     UnitarySpec,
+    apply_unitary,
     bb84_rows,
     prepare_bb84,
+    rows_to_state,
+    tensor,
 )
 from density_reference import project, reduced_density
+
+
+def entangle_block(rows: np.ndarray, u: UnitarySpec, num_ancillas: int) -> StateVector:
+    """The block's qubits, then `num_ancillas` ancillas in |0>, after `u`
+    on all of them."""
+    state = rows_to_state(rows)
+    if num_ancillas:
+        ancillas = np.zeros(2**num_ancillas, dtype=complex)
+        ancillas[0] = 1.0
+        state = tensor(state, StateVector(num_ancillas, ancillas))
+    return apply_unitary(state, u, range(state.num_qubits))
+
 
 
 def verify_reduction_reference(u, n: int, m: int) -> EquivalenceReport:

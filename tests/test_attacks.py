@@ -12,7 +12,6 @@ from blockqkd.attacks import (
     CorpusCase,
     check_reduction_size,
     cnot_entangler,
-    entangle_block,
     entangle_patterns,
     load_unitary,
     reduction_corpus,
@@ -35,7 +34,7 @@ from blockqkd.randomness import BitSource
 from circuit_oracle import Circuit, Measure, PrepSinglet, enumerate_outcomes
 from density_reference import project, reduced_density
 from measurement_reference import delayed_measurement, eve_tuples, measure
-from reduction_reference import verify_reduction_reference
+from reduction_reference import entangle_block, verify_reduction_reference
 
 IDENTITY4 = UnitarySpec.from_matrix(np.eye(4))
 

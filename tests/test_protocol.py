@@ -1,9 +1,9 @@
+import dataclasses
 import functools
 import hashlib
 import math
 import random as pyrandom
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockqkd import protocol
-from blockqkd.attacks import BlockAttackSpec, cnot_entangler, entangle_block
+from blockqkd.attacks import BlockAttackSpec, cnot_entangler
 from blockqkd.infotheory import ck_rate, mutual_information
 from blockqkd.protocol import (
     ProtocolConfig,
@@ -27,14 +27,19 @@ from blockqkd.quantum import (
     UnitarySpec,
     apply_unitary,
     bb84_rows,
-    collapse,
     embed,
-    outcome_probability,
     random_unitary,
 )
 from blockqkd.randomness import BitSource, bernoulli_digits
 from circuit_oracle import Apply, Circuit, Measure, Prep, enumerate_outcomes
-from measurement_reference import empirical_joint, eve_tuples, measure
+from measurement_reference import (
+    collapse,
+    empirical_joint,
+    eve_tuples,
+    measure,
+    outcome_probability,
+)
+from reduction_reference import entangle_block
 from row_reference import deposit_reference, flip_rows, intercept_resend, measure_rows
 
 X_GATE = UnitarySpec(2, np.array([[0, 1], [1, 0]], dtype=complex))
@@ -699,23 +704,21 @@ def _reference_unitary_session(config, attack, forced):
     forced=st.sampled_from([None, Basis.Z, Basis.X]),
     seed=st.integers(0, 2**32 - 1),
     num_blocks=st.integers(1, 40),
-    memo_nodes=st.sampled_from([0, 7, protocol._MEMO_NODES]),
 )
 @example(n=2, m=1, unitary_seed=None, delayed=True, flip=0.03, forced=None,
-         seed=307, num_blocks=60, memo_nodes=protocol._MEMO_NODES)
+         seed=307, num_blocks=60)
 @example(n=2, m=1, unitary_seed=None, delayed=False, flip=0.5, forced=Basis.X,
-         seed=308, num_blocks=60, memo_nodes=7)
+         seed=308, num_blocks=60)
 @example(n=2, m=1, unitary_seed="hadamard", delayed=True, flip=0.0, forced=None,
-         seed=304, num_blocks=20, memo_nodes=protocol._MEMO_NODES)
+         seed=304, num_blocks=20)
 @settings(max_examples=100, deadline=None)
-def test_register_memo_matches_per_block_register(
-    n, m, unitary_seed, delayed, flip, forced, seed, num_blocks, memo_nodes
+def test_outcome_tables_match_per_block_register(
+    n, m, unitary_seed, delayed, flip, forced, seed, num_blocks
 ):
-    """The memoized register path of run_session against the register
+    """run_session's walk of the outcome tables against the register
     evolved block by block: same keys, kept blocks, Eve's symbols, ledger
-    and generator state, also with the memo capped or kept empty.
-    unitary_seed None stands for the CNOT entangler, "hadamard" for a
-    Hadamard on the ancilla alone."""
+    and generator state. unitary_seed None stands for the CNOT entangler,
+    "hadamard" for a Hadamard on the ancilla alone."""
     if unitary_seed == "hadamard":
         u = embed(n + m, UnitarySpec(2, HADAMARD), (n,))
     else:
@@ -723,8 +726,7 @@ def test_register_memo_matches_per_block_register(
     attack = BlockAttackSpec.unitary(u, n, m, delayed=delayed)
     config = ProtocolConfig(n, num_blocks, "per_block", flip, seed=seed)
     reference = _reference_unitary_session(config, attack, forced)
-    with mock.patch.object(protocol, "_MEMO_NODES", memo_nodes):
-        report = run_session(config, attack, force_shared_basis=forced)
+    report = run_session(config, attack, force_shared_basis=forced)
     assert_same_session(report, reference)
     if unitary_seed == "hadamard":
         # Block 0 is kept in Z: Bob's outcomes are certain and Eve's Z reading
@@ -759,13 +761,12 @@ _SWEEP_SESSION = st.tuples(
     (6, 0.03, Basis.X, False, 30), (7, 0.5, Basis.Z, True, 30), (8, 0.03, None, False, 30),
 ])
 @settings(max_examples=40, deadline=None)
-def test_register_memo_shared_by_a_sweep(n, m, unitary_seed, sessions):
-    """A list of sessions run in order on one delayed and one immediate
-    attack object, as a sweep runs them, with the memo capped at 0, 7 and
-    _MEMO_NODES: each session matches the same session on a fresh attack
-    and the register evolved block by block, and a second pass over the
-    list adds no memo node. unitary_seed None stands for the CNOT
-    entangler."""
+def test_sweep_on_one_attack_matches_per_block_register(n, m, unitary_seed, sessions):
+    """A list of sessions run twice in order on one delayed and one
+    immediate attack object, as a sweep runs them: each session matches
+    the same session on a fresh attack and the register evolved block by
+    block, and the shared attacks hold nothing but their fields before and
+    after. unitary_seed None stands for the CNOT entangler."""
     u = cnot_entangler() if unitary_seed is None else random_unitary(n + m, unitary_seed)
 
     def configured(seed, flip, forced, delayed, num_blocks):
@@ -774,82 +775,77 @@ def test_register_memo_shared_by_a_sweep(n, m, unitary_seed, sessions):
 
     runs = [configured(*session) for session in sessions]
     references = [_reference_unitary_session(*run) for run in runs]
-    for memo_nodes in (0, 7, protocol._MEMO_NODES):
-        shared = {delayed: BlockAttackSpec.unitary(u, n, m, delayed) for delayed in (False, True)}
-        with mock.patch.object(protocol, "_MEMO_NODES", memo_nodes):
-            for sweep in range(2):
-                for (config, attack, forced), reference in zip(runs, references):
-                    report = run_session(config, shared[attack.delayed], forced)
-                    assert_same_session(report, reference)
-                    if sweep == 0:
-                        fresh = BlockAttackSpec.unitary(u, n, m, attack.delayed)
-                        assert_same_session(run_session(config, fresh, forced), reference)
-                nodes = [len(attack._register_memo) for attack in shared.values()]
-                assert max(nodes) <= memo_nodes
-                if sweep:
-                    assert nodes == stored  # the second pass only hits
-                stored = nodes
-        for delayed, attack in shared.items():  # the memo stays out of == and repr
-            fresh = BlockAttackSpec.unitary(u, n, m, delayed)
-            assert attack == fresh and repr(attack) == repr(fresh)
+    shared = {delayed: BlockAttackSpec.unitary(u, n, m, delayed) for delayed in (False, True)}
+    fields = {f.name for f in dataclasses.fields(BlockAttackSpec)}
+    assert all(vars(attack).keys() == fields for attack in shared.values())
+    for sweep in range(2):
+        for (config, attack, forced), reference in zip(runs, references):
+            report = run_session(config, shared[attack.delayed], forced)
+            assert_same_session(report, reference)
+            if sweep == 0:
+                fresh = BlockAttackSpec.unitary(u, n, m, attack.delayed)
+                assert_same_session(run_session(config, fresh, forced), reference)
+    assert all(vars(attack).keys() == fields for attack in shared.values())
+    for delayed, attack in shared.items():
+        fresh = BlockAttackSpec.unitary(u, n, m, delayed)
+        assert attack == fresh and repr(attack) == repr(fresh)
 
 
-def _decode_key(attack, key):
-    """A register-walk key read field by field in the walk's order: Alice's
-    basis value, her bits, the steps so far ((qubit, basis, outcome), a flip
-    being (qubit, Alice's basis, None)) and the (qubit, basis) of the
-    key's node."""
-    n, m = attack.num_block_qubits, attack.num_ancillas
-    digits = [int(c) for c in bin(key)[3:]]  # after the leading 1
-    basis, bits, at = digits[0], digits[1 : n + 1], n + 1
-    steps = []
-    if not attack.delayed and m:
-        guess, at = digits[at], at + 1
-        for q in range(n, n + m):
-            if at == len(digits):
-                return basis, bits, steps, (q, guess)
-            steps.append((q, guess, digits[at]))
-            at += 1
-    flips, bob_basis, at = digits[at : at + n], digits[at + n], at + n + 1
-    steps += [(q, basis, None) for q in range(n) if flips[q]]
-    nodes = [(q, bob_basis) for q in range(n)]
-    if attack.delayed:
-        nodes += [(q, basis) for q in range(n, n + m)]
-    for q, b in nodes:
-        if at == len(digits):
-            return basis, bits, steps, (q, b)
-        steps.append((q, b, digits[at]))
-        at += 1
-    raise AssertionError(f"key {key:b} has digits past its last node")
+def _replay_heap(p1, node, state, order):
+    """Check p1[node] and the nodes below it against the register `state`
+    replayed along their path: `order` is the (qubit, basis value) of each
+    measurement still to come."""
+    (qubit, basis), rest = order[0], order[1:]
+    p, moved = outcome_probability(state, qubit, Basis(basis))
+    assert abs(p1[node] - p) <= 1e-12
+    for outcome, prob in ((0, 1.0 - p), (1, p)) if rest else ():
+        if prob > 0.0:
+            post = collapse(moved, qubit, Basis(basis), outcome, prob)
+            _replay_heap(p1, 2 * node + outcome, post, rest)
 
 
+# The test keeps the name of the register-memo audit it replaced, so the
+# suite's test ids stay as they were.
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("m", [0, 1, 2])
 @pytest.mark.parametrize("delayed", [True, False])
 def test_register_memo_keys_replay_to_their_probabilities(n, m, delayed):
-    """Audit of the register memo after sessions over flips and forced
-    bases: every key decodes to steps, and replaying them on a fresh
-    register gives exactly the stored probability."""
+    """Audit of the outcome tables: in every row, each node's p1 is
+    snapped and equals, to 1e-12, what the register replayed along the
+    node's path gives; its digits are bernoulli_digits' of p1 and of
+    1 - p1; and the product along each root-to-leaf path equals that
+    leaf's |amplitude|^2 to 1e-12."""
     u = random_unitary(n + m, 80 + 3 * n + m)
-    attack = BlockAttackSpec.unitary(u, n, m, delayed=delayed)
-    for k, (flip, forced) in enumerate(
-        (flip, forced) for flip in (0.0, 0.03, 0.5) for forced in (None, Basis.Z, Basis.X)
-    ):
-        config = ProtocolConfig(n, 30, "per_block", flip, seed=400 + k)
-        run_session(config, attack, force_shared_basis=forced)
-    assert attack._register_memo
-    for key, (p1, digits, outcome) in attack._register_memo.items():
-        assert (digits, outcome) == bernoulli_digits(p1)
-        basis, bits, steps, (qubit, node_basis) = decoded = _decode_key(attack, key)
-        assert protocol._key_steps(attack, key) == decoded
-        state = entangle_block(bb84_rows(bits, Basis(basis)), u, m)
-        for q, b, outcome in steps:
-            if outcome is None:
-                state = apply_unitary(state, FLIP_GATES[Basis(b)], (q,))
-            else:
-                p, moved = outcome_probability(state, q, Basis(b))
-                state = collapse(moved, q, Basis(b), outcome, p if outcome else 1.0 - p)
-        assert outcome_probability(state, qubit, Basis(node_basis))[0] == p1
+    tables = protocol._outcome_tables(BlockAttackSpec.unitary(u, n, m, delayed=delayed))
+    assert list(tables) == ([(0, 0), (1, 1)] if delayed else [(0, 0), (0, 1), (1, 0), (1, 1)])
+    hadamard = UnitarySpec(2, HADAMARD)
+    for (alice, eve), by_bob in tables.items():
+        assert list(by_bob) == [0, 1]
+        for bob, rows in by_bob.items():
+            order = [(q, bob) for q in range(n)] + [(q, eve) for q in range(n, n + m)]
+            if not delayed:  # Eve measures first
+                order = order[n:] + order[:n]
+            assert len(rows) == 2**n
+            for pattern, (draws, flipped, p1) in enumerate(rows):
+                assert len(draws) == len(flipped) == len(p1) == 2 ** (n + m)
+                for point in (0.0, 0.5, 1.0):  # snapped within 1e-12
+                    assert np.all((np.abs(p1 - point) >= 1e-12) | (p1 == point))
+                for node in range(1, 2 ** (n + m)):
+                    assert draws[node] == bernoulli_digits(p1[node])
+                    assert flipped[node] == bernoulli_digits(1.0 - p1[node])
+                bits = [pattern >> (n - 1 - i) & 1 for i in range(n)]
+                state = entangle_block(bb84_rows(bits, Basis(alice)), u, m)
+                _replay_heap(p1, 1, state, order)
+                for qubit, basis in order:
+                    if basis:
+                        state = apply_unitary(state, hadamard, (qubit,))
+                probs = np.abs(state.amplitudes.reshape([2] * (n + m))) ** 2
+                leaves = probs.transpose([qubit for qubit, _ in order]).reshape(-1)
+                weights = np.ones(1)
+                for depth in range(n + m):
+                    level = p1[2**depth : 2 ** (depth + 1)]
+                    weights = np.stack([weights * (1.0 - level), weights * level], 1).reshape(-1)
+                assert np.max(np.abs(weights - leaves)) <= 1e-12
 
 
 # --- empirical rates ----------------------------------------------------------

@@ -223,6 +223,50 @@ def test_bernoulli_digits_sum_to_p(p):
     assert outcome == 0
 
 
+def _bernoulli_digits_reference(p):
+    """bernoulli_digits with each digit shifted out of p's numerator."""
+    if p < DETERMINISTIC_EPS:
+        return b"", 0
+    if p > 1.0 - DETERMINISTIC_EPS:
+        return b"", 1
+    num, den = p.as_integer_ratio()
+    width = den.bit_length() - 1
+    return bytes(num >> (width - 1 - i) & 1 for i in range(width)), 0
+
+
+_NEAR_DECISION_POINTS = st.builds(
+    lambda point, offset: min(max(point + offset, 0.0), 1.0),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(min_value=-1e-12, max_value=1e-12),
+)
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(1, 60).flatmap(  # dyadic k / 2**width
+            lambda width: st.builds(lambda k: k / 2**width, st.integers(0, 2**width))
+        ),
+        st.floats(min_value=0.0, max_value=2.2250738585072014e-308),  # subnormals
+        _NEAR_DECISION_POINTS,
+    )
+)
+@example(5e-324)
+@example(DETERMINISTIC_EPS)
+@example(1.0 - DETERMINISTIC_EPS)
+@example(np.nextafter(DETERMINISTIC_EPS, 1.0))
+@example(np.nextafter(1.0 - DETERMINISTIC_EPS, 0.0))
+@example(0.5 + 1e-12)
+@example(2**-52)
+@example(1.0 - 2**-53)
+@settings(max_examples=300)
+def test_bernoulli_digits_match_shifted_reference(p):
+    """bernoulli_digits' string-built digits equal the shifted-out ones on
+    random floats, dyadic values, subnormals and values within 1e-12 of 0,
+    1/2 and 1."""
+    assert bernoulli_digits(float(p)) == _bernoulli_digits_reference(float(p))
+
+
 def test_bernoulli_rejects_out_of_range():
     with pytest.raises(ValueError):
         BitSource(0).bernoulli("eve", "attack", 1.5)
