@@ -39,14 +39,11 @@ from .quantum import (
     Basis,
     StateVector,
     UnitarySpec,
-    apply_unitary,
+    _apply_matrix,
     bb84_rows,
     embed,
-    permute_qubits,
-    prepare_bb84,
     prepare_singlet,
     random_unitary,
-    tensor,
 )
 
 ATTACK_VARIANTS = ("none", "intercept_resend", "unitary_block")
@@ -189,6 +186,27 @@ def entangle_patterns(u: UnitarySpec, n: int, m: int, basis: Basis) -> np.ndarra
     return u.entries @ np.kron(patterns, ancillas)
 
 
+def _singlet_register(
+    alice: np.ndarray, n: int, u: UnitarySpec, m: int, alice_slot: int
+) -> np.ndarray:
+    """The singlet-built register in EntangledBlock's layout after `u` (on
+    the block slots and the ancillas), once per column of `alice`, Alice's
+    qubit as (2, k) amplitudes: a (2^(2n-1+m), k) array."""
+    total = 2 * n - 1 + m
+    ancillas = np.zeros(2**m)
+    ancillas[0] = 1.0
+    # Assembled as [alice, (sim_0, kept_0), ..., (sim_{n-2}, kept_{n-2}), anc...],
+    # then moved into [block slots | kept halves | ancillas].
+    rest = reduce(np.kron, [prepare_singlet().amplitudes] * (n - 1) + [ancillas])
+    register = np.kron(alice, rest[:, None]).reshape([2] * total + [-1])
+    destinations = [alice_slot]
+    for j, slot in enumerate(s for s in range(n) if s != alice_slot):
+        destinations += [slot, n + j]  # singlet half j, then its partner
+    destinations += range(2 * n - 1, total)
+    register = np.moveaxis(register, range(total), destinations).reshape(2**total, -1)
+    return _apply_matrix(register, u.entries, (*range(n), *range(2 * n - 1, total)), total)
+
+
 def singlet_simulation(
     alice_qubit: StateVector,
     n: int,
@@ -215,32 +233,14 @@ def singlet_simulation(
         raise ValueError(
             f"unitary dimension {u.dimension} does not match n={n}, m={m}"
         )
-    total = 2 * n - 1 + m
-    # Assemble as [alice, (sim_0, kept_0), ..., (sim_{n-2}, kept_{n-2}), anc...]
-    # then permute into [simulated slots | kept halves | ancillas].
-    parts = [alice_qubit]
-    for _ in range(n - 1):
-        parts.append(prepare_singlet())
-    if m:
-        anc = np.zeros(2**m, dtype=complex)
-        anc[0] = 1.0
-        parts.append(StateVector(m, anc))
-    state = tensor(*parts)
-    sim_order = [s for s in range(n) if s != alice_slot]
-    destinations = [alice_slot]
-    for j in range(n - 1):
-        destinations.append(sim_order[j])  # singlet half j -> simulated slot
-        destinations.append(n + j)  # partner half j -> kept slot
-    destinations.extend(range(2 * n - 1, total))
-    state = permute_qubits(state, destinations)
-    state = apply_unitary(state, u, list(range(n)) + list(range(2 * n - 1, total)))
+    register = _singlet_register(alice_qubit.amplitudes[:, None], n, u, m, alice_slot)
     return EntangledBlock(
-        state=state,
+        state=StateVector(2 * n - 1 + m, register[:, 0]),
         num_block_qubits=n,
         alice_slot=alice_slot,
-        partner_slots=tuple(sim_order),
+        partner_slots=tuple(s for s in range(n) if s != alice_slot),
         kept_slots=tuple(range(n, 2 * n - 1)),
-        ancilla_slots=tuple(range(2 * n - 1, total)),
+        ancilla_slots=tuple(range(2 * n - 1, 2 * n - 1 + m)),
     )
 
 
@@ -278,52 +278,50 @@ def verify_reduction(u: UnitarySpec, n: int, m: int) -> EquivalenceReport:
     Passes iff all density-matrix entries agree within 1e-9 and all
     weights do too.
 
-    A case's branches are the rows of one array: the kept halves moved to
-    the front and rotated into the basis, the block + ancillas flattened.
-    A row's squared norm is its branch weight. The real blocks of a basis
-    are the columns of one product (entangle_patterns), each branch reading
-    the column of its bit pattern.
+    A slot's four cases (Alice's Z0, Z1, X0, X1) are the columns of one
+    register (_singlet_register), `u` applied once. A case's branches are
+    the rows of one array: the kept halves moved to the front and, in X,
+    rotated into the basis, the block + ancillas flattened. A row's squared
+    norm is its branch weight. The real blocks of a basis are the columns of
+    one product (entangle_patterns), each branch reading the column of its
+    bit pattern. Deviations are taken one case at a time, each branch's
+    difference of density matrices as one rank-2 matrix product.
     """
     check_reduction_size(n, m)
     u = UnitarySpec.from_matrix(u)
-    expected_weight = 2.0 ** -(n - 1)
+    half = 2 ** (n - 1)  # branches per case
     hadamards = reduce(np.kron, [HADAMARD] * (n - 1), np.ones((1, 1)))
     # Row r's partner bits are the complement of kept outcomes r, in slot order.
-    partners = np.arange(2 ** (n - 1)) ^ (2 ** (n - 1) - 1)
+    partners = np.arange(half) ^ (half - 1)
+    alice = bb84_rows([0, 1, 0, 1], [0, 0, 1, 1]).T  # Z0, Z1, X0, X1 as columns
+    real = {basis: entangle_patterns(u, n, m, basis) for basis in Basis}
     max_dev = 0.0
     max_weight_dev = 0.0
-    cases = 0
-    branches = 0
-    for basis in (Basis.Z, Basis.X):
-        real = entangle_patterns(u, n, m, basis)
-        for alice_bit, alice_slot in product((0, 1), range(n)):
-            cases += 1
-            branches += len(partners)
-            sim = singlet_simulation(
-                prepare_bb84(alice_bit, basis), n, u, m, alice_slot=alice_slot
-            )
-            psi = sim.state.amplitudes.reshape([2] * sim.state.num_qubits)
-            rows = np.moveaxis(psi, sim.kept_slots, range(n - 1)).reshape(len(partners), -1)
-            if basis is Basis.X:
-                rows = hadamards @ rows
-            weights = np.einsum("ij,ij->i", rows.conj(), rows).real
-            max_weight_dev = max(max_weight_dev, float(np.max(np.abs(weights - expected_weight))))
-            if np.min(weights) <= BRANCH_CUTOFF:
+    for alice_slot in range(n):
+        register = _singlet_register(alice, n, u, m, alice_slot).reshape(2**n, half, 2**m, 4)
+        cases = register.transpose(3, 1, 0, 2).reshape(4, half, -1)  # kept halves first
+        cases[2:] = hadamards @ cases[2:]  # the X cases
+        weights = np.einsum("cij,cij->ci", cases.conj(), cases).real
+        max_weight_dev = max(max_weight_dev, float(np.max(np.abs(weights - 1.0 / half))))
+        low = n - 1 - alice_slot  # partner slots after Alice's
+        for (basis, alice_bit), rows, weight in zip(product(Basis, (0, 1)), cases, weights):
+            if np.min(weight) <= BRANCH_CUTOFF:
                 max_dev = math.inf
                 continue
-            low = n - 1 - alice_slot  # partner slots after Alice's
             patterns = (partners >> low << 1 | alice_bit) << low | partners & (1 << low) - 1
-            blocks = real[:, patterns].T
-            deviation = rows[:, :, None] * (rows.conj() / weights[:, None])[:, None, :]
-            deviation -= blocks[:, :, None] * blocks.conj()[:, None, :]
-            max_dev = max(max_dev, float(np.max(np.abs(deviation))))
+            blocks = real[basis][:, patterns].T
+            # rho_sim - rho_real = s s+ - b b+, s the branch renormalised
+            scaled = rows / np.sqrt(weight)[:, None]
+            left = np.concatenate((scaled[:, :, None], blocks[:, :, None]), axis=2)
+            right = np.concatenate((scaled[:, None, :], -blocks[:, None, :]), axis=1).conj()
+            max_dev = max(max_dev, float(np.max(np.abs(left @ right))))
     passed = max_dev < REDUCTION_TOL and max_weight_dev < REDUCTION_TOL
     return EquivalenceReport(
         passed=passed,
         max_deviation=max_dev,
         max_weight_deviation=max_weight_dev,
-        cases_checked=cases,
-        branches_checked=branches,
+        cases_checked=4 * n,
+        branches_checked=4 * n * half,
     )
 
 

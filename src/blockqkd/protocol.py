@@ -126,8 +126,11 @@ def _outcome_tables(attack: BlockAttackSpec) -> dict:
     probability of outcome 1 given its path) is a ratio of level sums of
     the leaves' |amplitude|^2 (entangle_patterns after one Hadamard layer
     per basis in X), snapped to 0, 1/2 or 1 within 1e-12. A row is (each
-    node's bernoulli_digits(p1), its bernoulli_digits(1 - p1), the p1
-    array): a channel flip in Bob's basis swaps his two outcomes."""
+    node's bernoulli_digits(p1), its flipped digits, the p1 array): a
+    channel flip in Bob's basis swaps his two outcomes, so on Bob's nodes
+    in the rows where his basis equals Alice's the flipped digits are
+    bernoulli_digits(1 - p1). No flip lands anywhere else, and there the
+    flipped digits are the straight ones."""
     n, m = attack.num_block_qubits, attack.num_ancillas
     block_x = reduce(np.kron, [HADAMARD] * n)  # the Hadamard layers
     ancillas_x = reduce(np.kron, [HADAMARD] * m, np.ones((1, 1)))
@@ -153,15 +156,21 @@ def _outcome_tables(attack: BlockAttackSpec) -> dict:
     eps = DETERMINISTIC_EPS
     heap = np.where(np.abs(heap - 0.5) < eps, 0.5, heap)
     p1 = np.where(heap < eps, 0.0, np.where(heap > 1.0 - eps, 1.0, heap))
-    values = np.stack([p1, 1.0 - p1])
-    digits = {value: bernoulli_digits(value) for value in set(values.ravel().tolist())}
-    straight, flipped = (
-        [[[digits[value] for value in row] for row in rows] for rows in side]
-        for side in values.tolist()
-    )
+    lo, hi = (1, 2**n) if attack.delayed else (2**m, 2 ** (n + m))  # Bob's nodes
+    turned = 1.0 - p1[[alice == bob for alice, _, bob in keys], :, lo:hi]
+    values = {*p1.ravel().tolist(), *turned.ravel().tolist()}
+    digits = {value: bernoulli_digits(value) for value in values}
+    straight = [[[digits[value] for value in row] for row in rows] for rows in p1.tolist()]
+    turned_rows = iter(turned.tolist())
     tables: dict = {}
     for t, (alice, eve, bob) in enumerate(keys):
-        tables.setdefault((alice, eve), {})[bob] = list(zip(straight[t], flipped[t], p1[t]))
+        flipped = straight[t]
+        if alice == bob:  # the only rows where a flip lands, on Bob's nodes
+            flipped = [
+                row[:lo] + [digits[value] for value in nodes] + row[hi:]
+                for row, nodes in zip(flipped, next(turned_rows))
+            ]
+        tables.setdefault((alice, eve), {})[bob] = list(zip(straight[t], flipped, p1[t]))
     return tables
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -123,8 +122,6 @@ _BB84_AMPS = np.array(
 )
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT_HALF
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
@@ -181,21 +178,6 @@ def _apply_matrix(
     return np.moveaxis(psi, range(t), targets).reshape(amps.shape)
 
 
-def permute_qubits(state: StateVector, destinations: Sequence[int]) -> StateVector:
-    """Relabel qubits: current qubit i becomes qubit destinations[i]."""
-    n = state.num_qubits
-    if sorted(destinations) != list(range(n)):
-        raise ValueError("destinations must be a permutation of all qubit indices")
-    psi = state.amplitudes.reshape([2] * n)
-    return StateVector(n, np.moveaxis(psi, range(n), destinations).reshape(-1))
-
-
-def tensor(*states: StateVector) -> StateVector:
-    """Tensor product, qubits ordered left to right."""
-    amps = reduce(np.kron, (s.amplitudes for s in states))
-    return StateVector(sum(s.num_qubits for s in states), amps)
-
-
 def random_unitary(num_qubits: int, seed: int) -> UnitarySpec:
     """Haar-distributed unitary from seeded Gaussian orthogonalization."""
     rng = np.random.default_rng(seed)
@@ -220,9 +202,3 @@ def bb84_rows(bits: np.ndarray, bases) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.int64)
     values = bases.value if isinstance(bases, Basis) else np.asarray(bases, dtype=np.int64)
     return _BB84_AMPS[values, bits].copy()
-
-
-def rows_to_state(rows: np.ndarray) -> StateVector:
-    """Promote an (n, 2) product block to a full register state."""
-    amps = reduce(np.kron, list(rows))
-    return StateVector(len(rows), amps)

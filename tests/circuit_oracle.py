@@ -19,7 +19,6 @@ from blockqkd.infotheory import JointDistribution
 from blockqkd.quantum import (
     HADAMARD,
     MAX_REGISTER_QUBITS,
-    PAULI_X,
     Basis,
     StateVector,
     UnitarySpec,
@@ -28,6 +27,8 @@ from blockqkd.quantum import (
 from density_reference import project
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex

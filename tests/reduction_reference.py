@@ -1,5 +1,7 @@
 """The branch-by-branch reduction check that `attacks.verify_reduction` is
-checked against, and `entangle_block`, the real block it compares with.
+checked against, and `entangle_block`, the real block it compares with,
+built from the block's amplitude rows by `rows_to_state`, with the
+register helpers `tensor` and `permute_qubits`.
 
 Each kept-outcome branch of the singlet-built register is reached by a
 chain of `project` calls, one per kept half, its weight the product of
@@ -11,7 +13,9 @@ that `entangle_block` attacks.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -23,10 +27,28 @@ from blockqkd.quantum import (
     apply_unitary,
     bb84_rows,
     prepare_bb84,
-    rows_to_state,
-    tensor,
 )
 from density_reference import project, reduced_density
+
+
+def tensor(*states: StateVector) -> StateVector:
+    """Tensor product, qubits ordered left to right."""
+    amps = reduce(np.kron, (s.amplitudes for s in states))
+    return StateVector(sum(s.num_qubits for s in states), amps)
+
+
+def permute_qubits(state: StateVector, destinations: Sequence[int]) -> StateVector:
+    """Relabel qubits: current qubit i becomes qubit destinations[i]."""
+    n = state.num_qubits
+    if sorted(destinations) != list(range(n)):
+        raise ValueError("destinations must be a permutation of all qubit indices")
+    psi = state.amplitudes.reshape([2] * n)
+    return StateVector(n, np.moveaxis(psi, range(n), destinations).reshape(-1))
+
+
+def rows_to_state(rows: np.ndarray) -> StateVector:
+    """Promote an (n, 2) product block to a full register state."""
+    return StateVector(len(rows), reduce(np.kron, list(rows)))
 
 
 def entangle_block(rows: np.ndarray, u: UnitarySpec, num_ancillas: int) -> StateVector:

@@ -27,14 +27,17 @@ from blockqkd.quantum import (
     bb84_rows,
     prepare_bb84,
     random_unitary,
-    rows_to_state,
-    tensor,
 )
 from blockqkd.randomness import BitSource
 from circuit_oracle import Circuit, Measure, PrepSinglet, enumerate_outcomes
 from density_reference import project, reduced_density
 from measurement_reference import delayed_measurement, eve_tuples, measure
-from reduction_reference import entangle_block, verify_reduction_reference
+from reduction_reference import (
+    entangle_block,
+    rows_to_state,
+    tensor,
+    verify_reduction_reference,
+)
 
 IDENTITY4 = UnitarySpec.from_matrix(np.eye(4))
 
@@ -324,7 +327,8 @@ def test_verify_random_cases():
     reduction_corpus()
     + [
         CorpusCase(f"random(n={n},m={m})", random_unitary(n + m, seed=60 + n + m), n, m)
-        for n, m in ((1, 0), (1, 2), (4, 1), (5, 0))
+        # (6, 1) and (3, 6) fill the 12-qubit register cap
+        for n, m in ((1, 0), (1, 2), (2, 0), (4, 1), (5, 0), (6, 1), (3, 6))
     ],
     ids=lambda case: case.name,
 )

@@ -812,9 +812,11 @@ def _replay_heap(p1, node, state, order):
 def test_register_memo_keys_replay_to_their_probabilities(n, m, delayed):
     """Audit of the outcome tables: in every row, each node's p1 is
     snapped and equals, to 1e-12, what the register replayed along the
-    node's path gives; its digits are bernoulli_digits' of p1 and of
-    1 - p1; and the product along each root-to-leaf path equals that
-    leaf's |amplitude|^2 to 1e-12."""
+    node's path gives; its digits are bernoulli_digits' of p1 and, where
+    a channel flip can land (Bob's nodes in the rows of his basis equal to
+    Alice's), of 1 - p1, its straight digits elsewhere; and the product
+    along each root-to-leaf path equals that leaf's |amplitude|^2 to
+    1e-12."""
     u = random_unitary(n + m, 80 + 3 * n + m)
     tables = protocol._outcome_tables(BlockAttackSpec.unitary(u, n, m, delayed=delayed))
     assert list(tables) == ([(0, 0), (1, 1)] if delayed else [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -832,7 +834,11 @@ def test_register_memo_keys_replay_to_their_probabilities(n, m, delayed):
                     assert np.all((np.abs(p1 - point) >= 1e-12) | (p1 == point))
                 for node in range(1, 2 ** (n + m)):
                     assert draws[node] == bernoulli_digits(p1[node])
-                    assert flipped[node] == bernoulli_digits(1.0 - p1[node])
+                    bobs = node < 2**n if delayed else node >= 2**m
+                    if bob == alice and bobs:  # a channel flip can land here
+                        assert flipped[node] == bernoulli_digits(1.0 - p1[node])
+                    else:
+                        assert flipped[node] == draws[node]
                 bits = [pattern >> (n - 1 - i) & 1 for i in range(n)]
                 state = entangle_block(bb84_rows(bits, Basis(alice)), u, m)
                 _replay_heap(p1, 1, state, order)

@@ -11,8 +11,6 @@ from blockqkd.quantum import (
     CNOT,
     HADAMARD,
     MAX_REGISTER_QUBITS,
-    PAULI_X,
-    PAULI_Z,
     Basis,
     StateVector,
     UnitarySpec,
@@ -20,21 +18,29 @@ from blockqkd.quantum import (
     apply_unitary,
     bb84_rows,
     embed,
-    permute_qubits,
     prepare_bb84,
     prepare_singlet,
     random_unitary,
-    rows_to_state,
-    tensor,
 )
 from blockqkd.randomness import BitSource
-from circuit_oracle import SWAP, Apply, Circuit, Measure, Prep, PrepSinglet, enumerate_outcomes
+from circuit_oracle import (
+    PAULI_X,
+    SWAP,
+    Apply,
+    Circuit,
+    Measure,
+    Prep,
+    PrepSinglet,
+    enumerate_outcomes,
+)
 from circuit_sampling import RandomCoin, sample_circuit
 from density_reference import DensityMatrix, project, reduced_density
 from measurement_reference import measure
+from reduction_reference import permute_qubits, rows_to_state, tensor
 from row_reference import flip_rows, measure_rows
 
 S = 1.0 / math.sqrt(2.0)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class RefuseCoin:
