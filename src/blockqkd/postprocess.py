@@ -522,11 +522,12 @@ def cascade(
                 if odd(p2, rank // sizes[p2]):
                     queue.append((p2, rank // sizes[p2]))
 
+    indices = list(range(n))  # each later pass permutes a copy of this one list
     for p in range(CASCADE_PASSES):
         if p == 0:
             order = np.arange(n, dtype=np.int32)
         else:
-            order = np.fromiter(source.shuffled("shared", "ec_permutation", n), np.int32, n)
+            order = np.fromiter(source.shuffled("shared", "ec_permutation", indices), np.int32, n)
         rank = np.empty(n, dtype=np.int32)
         rank[order] = np.arange(n, dtype=np.int32)
         size = min(first_block << p, n)

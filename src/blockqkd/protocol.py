@@ -457,6 +457,11 @@ def _pack(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[k : k + step], "big") >> pad for k in range(0, len(raw), step)]
 
 
+# The channel's word generator, built once (its SeedSequence set-up costs
+# more than a short session's draws); each call overwrites its whole state.
+_CHANNEL_WORDS = np.random.MT19937(0)
+
+
 def _channel_flips(config: ProtocolConfig) -> np.ndarray | None:
     """(num_blocks, n) mask of channel bit flips; None when noiseless.
 
@@ -465,18 +470,23 @@ def _channel_flips(config: ProtocolConfig) -> np.ndarray | None:
     Z gate for X-prepared qubits); an entangled block flips in Alice's
     encoding basis. The uniforms are rng.random()'s, built in bulk: that is
     ((a >> 5) * 2^26 + (b >> 6)) * 2^-53 for two consecutive 32-bit words
-    a, b, which getrandbits(64 * count) returns least significant first.
-    That layout is CPython's Mersenne Twister, undocumented; the values and
-    the final state match a random() loop on CPython 3.10.13, 3.11.7,
-    3.12.1 and 3.13.0. It is the only draw that relies on it, and pays:
-    a random() loop takes about 3x as long per 100k-qubit session.
+    a, b of the Mersenne Twister (Matsumoto & Nishimura, 1998). numpy's
+    MT19937 is the same generator: set to the key words and position of
+    random.Random("{seed}/channel").getstate(), its random_raw returns the
+    words a random() loop reads. That numpy reproduces CPython's word
+    stream from a copied state is undocumented; the values match a random()
+    loop on CPython 3.10-3.13 with numpy 1.24 and later. It is the only
+    draw that relies on it, and pays: a random() loop takes about 6x as
+    long per 100k-qubit session.
     """
     if config.channel_flip_prob <= 0.0:
         return None
-    rng = random.Random(f"{config.seed}/channel")
-    count = config.raw_qubits
-    raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
-    words = np.frombuffer(raw, dtype="<u4")
+    _, state, _ = random.Random(f"{config.seed}/channel").getstate()
+    _CHANNEL_WORDS.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": state[:-1], "pos": state[-1]},
+    }
+    words = _CHANNEL_WORDS.random_raw(2 * config.raw_qubits)
     draws = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
     return (draws < config.channel_flip_prob).reshape(config.num_blocks, -1)
 

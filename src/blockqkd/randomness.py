@@ -11,8 +11,9 @@ bit-exact:
 - ``sampled(n, k)`` draws k distinct indices of range(n) on those draws:
   the first k steps of a Fisher-Yates shuffle from the bottom, each index
   drawn and swapped in one loop, charged in one ledger record.
-- ``shuffled(n)`` is the Fisher-Yates shuffle from the top on the same
-  draws, also one loop and one ledger record.
+- ``shuffled(items)`` is a copy of a list permuted by the Fisher-Yates
+  shuffle from the top on the same draws, also one loop and one ledger
+  record; the caller's list is left unchanged.
 - ``bernoulli(p)`` compares fair digits, drawn one at a time, with p's
   binary digits (``bernoulli_digits``) and stops at the first that differs,
   which decides the outcome (Knuth & Yao, 1976); the bits go to the ledger
@@ -107,26 +108,31 @@ class BitSource:
         """
         if not 0 <= k <= n <= 1 << 32:
             raise ValueError(f"need 0 <= k <= n <= 2**32, not n={n}, k={k}")
-        getrandbits, moved, sample, drawn = self._rng.getrandbits, {}, [], 0
-        for i in range(k):
-            bound = n - i
-            width = (bound - 1).bit_length()
-            while (r := getrandbits(width)) >= bound:
-                drawn += width
-            drawn += width
-            j = i + r
-            sample.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
+        getrandbits, moved, sample, drawn, start = self._rng.getrandbits, {}, [], 0, 0
+        for width in range(max(n - 1, 0).bit_length(), -1, -1):  # the steps of each width
+            stop = min(k, n - (1 << width >> 1))  # steps whose bound - 1 has `width` bits
+            attempts = stop - start
+            for i in range(start, stop):
+                while (r := getrandbits(width)) >= n - i:
+                    attempts += 1
+                j = i + r
+                sample.append(moved.get(j, j))
+                moved[j] = moved.get(i, i)
+            drawn += width * attempts
+            start = stop
         if drawn:
             self.ledger.record(party, stage, drawn)
         return sample
 
-    def shuffled(self, party: str, stage: str, n: int) -> list[int]:
-        """A uniform permutation of range(n): Fisher-Yates from the top, index
-        i swapping with a uniform value below i + 1, drawn and swapped in one
-        loop. Every bit drawn goes to the ledger in one record
-        (none when no bit was drawn)."""
-        getrandbits, perm, drawn = self._rng.getrandbits, list(range(n)), 0
+    def shuffled(self, party: str, stage: str, items: list) -> list:
+        """A uniformly permuted copy of `items`, which is left as it is:
+        Fisher-Yates from the top, index i swapping with a uniform value
+        below i + 1, drawn and swapped in one loop. The draws depend on
+        len(items) alone, so one list can serve every shuffle of a length.
+        Every bit drawn goes to the ledger in one record (none when no bit
+        was drawn)."""
+        getrandbits, perm, drawn = self._rng.getrandbits, list(items), 0
+        n = len(perm)
         for width in range((n - 1).bit_length(), 0, -1):  # the indices of each width
             run = range(min(n - 1, (1 << width) - 1), (1 << (width - 1)) - 1, -1)
             attempts = len(run)

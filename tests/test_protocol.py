@@ -629,6 +629,7 @@ def test_deposit_table_matches_bit_loop(mask, draw):
     p=st.sampled_from([1e-13, 0.02, 0.5, 1.0]),
     pick=st.integers(0, 2**16),
 )
+@example(seed=1, n=1000, num_blocks=100, p=0.02, pick=54_321)  # block1000_clean's shape
 @settings(max_examples=100, deadline=None)
 def test_channel_flips_match_random_loop(seed, n, num_blocks, p, pick):
     """The bulk channel draws are rng.random()'s to the last bit: they
@@ -643,6 +644,18 @@ def test_channel_flips_match_random_loop(seed, n, num_blocks, p, pick):
         config = ProtocolConfig(n, num_blocks, channel_flip_prob=float(threshold), seed=seed)
         expected = (np.array(draws) < threshold).reshape(num_blocks, n)
         assert np.array_equal(_channel_flips(config), expected)
+
+
+def test_channel_flips_carry_nothing_between_sessions():
+    """The word generator is shared by every call, and each call overwrites
+    its state: a session drawn between two runs of another (longer, so it
+    reads on past their last word) leaves their masks the same."""
+    a = ProtocolConfig(16, 40, channel_flip_prob=0.3, seed=21)
+    b = ProtocolConfig(1000, 3, channel_flip_prob=0.02, seed=22)
+    first = _channel_flips(a)
+    assert np.array_equal(_channel_flips(b), _reference_flips(b))
+    assert np.array_equal(_channel_flips(a), first)
+    assert np.array_equal(first, _reference_flips(a))
 
 
 def _measure_each(state, qubits, basis, coin):

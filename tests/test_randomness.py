@@ -387,9 +387,30 @@ def test_shuffled_matches_the_reference_shuffle(seed, n):
     """shuffled against the reference Fisher-Yates loop, one ledger record
     per attempt: same permutation, ledger and generator state."""
     source, reference = BitSource(seed), BitSource(seed)
-    assert source.shuffled("shared", "ec_permutation", n) == _permutation(n, reference).tolist()
+    assert (
+        source.shuffled("shared", "ec_permutation", list(range(n)))
+        == _permutation(n, reference).tolist()
+    )
     assert source.ledger.counts == reference.ledger.counts
     assert source._rng.getstate() == reference._rng.getstate()
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=5000))
+@example(seed=17, n=42_400)  # about one block1000_clean sifted key
+@settings(max_examples=40, deadline=None)
+def test_shuffles_of_one_list_match_shuffles_of_fresh_lists(seed, n):
+    """Three shuffles of one list, as Cascade's passes take them, against
+    three of fresh lists: same permutations, ledger and generator state,
+    and the shared list left as it was."""
+    shared, fresh = BitSource(seed), BitSource(seed)
+    indices = list(range(n))
+    for _ in range(3):
+        assert shared.shuffled("shared", "ec_permutation", indices) == fresh.shuffled(
+            "shared", "ec_permutation", list(range(n))
+        )
+        assert indices == list(range(n))
+    assert shared.ledger.counts == fresh.ledger.counts
+    assert shared._rng.getstate() == fresh._rng.getstate()
 
 
 @pytest.mark.parametrize("n, k", [(5, 6), (0, 1), (5, -1), (2**32 + 1, 1), (2**32 + 1, 0)])
