@@ -474,10 +474,10 @@ def _channel_flips(config: ProtocolConfig) -> np.ndarray | None:
     MT19937 is the same generator: set to the key words and position of
     random.Random("{seed}/channel").getstate(), its random_raw returns the
     words a random() loop reads. That numpy reproduces CPython's word
-    stream from a copied state is undocumented; the values match a random()
-    loop on CPython 3.10-3.13 with numpy 1.24 and later. It is the only
-    draw that relies on it, and pays: a random() loop takes about 6x as
-    long per 100k-qubit session.
+    stream from a copied state is undocumented; a test checks the values
+    against a random() loop, and CI runs it on CPython 3.10-3.13 and on
+    numpy 1.24. It is the only draw that relies on it, and pays: a random()
+    loop takes about 6x as long per 100k-qubit session.
     """
     if config.channel_flip_prob <= 0.0:
         return None
