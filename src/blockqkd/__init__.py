@@ -7,7 +7,7 @@ quantum state is tracked exactly, and the classical pipeline (error
 reconciliation plus Toeplitz hashing) turns sifted bits into a final key.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .attacks import (
     BlockAttackSpec,

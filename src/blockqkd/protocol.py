@@ -6,24 +6,31 @@ bit to measure it, so a block costs n+1 random bits on Alice's side instead
 of the per_qubit baseline's 2n. Sifting is all-or-nothing per block: a
 basis mismatch discards the entire block.
 
-A session is deterministic given (config, attack): protocol randomness
-comes from one ledgered BitSource seeded with config.seed, channel noise
-from a separate plain stream seeded with "{seed}/channel" (noise is the
-environment's randomness, not a bit any party paid for). That stream is
-read as n uniforms per block, in block order, whatever the attack, so the
-whole session's flip mask is drawn from it up front.
+A session is deterministic given (config, attack). Each kind of draw
+reads its own stream, keyed by "{seed}/{kind}" (randomness.stream_words),
+at an address fixed by its block or raw-qubit index, so no draw depends on
+an earlier outcome and each is one array operation over all blocks:
 
-Blocks run in Python-int bit masks (run_session); a block that a
-unitary_block attack entangles walks the attack's outcome tables instead
-(_outcome_tables), built once per session. The block loop counts each
-stage's bits in locals and charges the ledger once per session, after the
-last block.
+- a bit (randomness.stream_bits) per block in per_block mode, or per raw
+  qubit in per_qubit mode: "alice_basis" and "bob_basis";
+- a bit per raw qubit: "alice_bits", and "bob_outcome" and "eve_outcome",
+  read only where that party's measurement is fair;
+- a bit per block or per raw qubit, as Eve's granularity: "eve_basis"; a
+  bit per block: "eve_guess";
+- a word per Knuth-Yao trial (randomness.knuth_yao), a trial that reads on
+  taking the same word of the next plane: "eve_trial" per raw qubit
+  (planes 0 and 1), "unitary" per block and level of the outcome tables
+  (planes 2 * level and 2 * level + 1);
+- a word per raw qubit, "channel": the qubit flips when the word's 53-bit
+  uniform (word >> 11) * 2^-53 is below the flip probability. Noise is the
+  environment's randomness, not a bit any party paid for.
+
+Post-processing continues on a ledgered BitSource seeded with config.seed.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -37,8 +44,9 @@ from .randomness import (
     BitSource,
     ConsumptionReport,
     RandomnessLedger,
-    bernoulli_digits,
-    unpack_bits,
+    knuth_yao,
+    stream_bits,
+    stream_words,
 )
 
 MODES = ("per_block", "per_qubit")
@@ -116,62 +124,43 @@ class SessionReport:
         return ConsumptionReport.from_ledger(self.ledger, self.raw_qubits)
 
 
-def _outcome_tables(attack: BlockAttackSpec) -> dict:
+def _outcome_tables(attack: BlockAttackSpec) -> np.ndarray:
     """A unitary_block attack's outcome law, built once per session:
-    ``tables[alice, eve][bob][pattern]`` is the row for those basis values
-    and Alice's n-bit pattern, a heap of measurement nodes in draw order:
-    Bob's n qubits, then Eve's m ancillas in Alice's basis (delayed; only
-    those rows are built), or her ancillas first. Node 1 is the root, node
-    k's children are 2k and 2k + 1 for outcomes 0 and 1, and its p1 (the
-    probability of outcome 1 given its path) is a ratio of level sums of
-    the leaves' |amplitude|^2 (entangle_patterns after one Hadamard layer
-    per basis in X), snapped to 0, 1/2 or 1 within 1e-12. A row is (each
-    node's bernoulli_digits(p1), its flipped digits, the p1 array): a
-    channel flip in Bob's basis swaps his two outcomes, so on Bob's nodes
-    in the rows where his basis equals Alice's the flipped digits are
-    bernoulli_digits(1 - p1). No flip lands anywhere else, and there the
-    flipped digits are the straight ones."""
-    n, m = attack.num_block_qubits, attack.num_ancillas
+    ``p1[alice, eve, bob, pattern]`` is the row for those basis values and
+    Alice's n-bit pattern, a heap of measurement nodes in draw order: Bob's
+    n qubits, then Eve's m ancillas in Alice's basis (delayed; the eve axis
+    then has that one entry), or her ancillas first. Node 1 is the root,
+    node k's children are 2k and 2k + 1 for outcomes 0 and 1 (node 0 is
+    unused), and its p1, the probability of outcome 1 given its path, is a
+    ratio of level sums of the leaves' |amplitude|^2 (entangle_patterns
+    after one Hadamard layer per basis in X), snapped to 0, 1/2 or 1 within
+    1e-12."""
+    n, m, delayed = attack.num_block_qubits, attack.num_ancillas, attack.delayed
     block_x = reduce(np.kron, [HADAMARD] * n)  # the Hadamard layers
     ancillas_x = reduce(np.kron, [HADAMARD] * m, np.ones((1, 1)))
     in_z = entangle_patterns(attack.u, n, m, Basis.Z)
-    keys, amplitudes = [], []
+    amplitudes = []
     for alice, states in enumerate((in_z, in_z @ block_x)):
-        for bob in (0, 1):
-            in_bob = block_x @ states.reshape(2**n, -1) if bob else states
-            in_bob = in_bob.reshape(2**n, 2**m, -1)
-            for eve in (alice,) if attack.delayed else (0, 1):
-                keys.append((alice, eve, bob))
+        for eve in (alice,) if delayed else (0, 1):
+            for bob in (0, 1):
+                in_bob = block_x @ states.reshape(2**n, -1) if bob else states
+                in_bob = in_bob.reshape(2**n, 2**m, -1)
                 amplitudes.append(ancillas_x @ in_bob if eve else in_bob)
-    leaves = np.abs(np.stack(amplitudes)) ** 2  # (row key, block, ancillas, pattern)
-    if not attack.delayed:  # ancillas first
+    rows = len(amplitudes)
+    leaves = np.abs(np.stack(amplitudes)) ** 2  # (row, block, ancillas, pattern)
+    if not delayed:  # ancillas first
         leaves = leaves.transpose(0, 2, 1, 3)
-    level = leaves.reshape(len(keys), 2 ** (n + m), -1).transpose(0, 2, 1)
-    heap = np.zeros_like(level)  # node 0 unused
+    level = leaves.reshape(rows, 2 ** (n + m), -1).transpose(0, 2, 1)
+    heap = np.zeros_like(level)
     while level.shape[2] > 1:
-        pairs = level.reshape(len(keys), 2**n, -1, 2)
+        pairs = level.reshape(rows, 2**n, -1, 2)
         level = pairs[..., 0] + pairs[..., 1]
         width = level.shape[2]
         np.divide(pairs[..., 1], level, out=heap[..., width : 2 * width], where=level > 0)
     eps = DETERMINISTIC_EPS
     heap = np.where(np.abs(heap - 0.5) < eps, 0.5, heap)
     p1 = np.where(heap < eps, 0.0, np.where(heap > 1.0 - eps, 1.0, heap))
-    lo, hi = (1, 2**n) if attack.delayed else (2**m, 2 ** (n + m))  # Bob's nodes
-    turned = 1.0 - p1[[alice == bob for alice, _, bob in keys], :, lo:hi]
-    values = {*p1.ravel().tolist(), *turned.ravel().tolist()}
-    digits = {value: bernoulli_digits(value) for value in values}
-    straight = [[[digits[value] for value in row] for row in rows] for rows in p1.tolist()]
-    turned_rows = iter(turned.tolist())
-    tables: dict = {}
-    for t, (alice, eve, bob) in enumerate(keys):
-        flipped = straight[t]
-        if alice == bob:  # the only rows where a flip lands, on Bob's nodes
-            flipped = [
-                row[:lo] + [digits[value] for value in nodes] + row[hi:]
-                for row, nodes in zip(flipped, next(turned_rows))
-            ]
-        tables.setdefault((alice, eve), {})[bob] = list(zip(straight[t], flipped, p1[t]))
-    return tables
+    return p1.reshape(2, rows // 4, 2, 2**n, -1)
 
 
 def estimate_qber(
@@ -208,179 +197,48 @@ def run_session(
 ) -> SessionReport:
     """Execute prepare -> attack -> channel -> measure -> sift -> estimate.
 
-    One pass per block: Alice prepares it, Eve attacks it, the channel
-    flips it, Bob measures it, and the announcement follows at once. Both
-    bases become public, Eve finishes any delayed measurement in the
-    announced basis (kept block or not), and the positions where the bases
-    agree join the keys. In per_block mode both bases are constant over a
-    block, so that mask keeps or drops the block whole. The channel's flip
-    mask is drawn up front, n uniforms per block in block order.
+    All blocks at once, as (num_blocks, n) arrays: Alice prepares, Eve
+    attacks, the channel flips, Bob measures, both bases become public, Eve
+    finishes any delayed measurement in the announced basis, and the
+    positions where the bases agree form the keys. In per_block mode both
+    bases are constant over a block, so that mask keeps or drops the block
+    whole. No draw depends on an earlier outcome: each is read from its
+    stream at its own address (module docstring).
 
-    A block lives in Python-int bit masks, position i at bit n-1-i (the
-    order draw_bits unpacks a getrandbits(n) value in). An unentangled
-    qubit is a (preparation basis, value) pair: a flip XORs the value, a
-    measurement in that basis reads it, and the fair outcomes of the other
-    basis are one getrandbits(count) placed in index order, its first
-    drawn bit at the first such position. The loop over blocks stays: all
-    other draws share one ledgered stream in the order Alice, Eve, Bob,
-    Eve's delayed measurement, and how many bits each takes depends on the
-    outcomes before it, so drawing them in bulk would change the outputs.
-    Each stage is charged once per session, after the loop, with the
-    ledger's keys in first-charge order: by the first block that drew from
-    the stage, then by the order a block draws in.
-
-    A per_block n-qubit block is prepared in only 2 * 2^n ways, so a
-    unitary_block block draws each outcome against its node's p1 in the
-    session's outcome tables (_outcome_tables), from the generator
-    directly as the mask loop does. Eve's immediate outcomes are drawn on
-    the row of Bob's basis Z, before his basis: her odds do not depend on
-    it.
+    Each stage is charged once, in a block's draw order: Alice's basis,
+    her bits, Eve, Bob's basis, his measurement, with Eve last when she
+    measures delayed.
     force_shared_basis is a test hook that overrides every drawn basis
     value after the draw (ledger counts are unchanged), forcing all blocks
     to be kept.
     """
     attack = attack or BlockAttackSpec.none()
     attack.check_fits(config)
-    n = config.block_size
-    full = (1 << n) - 1
+    n, blocks, seed = config.block_size, config.num_blocks, config.seed
     width = 1 if config.mode == "per_block" else n  # basis bits per block
-    forced = None if force_shared_basis is None else force_shared_basis.value
-    # A drawn basis value times `spread`, or'd with `fixed`, is the block's
-    # basis mask: the value at every position (per_block), one bit per
-    # position (per_qubit), or the forced value at every position.
-    spread = 0 if forced is not None else full if width == 1 else 1
-    fixed = 0 if forced is None else -forced & full
-    source = BitSource(config.seed)
-    getrandbits = source.unledgered()
-    tables = _outcome_tables(attack) if attack.variant == "unitary_block" else None
-    m, delayed = attack.num_ancillas, attack.delayed
-    # A block's path through its row: Bob's n outcomes from bit bob_low up,
-    # Eve's m below them (delayed) or above them; the first party to draw
-    # stops at bit first_end.
-    bob_low, first_end = (m, m) if delayed else (0, n)
-    bob_top, shifts = bob_low + n - 1, range(n + m - 1, -1, -1)
-    intercept = attack.variant == "intercept_resend"
-    if intercept:
-        digits, last = bernoulli_digits(attack.fraction)
-    flips = _channel_flips(config)
-    flip_masks = [0] * config.num_blocks if flips is None else _pack(flips)
-
-    # One entry per kept block: Alice's bits, Bob's outcomes, the kept mask, Eve's
-    # attacked, bit and basis-differs masks, and her code under unitary_block.
-    alice_col, bob_col, kept_col, attacked_col, eve_col, differs_col = [], [], [], [], [], []
-    symbols: list = []
-    attacked = eve_basis = eve_bits = eve_spent = 0
-    eve_total = eve_first = measured = measured_first = 0  # bits and first block charged
-    for index, flip in enumerate(flip_masks):
-        alice_basis = getrandbits(width) * spread | fixed
-        alice_bits = getrandbits(n)
-        if tables is not None:
-            announced = eve_guess = alice_basis & 1
-            if not delayed:
-                eve_guess = getrandbits(1)
-            rows = tables[announced, eve_guess]  # by Bob's basis value
-            row, node, flipped, drawn, first = rows[0][alice_bits], 1, 0, 0, 0
-            for shift in shifts:  # the path bit this node's outcome sets
-                if shift == bob_top:  # Bob's basis, after Eve's immediate draws
-                    bob_basis = getrandbits(width) * spread | fixed
-                    row = rows[bob_basis & 1][alice_bits]
-                    if bob_basis == alice_basis:  # the flips swap his outcomes
-                        flipped = flip << bob_low
-                flip_bit = flipped >> shift & 1
-                node_digits, node_last = row[flip_bit][node]
-                for digit in node_digits:  # bernoulli_draw, inlined
-                    drawn += 1
-                    if getrandbits(1) != digit:
-                        break
-                else:
-                    digit = node_last
-                node = 2 * node + (digit ^ flip_bit)
-                if shift == first_end:
-                    first = drawn
-            path = node ^ (1 << n + m)
-            outcomes = (path ^ flipped) >> bob_low & full
-            if delayed:
-                count, eve_spent = first, drawn - first
-                symbol = announced << m | path & (1 << m) - 1
-            else:
-                count, eve_spent = drawn - first, first + 1
-                symbol = (eve_guess == announced) << m | path >> n
-        else:
-            prep, value = alice_basis, alice_bits
-            if intercept:
-                attacked, eve_basis, eve_bits, eve_spent = 0, 0, 0, 0
-                for _ in range(n):  # bernoulli_draw, inlined
-                    for digit in digits:
-                        eve_spent += 1
-                        if getrandbits(1) != digit:
-                            break
-                    else:
-                        digit = last
-                    attacked = attacked << 1 | digit
-                if attacked:
-                    count = 1 if attack.granularity == "per_block" else attacked.bit_count()
-                    eve_basis = getrandbits(count)  # one basis per block, or per attacked qubit
-                    eve_basis = _deposit(eve_basis, attacked) if count > 1 else -eve_basis & attacked
-                    eve_spent += count
-                    guessed = (eve_basis ^ alice_basis) & attacked  # her fair outcomes
-                    eve_bits = alice_bits & attacked & ~guessed
-                    count = guessed.bit_count()
-                    if count:
-                        eve_bits |= _deposit(getrandbits(count), guessed)
-                        eve_spent += count
-                    prep = prep & ~attacked | eve_basis
-                    value = value & ~attacked | eve_bits
-            value ^= flip
-            bob_basis = getrandbits(width) * spread | fixed
-            guessed = prep ^ bob_basis  # Bob's fair outcomes
-            outcomes = value & ~guessed
-            count = guessed.bit_count()
-            if count:
-                outcomes |= _deposit(getrandbits(count), guessed)
-        if eve_spent:
-            if not eve_total:
-                eve_first = index
-            eve_total += eve_spent
-        if count:
-            if not measured:
-                measured_first = index
-            measured += count
-        kept = full & ~(alice_basis ^ bob_basis)
-        if not kept:
-            continue
-        alice_col.append(alice_bits)
-        bob_col.append(outcomes)
-        kept_col.append(kept)
-        attacked_col.append(attacked)
-        eve_col.append(eve_bits)
-        differs_col.append(eve_basis ^ alice_basis)
-        if tables is not None:
-            symbols.append(symbol)
-
-    # The ledger's keys in first-charge order: by the first block that drew
-    # from a stage, then by the order a block draws in.
-    bases = width * config.num_blocks
-    charges = [  # (first block charged, stage, bits) in a block's draw order
-        (0, _ALICE_BASIS, bases), (0, _ALICE_BITS, config.raw_qubits), (eve_first, _EVE, eve_total),
-        (0, _BOB_BASIS, bases), (measured_first, _BOB_MEASUREMENT, measured),
-    ]
-    if tables is not None and delayed:  # Eve measures after Bob
-        charges.append(charges.pop(2))
-    for _, key, bits in sorted(charges, key=lambda charge: charge[0]):
+    alice_basis, bob_basis = (
+        stream_bits(seed, kind, blocks * width).reshape(blocks, width)
+        for kind in ("alice_basis", "bob_basis")
+    )
+    if force_shared_basis is not None:
+        alice_basis[:] = bob_basis[:] = force_shared_basis.value
+    alice_basis, bob_basis = (np.broadcast_to(b, (blocks, n)) for b in (alice_basis, bob_basis))
+    alice_bits = stream_bits(seed, "alice_bits", blocks * n).reshape(blocks, n)
+    blocks_of = _entangled_blocks if attack.variant == "unitary_block" else _product_blocks
+    outcomes, eve_codes, eve_bits, measured = blocks_of(
+        config, attack, alice_basis, alice_bits, bob_basis, _channel_flips(config)
+    )
+    charges = {_ALICE_BASIS: blocks * width, _ALICE_BITS: blocks * n, _EVE: eve_bits,
+               _BOB_BASIS: blocks * width, _BOB_MEASUREMENT: measured}
+    if attack.delayed:  # Eve measures after Bob
+        charges[_EVE] = charges.pop(_EVE)
+    source = BitSource(seed)
+    for (party, stage), bits in charges.items():
         if bits:
-            source.ledger.counts[key] = bits
+            source.ledger.record(party, stage, int(bits))
 
-    if kept_col:
-        keep = unpack_bits(kept_col, n).astype(bool)
-        alice_key, bob_key = (unpack_bits(column, n)[keep] for column in (alice_col, bob_col))
-        if intercept:
-            attacked, eve_bits, differs = (
-                unpack_bits(column, n)[keep] for column in (attacked_col, eve_col, differs_col)
-            )
-            symbols = 2 * eve_bits + attacked * (2 - differs)
-    else:
-        alice_key = np.zeros(0, dtype=np.uint8)
-        bob_key = alice_key.copy()
+    kept = alice_basis == bob_basis
+    alice_key, bob_key = alice_bits[kept], outcomes[kept]
     sifted_bits = len(alice_key)
     if sifted_bits:
         qber_true = int(np.count_nonzero(alice_key != bob_key)) / sifted_bits
@@ -394,101 +252,110 @@ def run_session(
     else:
         # Too short to sample: no estimate, so pipeline distils no key.
         qber_estimated, disclosed = 0.0, np.zeros(0, dtype=np.int32)
-    eve_symbols = None
-    if attack.variant != "none":  # a unitary_block code is its block's, n times
-        eve_symbols = np.repeat(np.array(symbols, dtype=np.uint16), 1 if intercept else n)
     return SessionReport(
         config=config,
         attack=attack,
         raw_qubits=config.raw_qubits,
-        kept_blocks=len(kept_col),
+        kept_blocks=int(np.count_nonzero(kept.any(axis=1))),
         sifted_bits=sifted_bits,
         qber_true=qber_true,
         qber_estimated=qber_estimated,
         disclosed_indices=disclosed,
         alice_key=alice_key,
         bob_key=bob_key,
-        eve_symbols=eve_symbols,
+        eve_symbols=None if eve_codes is None else eve_codes[kept].astype(np.uint16),
         source=source,
     )
 
 
-def _deposit(value: int, mask: int) -> int:
-    """The bits of `value`, below 2**mask.bit_count(), at the set bits of
-    `mask`, lowest first, so a drawn value's first (top) bit lands at the
-    first position in index order. A mask under 256 is one lookup in
-    _DEPOSIT8, a low run of ones keeps the bits in place, and any other mask
-    is read a byte at a time."""
-    if mask < 256:
-        return _DEPOSIT8[mask][value]
-    if mask & (mask + 1) == 0:
-        return value & mask
-    out = shift = 0
-    while mask:
-        table = _DEPOSIT8[mask & 255]
-        size = len(table)
-        out |= table[value % size] << shift
-        value //= size
-        mask >>= 8
-        shift += 8
-    return out
+def _trials(p, seed: int, kind: str, count: int, level: int = 0):
+    """knuth_yao trials against p, trial i reading word i of plane
+    2 * level of the `kind` stream, and word i of the next plane if needed."""
+    words = stream_words(seed, kind, count, 2 * level)
+    return knuth_yao(p, words, lambda more: stream_words(seed, kind, count, 2 * level + 1)[more])
 
 
-def _deposit_table() -> list[list[int]]:
-    """_deposit for every mask under 256: entry [mask][value] for each value
-    below 2**mask.bit_count(), 6,561 in all. A mask's row is the row of the
-    mask without its top set bit, then that row again with the top bit set,
-    where the value's top bit lands."""
-    table = [[0]]
-    for mask in range(1, 256):
-        top = 1 << mask.bit_length() - 1
-        rest = table[mask ^ top]
-        table.append(rest + [bits | top for bits in rest])
-    return table
+def _product_blocks(config, attack, alice_basis, alice_bits, bob_basis, flips):
+    """Unentangled blocks (no attack, or intercept_resend): Bob's outcomes,
+    Eve's codes (None with no attack; SessionReport defines them), and the
+    bits Eve and Bob's measurement drew. A qubit is a (preparation basis,
+    value) pair: a flip XORs the value, a measurement in that basis reads
+    it, and one in the other basis reads the qubit's fair bit. Eve attacks
+    a qubit on a Knuth-Yao trial against her fraction, in one basis per
+    attacked block or one per attacked qubit, and resends what she read."""
+    seed, shape, count = config.seed, alice_bits.shape, alice_bits.size
+    prep, value, codes, eve_bits = alice_basis, alice_bits, None, 0
+    if attack.variant == "intercept_resend":
+        attacked, eve_bits = _trials(attack.fraction, seed, "eve_trial", count)
+        attacked = attacked.reshape(shape).astype(bool)
+        if attack.granularity == "per_block":
+            eve_basis = stream_bits(seed, "eve_basis", shape[0])[:, None]
+            eve_bits = eve_bits.sum() + np.count_nonzero(attacked.any(axis=1))
+        else:
+            eve_basis = stream_bits(seed, "eve_basis", count).reshape(shape)
+            eve_bits = eve_bits.sum() + np.count_nonzero(attacked)
+        guessed = attacked & (eve_basis != prep)  # her fair outcomes
+        read = np.where(guessed, stream_bits(seed, "eve_outcome", count).reshape(shape), value)
+        eve_bits += np.count_nonzero(guessed)
+        codes = attacked * (1 + 2 * read + (eve_basis == alice_basis))
+        prep, value = np.where(attacked, eve_basis, prep), np.where(attacked, read, value)
+    if flips is not None:
+        value = value ^ flips
+    guessed = prep != bob_basis  # Bob's fair outcomes
+    outcomes = np.where(guessed, stream_bits(seed, "bob_outcome", count).reshape(shape), value)
+    return outcomes, codes, eve_bits, np.count_nonzero(guessed)
 
 
-_DEPOSIT8 = _deposit_table()
-
-
-def _pack(rows: np.ndarray) -> list[int]:
-    """Each row of an (m, n) 0/1 array as an int, position i at bit n-1-i."""
-    packed = np.packbits(rows, axis=1)
-    raw, step, pad = packed.tobytes(), packed.shape[1], -rows.shape[1] % 8
-    return [int.from_bytes(raw[k : k + step], "big") >> pad for k in range(0, len(raw), step)]
-
-
-# The channel's word generator, built once (its SeedSequence set-up costs
-# more than a short session's draws); each call overwrites its whole state.
-_CHANNEL_WORDS = np.random.MT19937(0)
+def _entangled_blocks(config, attack, alice_basis, alice_bits, bob_basis, flips):
+    """unitary_block blocks, as _product_blocks returns them: each walks
+    its row of the outcome tables (_outcome_tables) level by level, one
+    Knuth-Yao trial per (block, level), on the row of Bob's drawn basis
+    from the start, since Eve's immediate odds do not depend on it. A
+    channel flip reaches Bob's outcome only where his basis equals Alice's
+    and there XORs it after his draw; elsewhere it changes no outcome's
+    odds."""
+    seed, (blocks, n), m = config.seed, alice_bits.shape, attack.num_ancillas
+    announced, bob = alice_basis[:, 0], bob_basis[:, 0]
+    eve, first, eve_bits = 0, announced.astype(np.int64), 0  # the eve axis, her code's top bit
+    if not attack.delayed:
+        eve = stream_bits(seed, "eve_guess", blocks)
+        first, eve_bits = (eve == announced).astype(np.int64), blocks
+    tables = _outcome_tables(attack)
+    pattern = alice_bits @ (1 << np.arange(n - 1, -1, -1))
+    rows = np.ravel_multi_index((announced, eve, bob, pattern), tables.shape[:4])
+    heap = tables.reshape(-1, tables.shape[4])
+    nodes, measured = np.ones(blocks, dtype=np.int64), 0
+    for level in range(n + m):
+        outcomes, drawn = _trials(heap[rows, nodes], seed, "unitary", blocks, level)
+        nodes = 2 * nodes + outcomes
+        if (level < n) if attack.delayed else (level >= m):  # Bob's qubits
+            measured += drawn.sum()
+        else:
+            eve_bits += drawn.sum()
+    path = nodes - heap.shape[1]
+    bob_low = m if attack.delayed else 0
+    outcomes = (path[:, None] >> bob_low + np.arange(n - 1, -1, -1) & 1).astype(np.uint8)
+    if flips is not None:
+        outcomes ^= flips & (announced == bob)[:, None]
+    eve_outcomes = path & (1 << m) - 1 if attack.delayed else path >> n
+    codes = np.broadcast_to((first << m | eve_outcomes)[:, None], (blocks, n))
+    return outcomes, codes, eve_bits, measured
 
 
 def _channel_flips(config: ProtocolConfig) -> np.ndarray | None:
     """(num_blocks, n) mask of channel bit flips; None when noiseless.
 
-    A flip swaps the two eigenstates of the basis the qubit was last
-    prepared in: Alice's, or Eve's after a resend (X gate for Z-prepared,
-    Z gate for X-prepared qubits); an entangled block flips in Alice's
-    encoding basis. The uniforms are rng.random()'s, built in bulk: that is
-    ((a >> 5) * 2^26 + (b >> 6)) * 2^-53 for two consecutive 32-bit words
-    a, b of the Mersenne Twister (Matsumoto & Nishimura, 1998). numpy's
-    MT19937 is the same generator: set to the key words and position of
-    random.Random("{seed}/channel").getstate(), its random_raw returns the
-    words a random() loop reads. That numpy reproduces CPython's word
-    stream from a copied state is undocumented; a test checks the values
-    against a random() loop, and CI runs it on CPython 3.10-3.13 and on
-    numpy 1.24. It is the only draw that relies on it, and pays: a random()
-    loop takes about 6x as long per 100k-qubit session.
+    Raw qubit i flips when the 53-bit uniform (word >> 11) * 2^-53 of word
+    i of the "channel" stream is below the flip probability. A flip swaps
+    the two eigenstates of the basis the qubit was last prepared in:
+    Alice's, or Eve's after a resend (X gate for Z-prepared, Z gate for
+    X-prepared qubits); an entangled block flips in Alice's encoding basis.
     """
     if config.channel_flip_prob <= 0.0:
         return None
-    _, state, _ = random.Random(f"{config.seed}/channel").getstate()
-    _CHANNEL_WORDS.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": state[:-1], "pos": state[-1]},
-    }
-    words = _CHANNEL_WORDS.random_raw(2 * config.raw_qubits)
-    draws = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
-    return (draws < config.channel_flip_prob).reshape(config.num_blocks, -1)
+    words = stream_words(config.seed, "channel", config.raw_qubits)
+    uniforms = (words >> np.uint64(11)) * 2.0**-53
+    return (uniforms < config.channel_flip_prob).reshape(config.num_blocks, -1)
 
 
 def empirical_rates(report: SessionReport) -> RateReport:

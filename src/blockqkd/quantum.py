@@ -11,7 +11,7 @@ Conventions, fixed across the package:
   that value (`protocol._outcome_tables`), so a certain outcome consumes
   no randomness and an even one costs a single fair bit; any other outcome
   is drawn against p's binary digits, one fair bit each until one differs
-  (`randomness.bernoulli_draw`).
+  (`randomness.knuth_yao`).
 """
 
 from __future__ import annotations
@@ -125,13 +125,6 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT_HALF
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-def prepare_bb84(bit: int, basis: Basis) -> StateVector:
-    """Single-qubit BB84 encoding of `bit` in `basis`."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    return StateVector(1, _BB84_AMPS[basis.value, bit].copy())
 
 
 def prepare_singlet() -> StateVector:

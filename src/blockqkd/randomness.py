@@ -1,9 +1,13 @@
-"""Single randomness source for a session: a seeded PRNG behind a bit ledger.
+"""Randomness for a session: counter-addressed streams behind a bit ledger.
 
-Every random bit a party consumes is drawn through :class:`BitSource` and
-charged to a (party, stage) ledger entry, so randomness consumption is an
-exact measured quantity rather than an estimate. Sampling primitives are
-bit-exact:
+Every random bit a party consumes is charged to a (party, stage) ledger
+entry, so randomness consumption is an exact measured quantity rather than
+an estimate. A session draws from one keyed Philox stream per kind of draw
+(Salmon, Moraes, Dror & Shaw, SC 2011): `stream_words` reads a stream's raw
+64-bit words and `stream_bits` its bits, each addressed by its position, so
+every draw of a session is an array operation. A Bernoulli(p) trial reads
+one word (`knuth_yao`). Post-processing draws from :class:`BitSource`, a
+seeded Mersenne Twister, and its primitives are bit-exact:
 
 - A uniform value below a bound b draws ceil(log2 b) bits and rejects
   out-of-range values, re-drawing until accepted; every drawn bit is
@@ -14,18 +18,14 @@ bit-exact:
 - ``shuffled(items)`` is a copy of a list permuted by the Fisher-Yates
   shuffle from the top on the same draws, also one loop and one ledger
   record; the caller's list is left unchanged.
-- ``bernoulli(p)`` compares fair digits, drawn one at a time, with p's
-  binary digits (``bernoulli_digits``) and stops at the first that differs,
-  which decides the outcome (Knuth & Yao, 1976); the bits go to the ledger
-  in one record. A deterministic branch (p within 1e-12 of 0 or 1)
-  consumes no bits; p = 1/2 consumes exactly one.
 """
 
 from __future__ import annotations
 
+import hashlib
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-import random
 
 import numpy as np
 
@@ -145,60 +145,79 @@ class BitSource:
             self.ledger.record(party, stage, drawn)
         return perm
 
-    def bernoulli(self, party: str, stage: str, p: float) -> int:
-        """Return 1 with probability p, consuming the minimum number of bits.
 
-        Draws fair digits against p's binary digits until one differs
-        (`bernoulli_draw`). The digits drawn go to the ledger in one record.
-        """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("probability must lie in [0, 1]")
-        outcome, drawn = bernoulli_draw(self._rng.getrandbits, *bernoulli_digits(p))
-        if drawn:
-            self.ledger.record(party, stage, drawn)
-        return outcome
-
-    def unledgered(self):
-        """The generator's ``getrandbits``, for a caller that charges every
-        bit it draws to ``self.ledger`` itself."""
-        return self._rng.getrandbits
+def stream_words(seed: int, kind: str, count: int, plane: int = 0) -> np.ndarray:
+    """The first `count` raw 64-bit words of plane `plane` of a session's
+    stream of one kind: numpy's Philox4x64-10 keyed by the 128-bit blake2b
+    digest of "{seed}/{kind}" (little-endian), its counter starting at
+    plane * 2^64. Word i is the (i mod 4)-th output of the counter block
+    plane * 2^64 + i // 4 + 1, so planes never overlap."""
+    digest = hashlib.blake2b(f"{seed}/{kind}".encode(), digest_size=16).digest()
+    generator = np.random.Philox(key=int.from_bytes(digest, "little"), counter=plane << 64)
+    return generator.random_raw(count)
 
 
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" to digit bytes
+def stream_bits(seed: int, kind: str, count: int) -> np.ndarray:
+    """The first `count` bits of a stream (plane 0) as uint8: bit k is bit
+    k mod 64 of word k // 64, lowest first."""
+    words = stream_words(seed, kind, -(-count // 64)).astype("<u8")
+    return np.unpackbits(words.view(np.uint8), bitorder="little")[:count]
 
 
-def bernoulli_digits(p: float) -> tuple[bytes, int]:
-    """p's binary digits after the point, up to its last 1-digit, and the
-    outcome of a draw that matches them all: 0, since the drawn X then
-    equals p. A deterministic p (within 1e-12 of 0 or 1) has no digits,
-    and its outcome is 0 or 1."""
-    if p < DETERMINISTIC_EPS:
-        return b"", 0
-    if p > 1.0 - DETERMINISTIC_EPS:
-        return b"", 1
-    num, den = p.as_integer_ratio()  # den = 2**width, num odd
-    width = den.bit_length() - 1
-    return format(num, f"0{width}b").encode().translate(_DIGIT_BYTES), 0
+def _bit_length(words: np.ndarray) -> np.ndarray:
+    """Each uint64's bit length, read from the exponents of its two 32-bit
+    halves, which float64 holds exactly."""
+    high = np.frexp((words >> np.uint64(32)).astype(np.float64))[1]
+    low = np.frexp((words & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(high > 0, high + 32, low)
 
 
-def bernoulli_draw(getrandbits, digits: bytes, outcome: int) -> tuple[int, int]:
-    """One exact Bernoulli(p) trial on ``getrandbits(1)`` digits, given
-    ``bernoulli_digits(p)``: (outcome, digits drawn). The uniform X whose
-    digits are drawn is below p exactly when its first digit that differs
-    from p's is a 0 where p has a 1, so that digit of p is the outcome."""
-    for drawn, digit in enumerate(digits, 1):
-        if getrandbits(1) != digit:
-            return digit, drawn
-    return outcome, len(digits)
+def _digits(p: np.ndarray):
+    """p's binary digits after the point as two uint64 words (the first 64
+    digits, top digit first, then the next 64), how many digits it has (to
+    its last 1) and the outcome of a trial that matches them all: 0, since
+    the uniform then equals p. A p within 1e-12 of 0 or 1 has no digits,
+    and its outcome is 0 or 1. A p of at least 1e-12 has its first 1 by
+    digit 40 and its last by digit 92, so two words hold every digit."""
+    p = np.asarray(p, dtype=np.float64)
+    last = p > 1.0 - DETERMINISTIC_EPS
+    fixed = last | (p < DETERMINISTIC_EPS)
+    p = np.where(fixed, 0.5, p)
+    scaled = np.ldexp(p, 64)
+    high = np.floor(scaled)
+    low = np.ldexp(scaled - high, 64)
+    mantissa, exponent = np.frexp(p)  # p = significand * 2^(exponent - 53)
+    significand = np.ldexp(mantissa, 53).astype(np.int64)
+    zeros = np.frexp((significand & -significand).astype(np.float64))[1] - 1  # trailing
+    length = np.where(fixed, 0, 53 - exponent - zeros)
+    return high.astype(np.uint64), low.astype(np.uint64), length, last
+
+
+def knuth_yao(p, words: np.ndarray, second) -> tuple[np.ndarray, np.ndarray]:
+    """Bernoulli(p) trials, one per word of `words` (p a float or one per
+    word): (outcomes as uint8, bits charged). A trial compares fair digits,
+    the word's from its top bit, with p's binary digits and stops at the
+    first that differs, whose digit of p is the outcome (Knuth & Yao, 1976):
+    the uniform they spell is below p exactly when that digit of p is 1.
+    The bits charged are the digits compared, that position plus one, or
+    all of p's digits when none differs. A trial whose word matches all of
+    p's first 64 digits, when p has more, reads on into the next word:
+    `second(mask)` returns the next words of the trials under `mask`. A p
+    within 1e-12 of 0 or 1 draws nothing."""
+    high, low, length, last = (np.broadcast_to(a, words.shape) for a in _digits(p))
+    depth = 64 - _bit_length(words ^ high)  # digits matched
+    more = (depth == 64) & (length > 64)
+    if more.any():
+        depth[more] += 64 - _bit_length(second(more) ^ low[more])
+    shift = ((63 - depth) % 64).astype(np.uint64)
+    digit = (np.where(depth < 64, high, low) >> shift & np.uint64(1)).astype(np.uint8)
+    outcome = np.where(depth < length, digit, last).astype(np.uint8)
+    return outcome, np.minimum(depth + 1, length)
 
 
 def unpack_bits(values, n: int) -> np.ndarray:
     """(len(values), n) uint8 bits of n-bit ints, position i from bit n-1-i:
-    a getrandbits(n) value's first drawn bit is its top bit. Values of at
-    most 64 bits are read as one big-endian uint64 array."""
-    if n <= 64:
-        words = np.array(values, dtype=">u8").view(np.uint8)
-        return np.unpackbits(words).reshape(-1, 64)[:, 64 - n :]
+    a getrandbits(n) value's first drawn bit is its top bit."""
     step = -(-n // 8)
     raw = b"".join(v.to_bytes(step, "big") for v in values)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).reshape(len(values), 8 * step)

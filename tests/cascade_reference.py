@@ -30,7 +30,7 @@ def _parity(key: np.ndarray, idx: np.ndarray) -> int:
 def _permutation(n: int, source: BitSource) -> np.ndarray:
     """Fisher-Yates shuffle: index i swaps with j, a draw of i.bit_length()
     bits repeated until it is at most i."""
-    getrandbits = source.unledgered()
+    getrandbits = source._rng.getrandbits
     perm = list(range(n))
     for i in range(n - 1, 0, -1):
         width = i.bit_length()

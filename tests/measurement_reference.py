@@ -7,7 +7,8 @@ estimate.
   its nodes, and the post-measurement state for a chosen outcome.
 - `measure` is one projective measurement on a full register, its outcome
   drawn from a Bernoulli sampler such as
-  ``functools.partial(source.bernoulli, party, stage)``.
+  ``functools.partial(bernoulli, source, party, stage)``
+  (`bernoulli_reference.bernoulli`).
 - `delayed_measurement` is Eve's measurement of her kept singlet halves and
   ancillas once the basis is public, built on `measure`.
 - `empirical_joint` is the plug-in frequency table of a list of outcome

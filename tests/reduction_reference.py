@@ -21,14 +21,21 @@ import numpy as np
 
 from blockqkd.attacks import REDUCTION_TOL, EquivalenceReport, singlet_simulation
 from blockqkd.quantum import (
+    _BB84_AMPS,
     Basis,
     StateVector,
     UnitarySpec,
     apply_unitary,
     bb84_rows,
-    prepare_bb84,
 )
 from density_reference import project, reduced_density
+
+
+def prepare_bb84(bit: int, basis: Basis) -> StateVector:
+    """Single-qubit BB84 encoding of `bit` in `basis`."""
+    if bit not in (0, 1):
+        raise ValueError("bit must be 0 or 1")
+    return StateVector(1, _BB84_AMPS[basis.value, bit].copy())
 
 
 def tensor(*states: StateVector) -> StateVector:

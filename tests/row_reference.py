@@ -1,20 +1,75 @@
-"""The amplitude-row loop that run_session's bit-mask blocks are checked
-against, draw for draw, and the bit loop that their table-driven deposit
-of drawn bits is checked against.
+"""The block-by-block draws that run_session's columnar pass is checked
+against, draw for draw, and the amplitude-row loop that its unentangled
+blocks are checked against.
+
+`AddressedDraws` reads a session's streams one draw at a time, at the
+address the module docstring of `blockqkd.protocol` gives it: a bit from
+its word's bits, lowest first, and a Bernoulli trial by the scalar
+`bernoulli_draw` on its words' bits, top bit first. Each draw's bits are
+added to its (party, stage) charge as it is made.
 
 A block no attack has entangled is an (n, 2) array of BB84 amplitude
 rows, one per qubit (`bb84_rows`). Measuring it, flipping it in the
-channel and intercept-resend act row by row. Every draw goes through a
-ledgered BitSource (`draw_bits`, `bernoulli`) under the party and stage
-given, in the order a session draws them.
+channel and intercept-resend act row by row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from bernoulli_reference import bernoulli_digits, bernoulli_draw
 from blockqkd.quantum import _BB84_AMPS, HADAMARD, Basis
-from blockqkd.randomness import DETERMINISTIC_EPS
+from blockqkd.randomness import DETERMINISTIC_EPS, BitSource, stream_words
+
+EVE = ("eve", "attack")
+
+
+class AddressedDraws:
+    """A session's draws by address; `charges` holds each (party, stage)'s
+    bits so far, its keys in the order given."""
+
+    def __init__(self, config, order):
+        self.seed, self.size = config.seed, config.raw_qubits
+        self.charges = dict.fromkeys(order, 0)
+        self._planes: dict = {}
+
+    def word(self, kind: str, index: int, plane: int = 0) -> int:
+        if (kind, plane) not in self._planes:
+            words = stream_words(self.seed, kind, self.size, plane)
+            self._planes[kind, plane] = [int(w) for w in words]
+        return self._planes[kind, plane][index]
+
+    def bit(self, kind: str, index: int, charge=None) -> int:
+        if charge is not None:
+            self.charges[charge] += 1
+        index = int(index)
+        return self.word(kind, index // 64) >> index % 64 & 1
+
+    def trial(self, kind: str, index: int, level: int, p: float, charge) -> int:
+        """A Bernoulli(p) trial on word `index` of planes 2 * level and
+        2 * level + 1."""
+        words = [self.word(kind, index, plane) for plane in (2 * level, 2 * level + 1)]
+        digits = iter([w >> 63 - j & 1 for w in words for j in range(64)])
+        outcome, drawn = bernoulli_draw(lambda _: next(digits), *bernoulli_digits(p))
+        self.charges[charge] += drawn
+        return outcome
+
+    def flips(self, config) -> np.ndarray | None:
+        """The channel's flip mask: qubit i's 53-bit uniform of word i."""
+        if config.channel_flip_prob <= 0.0:
+            return None
+        uniforms = [(self.word("channel", i) >> 11) * 2.0**-53 for i in range(self.size)]
+        flips = np.array(uniforms) < config.channel_flip_prob
+        return flips.reshape(config.num_blocks, config.block_size)
+
+    def source(self) -> BitSource:
+        """The post-processing source, its ledger charged with every
+        nonzero charge, in order."""
+        source = BitSource(self.seed)
+        for (party, stage), bits in self.charges.items():
+            if bits:
+                source.ledger.record(party, stage, bits)
+        return source
 
 
 def _basis_values(bases, n: int) -> np.ndarray:
@@ -22,11 +77,13 @@ def _basis_values(bases, n: int) -> np.ndarray:
     return np.broadcast_to(bases.value if isinstance(bases, Basis) else np.asarray(bases), n)
 
 
-def measure_rows(rows, bases, source, party, stage) -> tuple[np.ndarray, np.ndarray]:
+def measure_rows(rows, bases, source, party, stage, qubits=None) -> tuple[np.ndarray, np.ndarray]:
     """Measure each row-qubit in its basis: (outcomes, post rows).
 
     Rows are BB84 states, so every outcome is certain or fair. Certain rows
-    draw nothing; the fair ones take one draw_bits(count), in index order.
+    draw nothing; the fair ones take one source.draw_bits(count), in index
+    order, or, given the rows' raw qubit indices, each its qubit's bit of
+    the "{party}_outcome" stream of AddressedDraws `source`.
     """
     values = _basis_values(bases, len(rows))
     work = rows.copy()
@@ -35,8 +92,10 @@ def measure_rows(rows, bases, source, party, stage) -> tuple[np.ndarray, np.ndar
     outcomes = (p1 > 0.5).astype(np.uint8)
     fair = np.abs(p1 - 0.5) < DETERMINISTIC_EPS
     count = int(np.count_nonzero(fair))
-    if count:
+    if count and qubits is None:
         outcomes[fair] = source.draw_bits(party, stage, count)
+    elif count:
+        outcomes[fair] = [source.bit(f"{party}_outcome", q, (party, stage)) for q in qubits[fair]]
     return outcomes, _BB84_AMPS[values, outcomes].copy()
 
 
@@ -52,39 +111,28 @@ def flip_rows(rows, mask, bases) -> np.ndarray:
     return out
 
 
-def intercept_resend(rows, prep_bases, spec, source):
-    """Eve's measure-and-resend on a product block, charged to (eve, attack).
+def intercept_resend(rows, prep_bases, spec, draws, block):
+    """Eve's measure-and-resend on block `block`, charged to (eve, attack).
 
-    Each qubit is attacked with probability spec.fraction; Eve's basis is
-    one bit per attacked qubit, or one for the block at per_block
-    granularity. Attacked rows leave re-prepared in her basis with her
-    outcome. Returns (rows, preparation bases, attacked mask, Eve's bits).
+    Qubit i of the block (raw qubit block * n + i) is attacked on a trial
+    against spec.fraction; Eve's basis is its qubit's bit, or the block's at
+    per_block granularity, and her fair outcomes are their qubits' bits.
+    Attacked rows leave re-prepared in her basis with her outcome. Returns
+    (rows, preparation bases, attacked mask, Eve's bits).
     """
-    attacked = np.array([bool(source.bernoulli("eve", "attack", spec.fraction)) for _ in rows])
+    qubits = block * len(rows) + np.arange(len(rows))
+    attacked = np.array([bool(draws.trial("eve_trial", q, 0, spec.fraction, EVE)) for q in qubits])
     eve_bits = np.zeros(len(rows), dtype=np.uint8)
     if not attacked.any():
         return rows, prep_bases, attacked, eve_bits
-    count = int(attacked.sum())
-    width = 1 if spec.granularity == "per_block" else count
-    eve_bases = np.resize(source.draw_bits("eve", "attack", width), count)
-    outcomes, resent = measure_rows(rows[attacked], eve_bases, source, "eve", "attack")
+    hit = qubits[attacked]
+    if spec.granularity == "per_block":
+        eve_bases = np.full(len(hit), draws.bit("eve_basis", block, EVE))
+    else:
+        eve_bases = np.array([draws.bit("eve_basis", q, EVE) for q in hit])
+    outcomes, resent = measure_rows(rows[attacked], eve_bases, draws, *EVE, qubits=hit)
     eve_bits[attacked] = outcomes
     rows, prep_bases = rows.copy(), prep_bases.copy()
     rows[attacked] = resent
     prep_bases[attacked] = eve_bases
     return rows, prep_bases, attacked, eve_bits
-
-
-def deposit_reference(value: int, mask: int) -> int:
-    """The low bits of `value` at the set bits of `mask`, lowest first, one
-    bit at a time; a low run of ones keeps the bits in place."""
-    if mask & (mask + 1) == 0:
-        return value & mask
-    out = 0
-    while mask:
-        low = mask & -mask
-        if value & 1:
-            out |= low
-        value >>= 1
-        mask ^= low
-    return out

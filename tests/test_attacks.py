@@ -25,15 +25,16 @@ from blockqkd.quantum import (
     StateVector,
     UnitarySpec,
     bb84_rows,
-    prepare_bb84,
     random_unitary,
 )
+from bernoulli_reference import bernoulli
 from blockqkd.randomness import BitSource
 from circuit_oracle import Circuit, Measure, PrepSinglet, enumerate_outcomes
 from density_reference import project, reduced_density
 from measurement_reference import delayed_measurement, eve_tuples, measure
 from reduction_reference import (
     entangle_block,
+    prepare_bb84,
     rows_to_state,
     tensor,
     verify_reduction_reference,
@@ -48,7 +49,7 @@ def refuse_coin(p):
 
 def attack_coin(seed=0):
     source = BitSource(seed)
-    return source, functools.partial(source.bernoulli, "eve", "attack")
+    return source, functools.partial(bernoulli, source, "eve", "attack")
 
 
 # --- attack descriptors -------------------------------------------------------

@@ -715,17 +715,17 @@ def _output_digest(csv_path):
 
 GOLDEN_CLI_DIGESTS = {
     "empty_session": "de6260e23b91a6fc8229a9545fa67c8797d35153c1d8c21c5a29377f16134b29",
-    "example": "e8e7dc978a26f6baac1d55e5c3818188bdcba51f447180d105f55a7479e36015",
-    "intercept_per_block": "46f06c5a8c64a7125674aadf9920785523a3ade36052fbc34b8d2d0df26be9ba",
-    "per_qubit": "9423aab47a457b75242908e86fe0f0ad537133df7ae8877824dd9ac3225e9c1e",
-    "unitary_delayed": "b145974007933400192d35dd05f363ef71b908e2edd5b94a11cd324fdda7f354",
-    "unitary_immediate": "55a7a74fd56d983314615bca052b3b90828b5c8c15309fc65a0718c187761b83",
+    "example": "696cf8479990d369370bea916a6586262fc1e67b3b6b95411666ae7cf05d97b7",
+    "intercept_per_block": "640d2f43f75b73830347ae420c8fead206cef42103c6d5018c275bf516bec18b",
+    "per_qubit": "d665c84339ca9085afff930db6136102d4f9fcb1d446b7e2a867b08c7bda89a0",
+    "unitary_delayed": "bb35251eaa25e7a1027aa6dc107e520ac2bccacc7ff48fb62930242ed3a9f345",
+    "unitary_immediate": "d4165bfe9face4584604726f521f74f734c6712d4ba8cd2c67e3a7c536eff5e9",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CLI_DIGESTS))
 def test_run_outputs_match_golden_digests(name, tmp_path):
     """Fixed `blockqkd run` invocations reproduce the digests recorded for
-    package 0.2.0. A refactor of the command must leave them as they are."""
+    package 0.3.0. A refactor of the command must leave them as they are."""
     assert main(_golden_argv(name, tmp_path)) == 0
     assert _output_digest(tmp_path / "out.csv") == GOLDEN_CLI_DIGESTS[name]

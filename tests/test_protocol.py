@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import hashlib
 import math
-import random as pyrandom
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +29,7 @@ from blockqkd.quantum import (
     embed,
     random_unitary,
 )
-from blockqkd.randomness import BitSource, bernoulli_digits
+from blockqkd.randomness import BitSource
 from circuit_oracle import Apply, Circuit, Measure, Prep, enumerate_outcomes
 from measurement_reference import (
     collapse,
@@ -40,7 +39,7 @@ from measurement_reference import (
     outcome_probability,
 )
 from reduction_reference import entangle_block
-from row_reference import deposit_reference, flip_rows, intercept_resend, measure_rows
+from row_reference import EVE, AddressedDraws, flip_rows, intercept_resend, measure_rows
 
 X_GATE = UnitarySpec(2, np.array([[0, 1], [1, 0]], dtype=complex))
 Z_GATE = UnitarySpec(2, np.array([[1, 0], [0, -1]], dtype=complex))
@@ -196,10 +195,9 @@ def test_mismatched_basis_outcomes_uniform():
 
 def test_noiseless_channel_draws_no_flips():
     assert _channel_flips(ProtocolConfig(block_size=16, num_blocks=3, seed=7)) is None
-    # A noisy channel reads n uniforms per block, in block order.
+    # A noisy channel reads one uniform per raw qubit, in block order.
     config = ProtocolConfig(block_size=16, num_blocks=3, channel_flip_prob=0.3, seed=7)
-    rng = pyrandom.Random("7/channel")
-    expected = [[rng.random() < 0.3 for _ in range(16)] for _ in range(3)]
+    expected = AddressedDraws(config, ()).flips(config)
     assert np.array_equal(_channel_flips(config), expected)
 
 
@@ -386,21 +384,21 @@ GOLDEN_SESSIONS = {
     ),
 }
 GOLDEN_DIGESTS = {
-    "per_block-none": "bb7d8ed61d5c34bd5369c4d8530f40721fdb126289d400721c0037554cc246c1",
-    "per_qubit-none": "5f6be289bb6b818b9c689246afbadf6577abc72537cc367c8e064247011768ab",
-    "per_block-intercept_qubit": "e52dc5d0333f07168cd2ae52b3b8778b57239300b1e854692083526ef15d87e3",
-    "per_qubit-intercept_qubit": "3ba0488c011f98be080378eee273a2590b85a69826ff119b3681a33165fb09ee",
-    "per_block-intercept_block": "e8a60126f3d812027e1463ebc1778820e42341ac5db70e6d8a474e2397e308d8",
-    "per_qubit-intercept_block": "415cd8346c123101e50d386fb521c6ece34cbd22152f58ab3ddb1a1d89367808",
-    "unitary-delayed": "756db0700774070b21e5ffb224b00aa3588614cbb7e78b83b2c7df06f9af5541",
-    "unitary-immediate": "8bbee12a649aea8196bc4b62e69a29ba641a371dfb04426096ee532a06d8c983",
-    "forced-shared-basis": "1591f4f12957d1ed6b1e5a1701bdb4a5dd6cc00196282bfd37c08f48e207796c",
+    "per_block-none": "f636a68cac20f97f5ac48ff36da01866f6870e81587f64269370d25780dc96ad",
+    "per_qubit-none": "4369e7d7a3a3220f00a97b7ad17bf631cca4a5c1875ab6b6265d414572671c85",
+    "per_block-intercept_qubit": "481c0bec913cd0181396e2d25b15a73e0e94aa4def1d334486b54953852196da",
+    "per_qubit-intercept_qubit": "c1117cb5ae278dae5f43d43d9418e8020cd4e749a174ef04136edb26a48f792d",
+    "per_block-intercept_block": "b6735e2a0420a9a237259201fbd9d248e480d91a3a1fd67158f3f1311ce0f5fb",
+    "per_qubit-intercept_block": "7e0c8d638cce9781a09e6d013dc6ea3cbab0fe4d2e120c5341420e839fd3712f",
+    "unitary-delayed": "e6c245b87e60c82a19f81a5b86949a86ebb67265300920275993bb24560aa952",
+    "unitary-immediate": "1c7c454fefc82f00c037c9b603185ed4aaadf6577860f6faff58832e5885aaa0",
+    "forced-shared-basis": "1aff090c12c683593dc4be4855acf61bcf29a7e576c9d3b3b4429715638208c4",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SESSIONS))
 def test_session_outputs_match_golden_digests(name):
-    """Fixed sessions reproduce the digests recorded for package 0.2.0.
+    """Fixed sessions reproduce the digests recorded for package 0.3.0.
 
     The digest covers both sifted keys (dtype and bytes), kept_blocks, the
     disclosed indices, Eve's codes decoded by eve_tuples (by repr, so the
@@ -501,18 +499,10 @@ def test_unitary_attack_session_runs():
             assert report.ledger.get("eve", "attack") >= config.num_blocks
 
 
-def _reference_flips(config):
-    """The channel's flip mask from one rng.random() call per raw qubit."""
-    if config.channel_flip_prob <= 0.0:
-        return None
-    rng = pyrandom.Random(f"{config.seed}/channel")
-    draws = [rng.random() < config.channel_flip_prob for _ in range(config.raw_qubits)]
-    return np.array(draws).reshape(config.num_blocks, config.block_size)
-
-
-def _reference_outputs(config, source, alice_parts, bob_parts, kept_blocks, symbols):
+def _reference_outputs(config, draws, alice_parts, bob_parts, kept_blocks, symbols):
     """Keys, kept blocks, Eve's symbols and disclosed indices of a session
     from its kept parts, after the estimation sample, and its BitSource."""
+    source = draws.source()
     alice_key = np.concatenate(alice_parts) if alice_parts else np.zeros(0, np.uint8)
     bob_key = np.concatenate(bob_parts) if bob_parts else np.zeros(0, np.uint8)
     disclosed = ()
@@ -535,24 +525,53 @@ def assert_same_session(report, reference):
     assert report.source._rng.getstate() == source._rng.getstate()
 
 
+ALICE_BASIS, ALICE_BITS = ("alice", "alice_basis"), ("alice", "alice_bits")
+BOB_BASIS, BOB_MEASUREMENT = ("bob", "bob_basis"), ("bob", "bob_measurement")
+
+
+def _block_bases(config, draws, block, party, forced):
+    """One party's basis values for a block: its bit (per_block) or its
+    qubits' bits, then replaced by `forced`."""
+    n, kind = config.block_size, f"{party}_basis"
+    charge = (party, kind)
+    if config.mode == "per_block":
+        bases = np.full(n, draws.bit(kind, block, charge))
+    else:
+        bases = np.array([draws.bit(kind, block * n + i, charge) for i in range(n)])
+    if forced is not None:
+        bases[:] = forced.value
+    return bases
+
+
+def _block_bits(config, draws, block):
+    """Alice's data bits for a block, one per qubit."""
+    n = config.block_size
+    return np.array([draws.bit("alice_bits", block * n + i, ALICE_BITS) for i in range(n)],
+                    dtype=np.uint8)
+
+
 def _reference_row_session(config, attack, forced):
     """A session without an entangling attack, block by block on amplitude
     rows: Alice's preparation, intercept_resend, flip_rows in the
     preparation basis, Bob's measure_rows, then the estimation sample."""
-    source = BitSource(config.seed)
-    flips = _reference_flips(config)
-    forced = None if forced is None else forced.value
+    n = config.block_size
+    draws = AddressedDraws(config, (ALICE_BASIS, ALICE_BITS, EVE, BOB_BASIS, BOB_MEASUREMENT))
+    flips = draws.flips(config)
     alice_parts, bob_parts, symbols, kept_blocks = [], [], [], 0
     for index in range(config.num_blocks):
-        alice_bases, alice_bits, rows = alice_prepare_block(config, source, forced)
+        alice_bases = _block_bases(config, draws, index, "alice", forced)
+        alice_bits = _block_bits(config, draws, index)
+        rows = bb84_rows(alice_bits, alice_bases)
         prep_bases = alice_bases
         if attack.variant == "intercept_resend":
             rows, prep_bases, attacked, eve_bits = intercept_resend(
-                rows, alice_bases, attack, source
+                rows, alice_bases, attack, draws, index
             )
         if flips is not None:
             rows = flip_rows(rows, flips[index], prep_bases)
-        bob_bases, outcomes = bob_measure_block(rows, config, source, forced)
+        bob_bases = _block_bases(config, draws, index, "bob", forced)
+        qubits = index * n + np.arange(n)
+        outcomes, _ = measure_rows(rows, bob_bases, draws, *BOB_MEASUREMENT, qubits=qubits)
         kept = alice_bases == bob_bases
         if not kept.any():
             continue
@@ -567,7 +586,7 @@ def _reference_row_session(config, attack, forced):
                 for i in np.flatnonzero(kept)
             )
     symbols = None if attack.variant == "none" else tuple(symbols)
-    return _reference_outputs(config, source, alice_parts, bob_parts, kept_blocks, symbols)
+    return _reference_outputs(config, draws, alice_parts, bob_parts, kept_blocks, symbols)
 
 
 _ROW_ATTACKS = [BlockAttackSpec.none()] + [
@@ -581,7 +600,7 @@ _ROW_ATTACKS = [BlockAttackSpec.none()] + [
     n=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 70]),
     mode=st.sampled_from(protocol.MODES),
     attack=st.sampled_from(_ROW_ATTACKS),
-    flip=st.sampled_from([0.0, 0.05, 1.0]),
+    flip=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
     forced=st.sampled_from([None, Basis.Z, Basis.X]),
     seed=st.integers(0, 2**32 - 1),
     num_blocks=st.integers(1, 40),
@@ -590,79 +609,21 @@ _ROW_ATTACKS = [BlockAttackSpec.none()] + [
          seed=11, num_blocks=300)
 @settings(max_examples=200, deadline=None)
 def test_mask_engine_matches_row_loop(n, mode, attack, flip, forced, seed, num_blocks):
-    """run_session's bit-mask blocks against the amplitude-row loop: same
-    keys, kept blocks, Eve's symbols, ledger in key order and generator
-    state."""
+    """run_session's unentangled blocks, all at once, against the
+    amplitude-row loop, one block at a time: same keys, kept blocks, Eve's
+    symbols, ledger in key order and generator state. (The test keeps the
+    name it had when blocks ran as bit masks.)"""
     config = ProtocolConfig(n, num_blocks, mode, flip, seed=seed)
     report = run_session(config, attack, force_shared_basis=forced)
     assert_same_session(report, _reference_row_session(config, attack, forced))
 
 
-def test_deposit_table_matches_bit_loop_on_short_masks():
-    """_deposit against the bit loop on every mask of up to 10 bits, for
-    every value it takes."""
-    for mask in range(1 << 10):
-        for value in range(1 << mask.bit_count()):
-            assert protocol._deposit(value, mask) == deposit_reference(value, mask)
-
-
-@given(mask=st.integers(1 << 10, (1 << 1100) - 1), draw=st.integers(0, (1 << 1100) - 1))
-@example(mask=(1 << 1000) - 1, draw=(1 << 1100) - 3)  # a low run of ones
-@example(mask=0, draw=5)
-@example(mask=0xFD, draw=0xAB)  # byte widths 8, 9, 16, 17, 64, 65, one hole each
-@example(mask=0x1FD, draw=0xAB)
-@example(mask=0xFFFD, draw=0x5A5A)
-@example(mask=0x1FFFD, draw=0xA5A5)
-@example(mask=(1 << 64) - 3, draw=(1 << 62) + 12345)
-@example(mask=(1 << 65) - 3, draw=(1 << 63) + 12345)
-def test_deposit_table_matches_bit_loop(mask, draw):
-    """_deposit against the bit loop on long masks: a value takes the low
-    mask.bit_count() bits of `draw`."""
-    value = draw & (1 << mask.bit_count()) - 1
-    assert protocol._deposit(value, mask) == deposit_reference(value, mask)
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 70),
-    num_blocks=st.integers(1, 30),
-    p=st.sampled_from([1e-13, 0.02, 0.5, 1.0]),
-    pick=st.integers(0, 2**16),
-)
-@example(seed=1, n=1000, num_blocks=100, p=0.02, pick=54_321)  # block1000_clean's shape
-@settings(max_examples=100, deadline=None)
-def test_channel_flips_match_random_loop(seed, n, num_blocks, p, pick):
-    """The bulk channel draws are rng.random()'s to the last bit: they
-    agree on fixed probabilities and on thresholds at a draw and one ulp
-    above it."""
-    config = ProtocolConfig(n, num_blocks, channel_flip_prob=p, seed=seed)
-    assert np.array_equal(_channel_flips(config), _reference_flips(config))
-    rng = pyrandom.Random(f"{seed}/channel")
-    draws = [rng.random() for _ in range(config.raw_qubits)]
-    at = draws[pick % len(draws)]
-    for threshold in (at, np.nextafter(at, 2.0)):
-        config = ProtocolConfig(n, num_blocks, channel_flip_prob=float(threshold), seed=seed)
-        expected = (np.array(draws) < threshold).reshape(num_blocks, n)
-        assert np.array_equal(_channel_flips(config), expected)
-
-
-def test_channel_flips_carry_nothing_between_sessions():
-    """The word generator is shared by every call, and each call overwrites
-    its state: a session drawn between two runs of another (longer, so it
-    reads on past their last word) leaves their masks the same."""
-    a = ProtocolConfig(16, 40, channel_flip_prob=0.3, seed=21)
-    b = ProtocolConfig(1000, 3, channel_flip_prob=0.02, seed=22)
-    first = _channel_flips(a)
-    assert np.array_equal(_channel_flips(b), _reference_flips(b))
-    assert np.array_equal(_channel_flips(a), first)
-    assert np.array_equal(first, _reference_flips(a))
-
-
-def _measure_each(state, qubits, basis, coin):
-    """Measure `qubits` in order in `basis`: (their outcomes, post state)."""
+def _measure_each(state, qubits, basis, trial, first_level):
+    """Measure `qubits` in order in `basis`, the k-th on `trial(level, p)`
+    at level first_level + k: (their outcomes, post state)."""
     outcomes = []
-    for q in qubits:
-        outcome, state = measure(state, q, basis, coin)
+    for level, q in enumerate(qubits, first_level):
+        outcome, state = measure(state, q, basis, functools.partial(trial, level))
         outcomes.append(outcome)
     return tuple(outcomes), state
 
@@ -670,42 +631,49 @@ def _measure_each(state, qubits, basis, coin):
 def _reference_unitary_session(config, attack, forced):
     """A unitary_block session block by block on the register itself: the
     block entangled with Eve's ancillas (measured at once in a guessed
-    basis unless delayed), the flip gates, Bob's measurement and Eve's
-    delayed measurement, then the estimation sample. Returns what
-    run_session must reproduce, and the session's BitSource."""
-    n = config.block_size
-    source = BitSource(config.seed)
-    eve_coin = functools.partial(source.bernoulli, "eve", "attack")
-    bob_coin = functools.partial(source.bernoulli, "bob", "bob_measurement")
-    flips = _reference_flips(config)
-    ancillas = range(n, n + attack.num_ancillas)
+    basis unless delayed), Bob's measurement and Eve's delayed measurement,
+    each outcome a trial on its (block, level) word, then the estimation
+    sample. A channel flip in a block Bob measures in another basis than
+    Alice's is its flip gate; in one he measures in hers it XORs his
+    outcome. Returns what run_session must reproduce, and the session's
+    BitSource."""
+    n, m = config.block_size, attack.num_ancillas
+    order = [ALICE_BASIS, ALICE_BITS, EVE, BOB_BASIS, BOB_MEASUREMENT]
+    if attack.delayed:
+        order.append(order.pop(2))
+    draws = AddressedDraws(config, order)
+    flips = draws.flips(config)
+    ancillas = range(n, n + m)
     alice_parts, bob_parts, symbols, kept_blocks = [], [], [], 0
     for index in range(config.num_blocks):
-        alice_bases, alice_bits, rows = alice_prepare_block(
-            config, source, None if forced is None else forced.value
-        )
-        announced = int(alice_bases[0])
-        state = entangle_block(rows, attack.u, attack.num_ancillas)
+        announced = int(_block_bases(config, draws, index, "alice", forced)[0])
+        alice_bits = _block_bits(config, draws, index)
+        state = entangle_block(bb84_rows(alice_bits, Basis(announced)), attack.u, m)
+
+        def trial(charge, level, p):
+            return draws.trial("unitary", index, level, p, charge)
+
+        eve_trial, bob_trial = (functools.partial(trial, c) for c in (EVE, BOB_MEASUREMENT))
         if not attack.delayed:
-            guess = int(source.draw_bits("eve", "attack", 1)[0])
-            eve_bits, state = _measure_each(state, ancillas, Basis(guess), eve_coin)
+            guess = draws.bit("eve_guess", index, EVE)
+            eve_bits, state = _measure_each(state, ancillas, Basis(guess), eve_trial, 0)
             symbol = (guess == announced, eve_bits)
-        if flips is not None:
+        bob_basis = int(_block_bases(config, draws, index, "bob", forced)[0])
+        if flips is not None and bob_basis != announced:
             for i in np.flatnonzero(flips[index]):
                 state = apply_unitary(state, FLIP_GATES[Basis(announced)], (int(i),))
-        bob_basis = int(source.draw_bits("bob", "bob_basis", 1)[0])
-        if forced is not None:
-            bob_basis = forced.value
-        outcomes, state = _measure_each(state, range(n), Basis(bob_basis), bob_coin)
+        bob_level = 0 if attack.delayed else m
+        outcomes, state = _measure_each(state, range(n), Basis(bob_basis), bob_trial, bob_level)
         if attack.delayed:
-            eve_bits, state = _measure_each(state, ancillas, Basis(announced), eve_coin)
+            eve_bits, state = _measure_each(state, ancillas, Basis(announced), eve_trial, n)
             symbol = (announced, eve_bits)
         if announced == bob_basis:
             kept_blocks += 1
             alice_parts.append(alice_bits)
-            bob_parts.append(np.array(outcomes, dtype=np.uint8))
+            outcomes = np.array(outcomes, dtype=np.uint8)
+            bob_parts.append(outcomes if flips is None else outcomes ^ flips[index])
             symbols.extend([symbol] * n)
-    return _reference_outputs(config, source, alice_parts, bob_parts, kept_blocks, tuple(symbols))
+    return _reference_outputs(config, draws, alice_parts, bob_parts, kept_blocks, tuple(symbols))
 
 
 @given(
@@ -713,7 +681,7 @@ def _reference_unitary_session(config, attack, forced):
     m=st.sampled_from([0, 1, 2]),
     unitary_seed=st.integers(0, 2**32 - 1),
     delayed=st.booleans(),
-    flip=st.sampled_from([0.0, 0.03, 0.5]),
+    flip=st.sampled_from([0.0, 0.03, 0.3, 0.5]),
     forced=st.sampled_from([None, Basis.Z, Basis.X]),
     seed=st.integers(0, 2**32 - 1),
     num_blocks=st.integers(1, 40),
@@ -742,14 +710,14 @@ def test_outcome_tables_match_per_block_register(
     report = run_session(config, attack, force_shared_basis=forced)
     assert_same_session(report, reference)
     if unitary_seed == "hadamard":
-        # Block 0 is kept in Z: Bob's outcomes are certain and Eve's Z reading
-        # of her |+> ancilla is fair, so her delayed charge comes first.
+        # Eve measures delayed, so her charge comes after Bob's in a block's
+        # draw order, whichever block first drew from either.
         assert list(report.ledger.counts) == [
             ("alice", "alice_basis"),
             ("alice", "alice_bits"),
             ("bob", "bob_basis"),
-            ("eve", "attack"),
             ("bob", "bob_measurement"),
+            ("eve", "attack"),
             ("shared", "sampling"),
         ]
 
@@ -825,46 +793,34 @@ def _replay_heap(p1, node, state, order):
 def test_register_memo_keys_replay_to_their_probabilities(n, m, delayed):
     """Audit of the outcome tables: in every row, each node's p1 is
     snapped and equals, to 1e-12, what the register replayed along the
-    node's path gives; its digits are bernoulli_digits' of p1 and, where
-    a channel flip can land (Bob's nodes in the rows of his basis equal to
-    Alice's), of 1 - p1, its straight digits elsewhere; and the product
-    along each root-to-leaf path equals that leaf's |amplitude|^2 to
-    1e-12."""
+    node's path gives, and the product along each root-to-leaf path equals
+    that leaf's |amplitude|^2 to 1e-12."""
     u = random_unitary(n + m, 80 + 3 * n + m)
     tables = protocol._outcome_tables(BlockAttackSpec.unitary(u, n, m, delayed=delayed))
-    assert list(tables) == ([(0, 0), (1, 1)] if delayed else [(0, 0), (0, 1), (1, 0), (1, 1)])
+    assert tables.shape == (2, 1 if delayed else 2, 2, 2**n, 2 ** (n + m))
+    for point in (0.0, 0.5, 1.0):  # snapped within 1e-12
+        assert np.all((np.abs(tables - point) >= 1e-12) | (tables == point))
     hadamard = UnitarySpec(2, HADAMARD)
-    for (alice, eve), by_bob in tables.items():
-        assert list(by_bob) == [0, 1]
-        for bob, rows in by_bob.items():
-            order = [(q, bob) for q in range(n)] + [(q, eve) for q in range(n, n + m)]
-            if not delayed:  # Eve measures first
-                order = order[n:] + order[:n]
-            assert len(rows) == 2**n
-            for pattern, (draws, flipped, p1) in enumerate(rows):
-                assert len(draws) == len(flipped) == len(p1) == 2 ** (n + m)
-                for point in (0.0, 0.5, 1.0):  # snapped within 1e-12
-                    assert np.all((np.abs(p1 - point) >= 1e-12) | (p1 == point))
-                for node in range(1, 2 ** (n + m)):
-                    assert draws[node] == bernoulli_digits(p1[node])
-                    bobs = node < 2**n if delayed else node >= 2**m
-                    if bob == alice and bobs:  # a channel flip can land here
-                        assert flipped[node] == bernoulli_digits(1.0 - p1[node])
-                    else:
-                        assert flipped[node] == draws[node]
-                bits = [pattern >> (n - 1 - i) & 1 for i in range(n)]
-                state = entangle_block(bb84_rows(bits, Basis(alice)), u, m)
-                _replay_heap(p1, 1, state, order)
-                for qubit, basis in order:
-                    if basis:
-                        state = apply_unitary(state, hadamard, (qubit,))
-                probs = np.abs(state.amplitudes.reshape([2] * (n + m))) ** 2
-                leaves = probs.transpose([qubit for qubit, _ in order]).reshape(-1)
-                weights = np.ones(1)
-                for depth in range(n + m):
-                    level = p1[2**depth : 2 ** (depth + 1)]
-                    weights = np.stack([weights * (1.0 - level), weights * level], 1).reshape(-1)
-                assert np.max(np.abs(weights - leaves)) <= 1e-12
+    rows_of = tables.reshape(-1, 2**n, 2 ** (n + m))
+    for (alice, eve_axis, bob), rows in zip(np.ndindex(tables.shape[:3]), rows_of):
+        eve = alice if delayed else eve_axis
+        order = [(q, bob) for q in range(n)] + [(q, eve) for q in range(n, n + m)]
+        if not delayed:  # Eve measures first
+            order = order[n:] + order[:n]
+        for pattern, p1 in enumerate(rows):
+            bits = [pattern >> (n - 1 - i) & 1 for i in range(n)]
+            state = entangle_block(bb84_rows(bits, Basis(alice)), u, m)
+            _replay_heap(p1, 1, state, order)
+            for qubit, basis in order:
+                if basis:
+                    state = apply_unitary(state, hadamard, (qubit,))
+            probs = np.abs(state.amplitudes.reshape([2] * (n + m))) ** 2
+            leaves = probs.transpose([qubit for qubit, _ in order]).reshape(-1)
+            weights = np.ones(1)
+            for depth in range(n + m):
+                level = p1[2**depth : 2 ** (depth + 1)]
+                weights = np.stack([weights * (1.0 - level), weights * level], 1).reshape(-1)
+            assert np.max(np.abs(weights - leaves)) <= 1e-12
 
 
 # --- empirical rates ----------------------------------------------------------

@@ -18,10 +18,10 @@ from blockqkd.quantum import (
     apply_unitary,
     bb84_rows,
     embed,
-    prepare_bb84,
     prepare_singlet,
     random_unitary,
 )
+from bernoulli_reference import bernoulli
 from blockqkd.randomness import BitSource
 from circuit_oracle import (
     PAULI_X,
@@ -36,7 +36,7 @@ from circuit_oracle import (
 from circuit_sampling import RandomCoin, sample_circuit
 from density_reference import DensityMatrix, project, reduced_density
 from measurement_reference import measure
-from reduction_reference import permute_qubits, rows_to_state, tensor
+from reduction_reference import permute_qubits, prepare_bb84, rows_to_state, tensor
 from row_reference import flip_rows, measure_rows
 
 S = 1.0 / math.sqrt(2.0)
@@ -57,7 +57,7 @@ class RefuseCoin:
 def fair_coin(seed=0):
     """A source and its Bernoulli sampler charged to (bob, bob_measurement)."""
     source = BitSource(seed)
-    return source, functools.partial(source.bernoulli, "bob", "bob_measurement")
+    return source, functools.partial(bernoulli, source, "bob", "bob_measurement")
 
 
 # --- state preparation ----------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,10 +15,13 @@ from blockqkd.randomness import (
     BitSource,
     ConsumptionReport,
     RandomnessLedger,
-    bernoulli_digits,
     consumption_ratio,
+    knuth_yao,
+    stream_bits,
+    stream_words,
     unpack_bits,
 )
+from bernoulli_reference import bernoulli, bernoulli_digits, bernoulli_draw
 from cascade_reference import _permutation
 
 
@@ -116,16 +120,16 @@ def test_ledger_copy_is_independent():
 def test_bernoulli_half_costs_exactly_one_bit():
     source = BitSource(11)
     for _ in range(100):
-        source.bernoulli("bob", "bob_measurement", 0.5)
+        bernoulli(source, "bob", "bob_measurement", 0.5)
     assert source.ledger.get("bob", "bob_measurement") == 100
 
 
 def test_bernoulli_degenerate_costs_nothing():
     source = BitSource(11)
-    assert source.bernoulli("bob", "bob_measurement", 0.0) == 0
-    assert source.bernoulli("bob", "bob_measurement", 1.0) == 1
-    assert source.bernoulli("bob", "bob_measurement", 5e-13) == 0
-    assert source.bernoulli("bob", "bob_measurement", 1.0 - 5e-13) == 1
+    assert bernoulli(source, "bob", "bob_measurement", 0.0) == 0
+    assert bernoulli(source, "bob", "bob_measurement", 1.0) == 1
+    assert bernoulli(source, "bob", "bob_measurement", 5e-13) == 0
+    assert bernoulli(source, "bob", "bob_measurement", 1.0 - 5e-13) == 1
     assert source.ledger.total() == 0
 
 
@@ -134,7 +138,7 @@ def test_bernoulli_quarter_costs_at_most_two_bits():
     source = BitSource(13)
     before = 0
     for _ in range(200):
-        source.bernoulli("eve", "attack", 0.25)
+        bernoulli(source, "eve", "attack", 0.25)
         after = source.ledger.get("eve", "attack")
         assert after - before in (1, 2)
         before = after
@@ -142,7 +146,7 @@ def test_bernoulli_quarter_costs_at_most_two_bits():
 
 def test_bernoulli_frequency():
     source = BitSource(17)
-    hits = sum(source.bernoulli("eve", "attack", 0.25) for _ in range(10000))
+    hits = sum(bernoulli(source, "eve", "attack", 0.25) for _ in range(10000))
     # 5 sigma around 2500 with sigma = sqrt(10000 * 0.25 * 0.75) ~ 43
     assert abs(hits - 2500) <= 5 * np.sqrt(10000 * 0.25 * 0.75)
 
@@ -151,7 +155,7 @@ def test_bernoulli_frequency():
 @settings(max_examples=200)
 def test_bernoulli_returns_bit_and_counts(p):
     source = BitSource(23)
-    out = source.bernoulli("shared", "sampling", p)
+    out = bernoulli(source, "shared", "sampling", p)
     assert out in (0, 1)
     assert source.ledger.total() >= 0
 
@@ -200,7 +204,7 @@ def _bernoulli_reference(source, party, stage, p):
 def test_bernoulli_matches_per_bit_loop(seed, draws):
     batch, reference = BitSource(seed), BitSource(seed)
     for (party, stage), p in draws:
-        assert batch.bernoulli(party, stage, p) == _bernoulli_reference(
+        assert bernoulli(batch, party, stage, p) == _bernoulli_reference(
             reference, party, stage, p
         )
     assert list(batch.ledger.counts.items()) == list(reference.ledger.counts.items())
@@ -269,9 +273,9 @@ def test_bernoulli_digits_match_shifted_reference(p):
 
 def test_bernoulli_rejects_out_of_range():
     with pytest.raises(ValueError):
-        BitSource(0).bernoulli("eve", "attack", 1.5)
+        bernoulli(BitSource(0), "eve", "attack", 1.5)
     with pytest.raises(ValueError):
-        BitSource(0).bernoulli("eve", "attack", -0.1)
+        bernoulli(BitSource(0), "eve", "attack", -0.1)
 
 
 def test_randbelow_one_is_free():
@@ -431,8 +435,8 @@ def test_sampled_rejects_sizes_outside_one_word(monkeypatch, n, k):
 
 def test_stage_source_charges_its_stage():
     source = BitSource(41)
-    source.bernoulli("eve", "attack", 0.5)
-    source.bernoulli("eve", "attack", 0.5)
+    bernoulli(source, "eve", "attack", 0.5)
+    bernoulli(source, "eve", "attack", 0.5)
     assert source.ledger.get("eve", "attack") == 1 + 1
     assert source.ledger.total() == 2
 
@@ -489,3 +493,84 @@ def test_ratio_requires_equal_raw_qubits():
 def test_ratio_none_for_empty_baseline_stage():
     ratios = consumption_ratio(_report(4, 10, True), _report(4, 10, False))
     assert ratios.stage_ratios["pa_seed"] is None
+
+
+def test_stream_key_and_first_words_are_pinned():
+    """The stream layout every session rests on: the key is the 128-bit
+    blake2b digest of "{seed}/{kind}", read little-endian, numpy's Philox
+    keyed with it gives these raw words (its documented stream), plane 1
+    starts at counter 2^64, and bit k is bit k mod 64 of word k // 64."""
+    digest = hashlib.blake2b(b"7/alice_bits", digest_size=16).digest()
+    key = int.from_bytes(digest, "little")
+    assert key == 185214809063356389039464858856701997253
+    words = [0x6D00CC27A044CE05, 0x71A174E897356F8F, 0x1771B90582BE2D72,
+             0xBB03A355AA79714B, 0xF4F4DB8E964BAD42]
+    assert stream_words(7, "alice_bits", 5).tolist() == words
+    assert np.random.Philox(key=key).random_raw(5).tolist() == words
+    assert stream_words(7, "alice_bits", 2, plane=1).tolist() == [
+        0x84EDDC7AE6C39126, 0xD9E44BADAE22A6FB
+    ]
+    bits = stream_bits(7, "alice_bits", 300)
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [words[k // 64] >> k % 64 & 1 for k in range(300)]
+
+
+# p = 1/2, dyadic p, 0.3, the snapped edges and p's whose digits run past 64
+_TRIAL_POINTS = [0.5, 0.25, 0.75, 0.375, 2**-39, 1 - 2**-39, 0.3, 1e-11, 1.0000001e-12,
+                 DETERMINISTIC_EPS, 1.0 - DETERMINISTIC_EPS, 0.0, 1.0, 5e-13, 1 - 5e-13]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_TRIAL_POINTS), st.floats(0.0, 1.0)),
+            st.integers(0, 128),  # leading bits that agree with p's digits
+            st.integers(0, 2**128 - 1),  # the bits after them
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@example([(1e-11, 128, 0), (1e-11, 64, 0), (1e-11, 70, 2**128 - 1), (0.3, 64, 5)])
+@example([(p, agree, 0) for p in (0.5, 0.25, 0.3, 1e-11) for agree in (0, 1, 2, 63, 64, 65)])
+@settings(max_examples=300)
+def test_knuth_yao_matches_the_scalar_trial(trials):
+    """knuth_yao against bernoulli_draw fed the same two words' bits, top
+    bit first, on p's of each kind, one p per word and one p for all: the
+    same outcome and bits charged for every word. Each word pair agrees
+    with p's first digits for a while, so trials run to any depth, past
+    the first word too; the second words are asked for only where the
+    first matched all of a longer p's first 64 digits."""
+    firsts, seconds, expected = [], [], []
+    for p, agree, tail in trials:
+        digits, _ = bernoulli_digits(p)
+        top = sum(digit << 127 - i for i, digit in enumerate(digits))
+        keep = (1 << 128) - (1 << 128 - agree)
+        value = top & keep | tail & ~keep
+        firsts.append(value >> 64)
+        seconds.append(value & (1 << 64) - 1)
+    first_words, second_words = (np.array(w, dtype=np.uint64) for w in (firsts, seconds))
+
+    def scalar(p, index):
+        bits = iter([w >> 63 - j & 1 for w in (firsts[index], seconds[index]) for j in range(64)])
+        return bernoulli_draw(lambda _: next(bits), *bernoulli_digits(p))
+
+    asked = []
+
+    def second(mask):
+        asked.append(np.flatnonzero(mask))
+        return second_words[mask]
+
+    ps = [p for p, _, _ in trials]
+    for p in (np.array(ps), ps[0]):
+        outcomes, drawn = knuth_yao(p, first_words, second)
+        each = np.broadcast_to(p, len(ps))
+        assert outcomes.dtype == np.uint8
+        assert list(zip(outcomes.tolist(), drawn.tolist())) == [
+            scalar(float(each[i]), i) for i in range(len(ps))
+        ]
+        for i in np.concatenate(asked or [np.zeros(0, int)]).tolist():
+            digits, _ = bernoulli_digits(float(each[i]))
+            assert len(digits) > 64
+            assert firsts[i] == sum(d << 63 - j for j, d in enumerate(digits[:64]))
+        asked.clear()
