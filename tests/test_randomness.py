@@ -62,8 +62,7 @@ def test_unknown_party_or_stage_rejected():
 
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 70])
 def test_draw_bits_reads_each_value_from_its_top_bit(count):
-    # position i is bit count-1-i of the getrandbits(count) value, the order
-    # of the bit masks in protocol.run_session
+    # position i is bit count-1-i of the getrandbits(count) value
     value = random.Random(21).getrandbits(count)
     out = BitSource(21).draw_bits("alice", "alice_bits", count)
     assert out.dtype == np.uint8
@@ -73,7 +72,7 @@ def test_draw_bits_reads_each_value_from_its_top_bit(count):
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000])
 def test_unpack_bits_on_both_sides_of_64(n):
-    # up to 64 bits a value is read as one uint64 word, past that byte by byte
+    # a value is read byte by byte, its top byte padded on the left
     values = [v for v in (0, 1, (1 << n) - 1, 1 << 63) if v < 1 << n]
     out = unpack_bits(values, n)
     assert out.dtype == np.uint8
