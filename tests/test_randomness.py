@@ -532,7 +532,7 @@ _TRIAL_POINTS = [0.5, 0.25, 0.75, 0.375, 2**-39, 1 - 2**-39, 0.3, 1e-11, 1.00000
 )
 @example([(1e-11, 128, 0), (1e-11, 64, 0), (1e-11, 70, 2**128 - 1), (0.3, 64, 5)])
 @example([(p, agree, 0) for p in (0.5, 0.25, 0.3, 1e-11) for agree in (0, 1, 2, 63, 64, 65)])
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_knuth_yao_matches_the_scalar_trial(trials):
     """knuth_yao against bernoulli_draw fed the same two words' bits, top
     bit first, on p's of each kind, one p per word and one p for all: the
