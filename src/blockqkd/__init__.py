@@ -15,7 +15,6 @@ from .attacks import (
     load_unitary,
     reduction_corpus,
     save_unitary,
-    singlet_simulation,
     verify_reduction,
 )
 from .infotheory import (
@@ -42,7 +41,6 @@ from .protocol import (
 )
 from .quantum import (
     Basis,
-    StateVector,
     UnitarySpec,
     random_unitary,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "RateReport",
     "ReconciliationResult",
     "SessionReport",
-    "StateVector",
     "UnitarySpec",
     "binary_entropy",
     "cascade",
@@ -83,7 +80,6 @@ __all__ = [
     "reduction_corpus",
     "run_session",
     "save_unitary",
-    "singlet_simulation",
     "toeplitz_pa",
     "verify_reduction",
 ]

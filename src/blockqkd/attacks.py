@@ -11,7 +11,8 @@ Three attack families:
 - singlet simulation: instead of touching n real qubits, Eve attacks a
   register built from one real qubit plus n-1 singlet halves, keeps the
   partner halves, and measures them in the announced basis afterwards.
-  verify_reduction checks numerically that this reproduces, branch by
+  verify_reduction builds that register as an amplitude array
+  (_singlet_register) and checks numerically that it reproduces, branch by
   branch, the exact ensemble a real-block attack would produce.
 
 protocol.run_session runs the first two; this module describes them
@@ -36,13 +37,12 @@ from .quantum import (
     CNOT,
     HADAMARD,
     MAX_REGISTER_QUBITS,
+    SINGLET,
     Basis,
-    StateVector,
     UnitarySpec,
     _apply_matrix,
     bb84_rows,
     embed,
-    prepare_singlet,
     random_unitary,
 )
 
@@ -153,29 +153,6 @@ class BlockAttackSpec:
         return "none"
 
 
-@dataclass
-class EntangledBlock:
-    """Block qubits 0..n-1, then Eve's kept qubits, then her ancillas, in
-    one register.
-
-    In the singlet-built block of singlet_simulation, Alice's real qubit
-    sits at alice_slot, every other block slot holds one singlet half, and
-    kept_slots hold Eve's partner halves in the same order as
-    partner_slots.
-    """
-
-    state: StateVector
-    num_block_qubits: int
-    alice_slot: int
-    partner_slots: tuple[int, ...]
-    kept_slots: tuple[int, ...]
-    ancilla_slots: tuple[int, ...]
-
-    @property
-    def block_slots(self) -> tuple[int, ...]:
-        return tuple(range(self.num_block_qubits))
-
-
 def entangle_patterns(u: UnitarySpec, n: int, m: int, basis: Basis) -> np.ndarray:
     """Every n-bit pattern's register at once: column p holds the block
     whose bits are p's binary digits (qubit 0's the top one), prepared in
@@ -189,15 +166,18 @@ def entangle_patterns(u: UnitarySpec, n: int, m: int, basis: Basis) -> np.ndarra
 def _singlet_register(
     alice: np.ndarray, n: int, u: UnitarySpec, m: int, alice_slot: int
 ) -> np.ndarray:
-    """The singlet-built register in EntangledBlock's layout after `u` (on
-    the block slots and the ancillas), once per column of `alice`, Alice's
-    qubit as (2, k) amplitudes: a (2^(2n-1+m), k) array."""
+    """The singlet-built register after `u` (on the block slots and the
+    ancillas), once per column of `alice`, Alice's qubit as (2, k)
+    amplitudes: a (2^(2n-1+m), k) array. Its qubits are the n block slots,
+    Alice's qubit at alice_slot and a singlet half (SINGLET, read at each
+    call) in every other, then Eve's kept partner halves in slot order,
+    then the m ancillas."""
     total = 2 * n - 1 + m
     ancillas = np.zeros(2**m)
     ancillas[0] = 1.0
     # Assembled as [alice, (sim_0, kept_0), ..., (sim_{n-2}, kept_{n-2}), anc...],
     # then moved into [block slots | kept halves | ancillas].
-    rest = reduce(np.kron, [prepare_singlet().amplitudes] * (n - 1) + [ancillas])
+    rest = reduce(np.kron, [SINGLET] * (n - 1) + [ancillas])
     register = np.kron(alice, rest[:, None]).reshape([2] * total + [-1])
     destinations = [alice_slot]
     for j, slot in enumerate(s for s in range(n) if s != alice_slot):
@@ -205,43 +185,6 @@ def _singlet_register(
     destinations += range(2 * n - 1, total)
     register = np.moveaxis(register, range(total), destinations).reshape(2**total, -1)
     return _apply_matrix(register, u.entries, (*range(n), *range(2 * n - 1, total)), total)
-
-
-def singlet_simulation(
-    alice_qubit: StateVector,
-    n: int,
-    u: UnitarySpec,
-    num_ancillas: int,
-    alice_slot: int = 0,
-) -> EntangledBlock:
-    """Build Eve's stand-in for an n-qubit block and attack it with `u`.
-
-    The register holds Alice's one real qubit at alice_slot, one singlet
-    half in every other simulated slot, Eve's kept partner halves, and
-    num_ancillas fresh ancillas. `u` (on the n simulated qubits plus the
-    ancillas) is applied; the kept halves stay untouched, which is what
-    lets Eve defer measuring them until the basis announcement.
-    """
-    if alice_qubit.num_qubits != 1:
-        raise ValueError("alice_qubit must be a single qubit")
-    if n < 1:
-        raise ValueError("block size must be >= 1")
-    if not 0 <= alice_slot < n:
-        raise ValueError(f"alice_slot must lie in [0, {n})")
-    m = num_ancillas
-    if u.dimension != 2 ** (n + m):
-        raise ValueError(
-            f"unitary dimension {u.dimension} does not match n={n}, m={m}"
-        )
-    register = _singlet_register(alice_qubit.amplitudes[:, None], n, u, m, alice_slot)
-    return EntangledBlock(
-        state=StateVector(2 * n - 1 + m, register[:, 0]),
-        num_block_qubits=n,
-        alice_slot=alice_slot,
-        partner_slots=tuple(s for s in range(n) if s != alice_slot),
-        kept_slots=tuple(range(n, 2 * n - 1)),
-        ancilla_slots=tuple(range(2 * n - 1, 2 * n - 1 + m)),
-    )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Exact statevector simulation of small qubit registers.
+"""Dense amplitude arrays for small qubit registers: BB84 rows, unitaries
+on chosen qubits, and the singlet.
 
 Conventions, fixed across the package:
 
 - Qubit 0 is the most significant bit of the amplitude index, so
   ``amplitudes.reshape([2] * n)`` puts qubit k on axis k.
-- Registers are capped at 12 qubits; everything is dense complex128.
+- Amplitudes are dense complex128 arrays. The only register with a size
+  cap is the singlet-built one, at MAX_REGISTER_QUBITS = 12 qubits
+  (`attacks.check_reduction_size`).
 - Global phase is never compared directly: state equivalence goes through
   density matrices or outcome distributions.
 - Measurement probabilities within 1e-12 of 0, 1/2 or 1 are snapped to
@@ -25,7 +28,6 @@ import numpy as np
 
 MAX_REGISTER_QUBITS = 12
 
-TRACE_TOL = 1e-10  # |norm^2 - 1| of a state
 UNITARY_TOL = 1e-10
 # Branches thinner than this are numerically extinct and are not explored.
 BRANCH_CUTOFF = 1e-15
@@ -39,33 +41,6 @@ class Basis(Enum):
 
     Z = 0
     X = 1
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state of `num_qubits` qubits.
-
-    Treat as immutable: operations return new values and never write to
-    `amplitudes` in place.
-    """
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
-        if self.num_qubits > MAX_REGISTER_QUBITS:
-            raise ValueError(f"registers are capped at {MAX_REGISTER_QUBITS} qubits")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
-            )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= TRACE_TOL:
-            raise ValueError(f"state norm^2 is {norm_sq}, not 1")
-        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,38 +100,20 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT_HALF
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-def prepare_singlet() -> StateVector:
-    """Two-qubit singlet (|01> - |10>)/sqrt(2)."""
-    return StateVector(2, np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex))
+# The two-qubit singlet (|01> - |10>)/sqrt(2).
+SINGLET = np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex)
 
 
 def embed(num_qubits: int, u: UnitarySpec, targets: Sequence[int]) -> UnitarySpec:
     """Full 2^num_qubits matrix acting as `u` on `targets`, identity elsewhere."""
     targets = tuple(targets)
+    if len(set(targets)) != len(targets) or not all(0 <= t < num_qubits for t in targets):
+        raise ValueError(f"targets {targets} are not distinct qubits of range({num_qubits})")
     dim = 2**num_qubits
     if u.dimension != 2 ** len(targets):
         raise ValueError("unitary dimension does not match targets")
     identity = np.eye(dim, dtype=complex)
     return UnitarySpec(dim, _apply_matrix(identity, u.entries, targets, num_qubits))
-
-
-def apply_unitary(
-    state: StateVector, u: UnitarySpec, targets: Sequence[int]
-) -> StateVector:
-    """Apply `u` to the ordered `targets`, identity on the rest."""
-    targets = tuple(targets)
-    n = state.num_qubits
-    if len(set(targets)) != len(targets):
-        raise ValueError("target qubits must be distinct")
-    if any(not 0 <= t < n for t in targets):
-        raise IndexError(f"targets {targets} out of range for {n} qubits")
-    if u.dimension != 2 ** len(targets):
-        raise ValueError(
-            f"unitary dimension {u.dimension} does not match {len(targets)} targets"
-        )
-    return StateVector(n, _apply_matrix(state.amplitudes, u.entries, targets, n))
 
 
 def _apply_matrix(

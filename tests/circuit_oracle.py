@@ -20,11 +20,11 @@ from blockqkd.quantum import (
     HADAMARD,
     MAX_REGISTER_QUBITS,
     Basis,
-    StateVector,
     UnitarySpec,
     _apply_matrix,
 )
 from density_reference import project
+from register_reference import StateVector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 

@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from blockqkd.quantum import BRANCH_CUTOFF, TRACE_TOL, Basis, StateVector
+from blockqkd.quantum import BRANCH_CUTOFF, Basis
 from measurement_reference import collapse, outcome_probability
+from register_reference import TRACE_TOL, StateVector
 
 HERMITIAN_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10

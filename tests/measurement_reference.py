@@ -21,14 +21,17 @@ estimate.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from blockqkd.attacks import EntangledBlock
 from blockqkd.infotheory import JointDistribution
-from blockqkd.quantum import HADAMARD, Basis, StateVector, _apply_matrix
+from blockqkd.quantum import HADAMARD, Basis, _apply_matrix
 from blockqkd.randomness import DETERMINISTIC_EPS
+from register_reference import StateVector
+
+if TYPE_CHECKING:  # reduction_reference imports this module through density_reference
+    from reduction_reference import EntangledBlock
 
 
 def snap_probability(p: float) -> float:

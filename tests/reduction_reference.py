@@ -1,34 +1,33 @@
 """The branch-by-branch reduction check that `attacks.verify_reduction` is
-checked against, and `entangle_block`, the real block it compares with,
-built from the block's amplitude rows by `rows_to_state`, with the
+checked against, the singlet-built register it reads (`singlet_simulation`,
+an `EntangledBlock`), and `entangle_block`, the real block it compares
+with, built from the block's amplitude rows by `rows_to_state`, with the
 register helpers `tensor` and `permute_qubits`.
 
-Each kept-outcome branch of the singlet-built register is reached by a
-chain of `project` calls, one per kept half, its weight the product of
-their probabilities; the forwarded block + ancillas are read off it with
-`reduced_density` and compared with the density matrix of the real block
-that `entangle_block` attacks.
+`singlet_simulation` assembles its register from `register_reference`'s
+`StateVector`s with `tensor`, `permute_qubits` and `apply_unitary`, so
+the check shares no register construction with `verify_reduction`, which
+builds its register with `attacks._singlet_register`. Each kept-outcome
+branch of the register is reached by a chain of `project` calls, one per
+kept half, its weight the product of their probabilities; the forwarded
+block + ancillas are read off it with `reduced_density` and compared with
+the density matrix of the real block that `entangle_block` attacks.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from blockqkd.attacks import REDUCTION_TOL, EquivalenceReport, singlet_simulation
-from blockqkd.quantum import (
-    _BB84_AMPS,
-    Basis,
-    StateVector,
-    UnitarySpec,
-    apply_unitary,
-    bb84_rows,
-)
+from blockqkd.attacks import REDUCTION_TOL, EquivalenceReport
+from blockqkd.quantum import _BB84_AMPS, Basis, UnitarySpec, bb84_rows
 from density_reference import project, reduced_density
+from register_reference import StateVector, apply_unitary, prepare_singlet
 
 
 def prepare_bb84(bit: int, basis: Basis) -> StateVector:
@@ -68,6 +67,76 @@ def entangle_block(rows: np.ndarray, u: UnitarySpec, num_ancillas: int) -> State
         state = tensor(state, StateVector(num_ancillas, ancillas))
     return apply_unitary(state, u, range(state.num_qubits))
 
+
+@dataclass
+class EntangledBlock:
+    """Block qubits 0..n-1, then Eve's kept qubits, then her ancillas, in
+    one register.
+
+    In the singlet-built block of singlet_simulation, Alice's real qubit
+    sits at alice_slot, every other block slot holds one singlet half, and
+    kept_slots hold Eve's partner halves in the same order as
+    partner_slots.
+    """
+
+    state: StateVector
+    num_block_qubits: int
+    alice_slot: int
+    partner_slots: tuple[int, ...]
+    kept_slots: tuple[int, ...]
+    ancilla_slots: tuple[int, ...]
+
+    @property
+    def block_slots(self) -> tuple[int, ...]:
+        return tuple(range(self.num_block_qubits))
+
+
+def singlet_simulation(
+    alice_qubit: StateVector,
+    n: int,
+    u: UnitarySpec,
+    num_ancillas: int,
+    alice_slot: int = 0,
+) -> EntangledBlock:
+    """Build Eve's stand-in for an n-qubit block and attack it with `u`.
+
+    The register holds Alice's one real qubit at alice_slot, one singlet
+    half in every other simulated slot, Eve's kept partner halves, and
+    num_ancillas fresh ancillas. `u` (on the n simulated qubits plus the
+    ancillas) is applied; the kept halves stay untouched, which is what
+    lets Eve defer measuring them until the basis announcement.
+    """
+    if alice_qubit.num_qubits != 1:
+        raise ValueError("alice_qubit must be a single qubit")
+    if n < 1:
+        raise ValueError("block size must be >= 1")
+    if not 0 <= alice_slot < n:
+        raise ValueError(f"alice_slot must lie in [0, {n})")
+    m = num_ancillas
+    if u.dimension != 2 ** (n + m):
+        raise ValueError(
+            f"unitary dimension {u.dimension} does not match n={n}, m={m}"
+        )
+    partner_slots = tuple(s for s in range(n) if s != alice_slot)
+    kept_slots = tuple(range(n, 2 * n - 1))
+    ancilla_slots = tuple(range(2 * n - 1, 2 * n - 1 + m))
+    # Tensored as [alice, (partner, kept) per singlet, ancillas], then each
+    # qubit relabelled to its slot.
+    parts = [alice_qubit] + [prepare_singlet()] * (n - 1)
+    if m:
+        ancillas = np.zeros(2**m, dtype=complex)
+        ancillas[0] = 1.0
+        parts.append(StateVector(m, ancillas))
+    pairs = [slot for pair in zip(partner_slots, kept_slots) for slot in pair]
+    state = permute_qubits(tensor(*parts), (alice_slot, *pairs, *ancilla_slots))
+    return EntangledBlock(
+        state=apply_unitary(state, u, (*range(n), *ancilla_slots)),
+        num_block_qubits=n,
+        alice_slot=alice_slot,
+        partner_slots=partner_slots,
+        kept_slots=kept_slots,
+        ancilla_slots=ancilla_slots,
+    )
 
 
 def verify_reduction_reference(u, n: int, m: int) -> EquivalenceReport:

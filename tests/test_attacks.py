@@ -16,13 +16,11 @@ from blockqkd.attacks import (
     load_unitary,
     reduction_corpus,
     save_unitary,
-    singlet_simulation,
     verify_reduction,
 )
 from blockqkd.protocol import ProtocolConfig, run_session
 from blockqkd.quantum import (
     Basis,
-    StateVector,
     UnitarySpec,
     bb84_rows,
     random_unitary,
@@ -36,9 +34,12 @@ from reduction_reference import (
     entangle_block,
     prepare_bb84,
     rows_to_state,
+    singlet_simulation,
     tensor,
     verify_reduction_reference,
 )
+import register_reference
+from register_reference import StateVector
 
 IDENTITY4 = UnitarySpec.from_matrix(np.eye(4))
 
@@ -345,6 +346,24 @@ def test_verify_matches_branch_by_branch_reference(case):
     )
 
 
+@pytest.mark.parametrize(
+    "case",
+    reduction_corpus(random_count=18, block_sizes=(1, 2, 3), ancillas=(0, 1, 2)),
+    ids=lambda case: case.name,
+)
+def test_singlet_register_matches_the_reference_simulation(case):
+    # Every (n, m) cell with its identity and two Haar unitaries, plus the
+    # CNOT entangler: column c of _singlet_register is the register that
+    # singlet_simulation builds for Alice's input c, at every slot.
+    alice = bb84_rows([0, 1, 0, 1], [0, 0, 1, 1]).T
+    inputs = [(0, Basis.Z), (1, Basis.Z), (0, Basis.X), (1, Basis.X)]
+    for alice_slot in range(case.n):
+        register = attacks._singlet_register(alice, case.n, case.u, case.m, alice_slot)
+        for column, (bit, basis) in zip(register.T, inputs):
+            sim = singlet_simulation(prepare_bb84(bit, basis), case.n, case.u, case.m, alice_slot)
+            assert np.max(np.abs(column - sim.state.amplitudes)) <= 1e-12
+
+
 @pytest.mark.parametrize("n, m", list(product(range(1, 5), range(3))))
 def test_entangled_patterns_are_the_sessions_blocks(n, m):
     # Column p is the register that entangle_block builds from p's bits.
@@ -359,9 +378,12 @@ def test_entangled_patterns_are_the_sessions_blocks(n, m):
 
 def test_verify_fails_on_a_triplet_register():
     # With (|01> + |10>)/sqrt(2) for the singlet, the kept halves agree
-    # with their partners in X instead of disagreeing: the check must fail.
-    triplet = StateVector(2, np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2))
-    with mock.patch.object(attacks, "prepare_singlet", lambda: triplet):
+    # with their partners in X instead of disagreeing: both checks must
+    # fail. Each reads the singlet where it builds its register.
+    triplet = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2)
+    with mock.patch.object(attacks, "SINGLET", triplet), mock.patch.object(
+        register_reference, "SINGLET", triplet
+    ):
         report = verify_reduction(cnot_entangler(), 2, 1)
         reference = verify_reduction_reference(cnot_entangler(), 2, 1)
     assert not report.passed and not reference.passed

@@ -24,7 +24,6 @@ from blockqkd.quantum import (
     HADAMARD,
     Basis,
     UnitarySpec,
-    apply_unitary,
     bb84_rows,
     embed,
     random_unitary,
@@ -39,6 +38,7 @@ from measurement_reference import (
     outcome_probability,
 )
 from reduction_reference import entangle_block
+from register_reference import apply_unitary
 from row_reference import EVE, AddressedDraws, flip_rows, intercept_resend, measure_rows
 
 X_GATE = UnitarySpec(2, np.array([[0, 1], [1, 0]], dtype=complex))

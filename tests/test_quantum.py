@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,13 +13,10 @@ from blockqkd.quantum import (
     HADAMARD,
     MAX_REGISTER_QUBITS,
     Basis,
-    StateVector,
     UnitarySpec,
     _apply_matrix,
-    apply_unitary,
     bb84_rows,
     embed,
-    prepare_singlet,
     random_unitary,
 )
 from bernoulli_reference import bernoulli
@@ -37,6 +35,7 @@ from circuit_sampling import RandomCoin, sample_circuit
 from density_reference import DensityMatrix, project, reduced_density
 from measurement_reference import measure
 from reduction_reference import permute_qubits, prepare_bb84, rows_to_state, tensor
+from register_reference import StateVector, apply_unitary, prepare_singlet
 from row_reference import flip_rows, measure_rows
 
 S = 1.0 / math.sqrt(2.0)
@@ -211,6 +210,17 @@ def test_embed_places_gate_on_targets():
     amps = np.zeros(8)
     amps[0b010] = 1.0
     assert np.allclose(u.entries @ amps, amps)
+
+
+@pytest.mark.parametrize(
+    "gate, targets",
+    [(CNOT, (0, -3)), (CNOT, (0, 0)), (HADAMARD, (3,))],
+    ids=["negative", "repeated", "out_of_range"],
+)
+def test_embed_rejects_bad_targets(gate, targets):
+    # A negative target would otherwise pass as a numpy axis index.
+    with pytest.raises(ValueError, match=re.escape(f"targets {targets} are not")):
+        embed(3, UnitarySpec.from_matrix(gate), targets)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
