@@ -3,9 +3,10 @@
 
 For each block size n, runs one session with a single shared basis per
 block and one per-qubit baseline at the same seed and raw-qubit count,
-then prints the exact per-stage ledger counts and the block/baseline
+then prints Alice's exact quantum-phase bit counts and the block/baseline
 ratios. Alice's quantum-phase ratio is (n+1)/(2n) and Bob's is 1/n, both
-exact rationals; the table shows them converging to 1/2 and 0 as n grows.
+exact rationals, and both are asserted; the table shows them converging
+to 1/2 and 0 as n grows.
 """
 
 import argparse
@@ -53,6 +54,7 @@ def main() -> int:
         ratios = consumption_ratio(block.consumption, baseline.consumption)
         alice_ratio = ratios.quantum_phase_alice
         assert alice_ratio == Fraction(n + 1, 2 * n)
+        assert ratios.quantum_phase_bob == Fraction(1, n)
         print(
             f"{n:>6} {block.raw_qubits:>11} "
             f"{block.consumption.quantum_phase_alice:>12} "

@@ -610,18 +610,12 @@ def toeplitz_pa(
         raise ValueError("key must be nonempty")
     if leaked_bits < 0 or eve_info_bits < 0 or safety_margin < 0:
         raise ValueError("leaked_bits, eve_info_bits and safety_margin must be >= 0")
-    target = length - int(leaked_bits) - math.ceil(eve_info_bits) - int(safety_margin)
-    out_len = max(0, target)
-    if out_len == 0:
-        return AmplificationResult(
-            final_key=np.zeros(0, dtype=np.uint8),
-            input_length=length,
-            output_length=0,
-            seed_bits_consumed=0,
-        )
-    seed_bits = length + out_len - 1
-    seed = source.draw_bits("shared", "pa_seed", seed_bits)
-    final = (_window_sums(seed, key) & 1).astype(np.uint8)
+    out_len = max(0, length - int(leaked_bits) - math.ceil(eve_info_bits) - int(safety_margin))
+    seed_bits = length + out_len - 1 if out_len else 0
+    final = np.zeros(0, dtype=np.uint8)
+    if out_len:
+        seed = source.draw_bits("shared", "pa_seed", seed_bits)
+        final = (_window_sums(seed, key) & 1).astype(np.uint8)
     return AmplificationResult(
         final_key=final,
         input_length=length,

@@ -63,18 +63,15 @@ class RandomnessLedger:
     def get(self, party: str, stage: str) -> int:
         return self.counts.get((party, stage), 0)
 
-    def stage_total(self, stage: str) -> int:
-        return sum(v for (_, s), v in self.counts.items() if s == stage)
-
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def copy(self) -> "RandomnessLedger":
-        return RandomnessLedger(dict(self.counts))
-
     def as_dict(self) -> dict[str, int]:
         """Stage totals in fixed stage order, for serialization."""
-        return {stage: self.stage_total(stage) for stage in STAGES}
+        totals = dict.fromkeys(STAGES, 0)
+        for (_, stage), bits in self.counts.items():
+            totals[stage] += bits
+        return totals
 
 
 class BitSource:
@@ -87,15 +84,18 @@ class BitSource:
 
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
-        self.seed = seed
         self.ledger = RandomnessLedger()
 
     def draw_bits(self, party: str, stage: str, count: int) -> np.ndarray:
-        """Draw `count` bits, charging the ledger by exactly `count`."""
+        """Draw `count` bits as uint8, charging the ledger by exactly
+        `count`: bit i is bit count-1-i of one getrandbits(count) value, so
+        its first drawn bit is its top bit."""
         if count < 0:
             raise ValueError("count must be non-negative")
         self.ledger.record(party, stage, count)
-        return unpack_bits([self._rng.getrandbits(count)], count)[0]
+        step = -(-count // 8)
+        raw = self._rng.getrandbits(count).to_bytes(step, "big")
+        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[8 * step - count :]
 
     def sampled(self, party: str, stage: str, n: int, k: int) -> list[int]:
         """k distinct indices of range(n), uniform, in draw order: the first
@@ -215,79 +215,44 @@ def knuth_yao(p, words: np.ndarray, second) -> tuple[np.ndarray, np.ndarray]:
     return outcome, np.minimum(depth + 1, length)
 
 
-def unpack_bits(values, n: int) -> np.ndarray:
-    """(len(values), n) uint8 bits of n-bit ints, position i from bit n-1-i:
-    a getrandbits(n) value's first drawn bit is its top bit."""
-    step = -(-n // 8)
-    raw = b"".join(v.to_bytes(step, "big") for v in values)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).reshape(len(values), 8 * step)
-    return bits[:, 8 * step - n :]
-
-
 @dataclass(frozen=True)
 class ConsumptionReport:
     """Randomness consumption of one session, grouped for ratio comparisons.
 
-    quantum_phase_alice covers the bits Alice needs before any qubit leaves
-    her lab (basis choices plus data bits); quantum_phase_bob covers Bob's
+    quantum_phase_alice counts the bits Alice needs before any qubit leaves
+    her lab (basis choices plus data bits); quantum_phase_bob counts Bob's
     basis choices. Born-rule sampling (bob_measurement) is simulation
     machinery, not protocol randomness, and is excluded from both.
     """
 
     raw_qubits: int
-    stage_bits: dict[str, int]
+    quantum_phase_alice: int
+    quantum_phase_bob: int
 
     @classmethod
     def from_ledger(cls, ledger: RandomnessLedger, raw_qubits: int) -> "ConsumptionReport":
-        return cls(raw_qubits=raw_qubits, stage_bits=ledger.as_dict())
-
-    @property
-    def quantum_phase_alice(self) -> int:
-        return self.stage_bits["alice_basis"] + self.stage_bits["alice_bits"]
-
-    @property
-    def quantum_phase_bob(self) -> int:
-        return self.stage_bits["bob_basis"]
-
-    @property
-    def quantum_phase_total(self) -> int:
-        return self.quantum_phase_alice + self.quantum_phase_bob
+        stages = ledger.as_dict()
+        return cls(raw_qubits, stages["alice_basis"] + stages["alice_bits"], stages["bob_basis"])
 
 
 @dataclass(frozen=True)
 class ConsumptionRatios:
-    """Exact per-stage and per-phase ratios between two consumption reports."""
+    """Exact per-phase ratios between two consumption reports."""
 
-    stage_ratios: dict[str, Fraction | None]
     quantum_phase_alice: Fraction
     quantum_phase_bob: Fraction
-    quantum_phase_total: Fraction
 
 
 def consumption_ratio(
     report: ConsumptionReport, baseline: ConsumptionReport
 ) -> ConsumptionRatios:
-    """Ratios of `report` over `baseline`, as exact rationals.
-
-    Both reports must describe sessions with the same raw-qubit count;
-    a stage the baseline never drew from gets ratio None.
-    """
+    """Ratios of `report` over `baseline`, as exact rationals. Both reports
+    must describe sessions with the same raw-qubit count."""
     if report.raw_qubits != baseline.raw_qubits:
         raise ValueError(
             f"raw-qubit counts differ: {report.raw_qubits} vs {baseline.raw_qubits}"
         )
-    stage_ratios: dict[str, Fraction | None] = {}
-    for stage in STAGES:
-        denom = baseline.stage_bits[stage]
-        num = report.stage_bits[stage]
-        stage_ratios[stage] = Fraction(num, denom) if denom else None
     return ConsumptionRatios(
-        stage_ratios=stage_ratios,
-        quantum_phase_alice=Fraction(
-            report.quantum_phase_alice, baseline.quantum_phase_alice
-        ),
-        quantum_phase_bob=Fraction(report.quantum_phase_bob, baseline.quantum_phase_bob),
-        quantum_phase_total=Fraction(
-            report.quantum_phase_total, baseline.quantum_phase_total
-        ),
+        Fraction(report.quantum_phase_alice, baseline.quantum_phase_alice),
+        Fraction(report.quantum_phase_bob, baseline.quantum_phase_bob),
     )

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import blockqkd
@@ -47,3 +48,12 @@ def test_package_defines_only_what_it_calls():
         and node.name not in used
     ]
     assert not unused, f"defined in src/ but called only by tests or nothing: {unused}"
+
+
+def test_readme_python_example_runs():
+    """README's one ```python block runs as written, so the documented API
+    cannot drift from the package."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

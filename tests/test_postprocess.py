@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from blockqkd.protocol import (
     empirical_rates,
     run_session,
 )
-from blockqkd.randomness import BitSource
+from blockqkd.randomness import BitSource, consumption_ratio
 from cascade_reference import cascade_reference
 from rank_reference import leak_rank_reference, upper_bound
 
@@ -772,3 +773,30 @@ def test_pipeline_continues_session_ledger():
     assert after > before
     assert report.ledger.get("shared", "ec_permutation") > 0
     assert report.ledger.get("shared", "pa_seed") > 0
+
+
+def test_paper_ratios_hold_under_attack_and_through_pipeline():
+    # the quantum-phase ratios (n+1)/(2n) for Alice and 1/n for Bob hold
+    # whatever Eve does, and post-processing charges neither phase
+    attacks = (
+        BlockAttackSpec.intercept(0.3, "per_qubit"),
+        BlockAttackSpec.intercept(1.0, "per_block"),
+    )
+    for n in (2, 4, 16):
+        for attack in attacks:
+            reports = [
+                run_session(
+                    ProtocolConfig(
+                        block_size=n, num_blocks=400, mode=mode, channel_flip_prob=0.02, seed=17
+                    ),
+                    attack,
+                )
+                for mode in ("per_block", "per_qubit")
+            ]
+            before = [report.consumption for report in reports]
+            ratios = consumption_ratio(*before)
+            assert ratios.quantum_phase_alice == Fraction(n + 1, 2 * n)
+            assert ratios.quantum_phase_bob == Fraction(1, n)
+            for report, consumption in zip(reports, before):
+                pipeline(report, empirical_rates(report))
+                assert report.consumption == consumption
