@@ -15,9 +15,8 @@ seeded Mersenne Twister, and its primitives are bit-exact:
 - ``sampled(n, k)`` draws k distinct indices of range(n) on those draws:
   the first k steps of a Fisher-Yates shuffle from the bottom, each index
   drawn and swapped in one loop, charged in one ledger record.
-- ``shuffled(items)`` is a copy of a list permuted by the Fisher-Yates
-  shuffle from the top on the same draws, also one loop and one ledger
-  record; the caller's list is left unchanged.
+- ``shuffled(n)`` is the order that sorts n random 64-bit keys, charged
+  in one ledger record the bits a lazy reader of the keys needs to find it.
 """
 
 from __future__ import annotations
@@ -124,26 +123,19 @@ class BitSource:
             self.ledger.record(party, stage, drawn)
         return sample
 
-    def shuffled(self, party: str, stage: str, items: list) -> list:
-        """A uniformly permuted copy of `items`, which is left as it is:
-        Fisher-Yates from the top, index i swapping with a uniform value
-        below i + 1, drawn and swapped in one loop. The draws depend on
-        len(items) alone, so one list can serve every shuffle of a length.
-        Every bit drawn goes to the ledger in one record (none when no bit
-        was drawn)."""
-        getrandbits, perm, drawn = self._rng.getrandbits, list(items), 0
-        n = len(perm)
-        for width in range((n - 1).bit_length(), 0, -1):  # the indices of each width
-            run = range(min(n - 1, (1 << width) - 1), (1 << (width - 1)) - 1, -1)
-            attempts = len(run)
-            for i in run:
-                while (j := getrandbits(width)) > i:
-                    attempts += 1
-                perm[i], perm[j] = perm[j], perm[i]
-            drawn += width * attempts
-        if drawn:
-            self.ledger.record(party, stage, drawn)
-        return perm
+    def shuffled(self, party: str, stage: str, n: int) -> np.ndarray:
+        """A uniform permutation of range(n): the order of n random 64-bit keys,
+        the words of one getrandbits(64 n) value from the bottom, tied keys each
+        reading a word more in index order, charged in one record as `_trie_order`
+        reads them. n < 2 draws nothing."""
+        if n < 2:
+            return np.arange(n)
+        order, drawn = _trie_order(self._words(n), lambda tied: self._words(int(tied.sum())))
+        self.ledger.record(party, stage, drawn)
+        return order
+
+    def _words(self, n: int) -> np.ndarray:
+        return np.frombuffer(self._rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
 
 
 def stream_words(seed: int, kind: str, count: int, plane: int = 0) -> np.ndarray:
@@ -170,6 +162,30 @@ def _bit_length(words: np.ndarray) -> np.ndarray:
     high = np.frexp((words >> np.uint64(32)).astype(np.float64))[1]
     low = np.frexp((words & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
     return np.where(high > 0, high + 32, low)
+
+
+def _trie_order(words: np.ndarray, more) -> tuple[np.ndarray, int]:
+    """The order that sorts the keys `words`, and the bits a lazy reader
+    reads to find it, splitting each group of two or more keys on their next
+    bit, top bit first: per key, one more than its longest common prefix
+    with a sorted neighbour. Tied keys read on: `more(mask)` returns the
+    next words of the indices under `mask`, until no two keys tie."""
+    levels, order = [words], np.argsort(words)
+    while True:
+        common, same = 0, True  # per sorted neighbour pair
+        for level in levels:
+            keys = level[order]
+            differ = keys[1:] ^ keys[:-1]
+            common = common + np.where(same, 64 - _bit_length(differ), 0)
+            same = same & (differ == 0)
+        if not same.any():  # the ends' keys have one neighbour each
+            ends = int(common[0]) + int(common[-1])
+            return order, len(words) + ends + int(np.maximum(common[:-1], common[1:]).sum())
+        tied = np.zeros(len(words), dtype=bool)
+        tied[order[1:][same]] = tied[order[:-1][same]] = True
+        levels.append(np.zeros_like(words))
+        levels[-1][tied] = more(tied)
+        order = np.lexsort(levels[::-1])
 
 
 def _digits(p: np.ndarray):

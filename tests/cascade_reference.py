@@ -2,10 +2,10 @@
 against, cut point for cut point.
 
 Every parity is read off the key as it stands, one numpy reduction per
-query, and each shuffle draws its indices one rejection loop at a time,
-charging every attempt to (shared, ec_permutation). The leak is the
-column elimination of `rank_reference.leak_rank_reference` over the
-disclosed segments, not the package's certificate.
+query, and each shuffle reads its random keys one bit at a time, charging
+every bit read to (shared, ec_permutation). The leak is the column
+elimination of `rank_reference.leak_rank_reference` over the disclosed
+segments, not the package's certificate.
 """
 
 from __future__ import annotations
@@ -27,20 +27,48 @@ def _parity(key: np.ndarray, idx: np.ndarray) -> int:
     return int(np.bitwise_xor.reduce(key[idx]))
 
 
+def _radix_order(words: list[int], more) -> tuple[list[int], int]:
+    """The indices in the order of their keys `words`, read bit by bit from
+    the top, and the bits read: every group of two or more indices whose
+    keys agree so far splits on its next bit, 0s first, charging one bit per
+    member. Groups still whole after a word's 64 bits read one more word
+    per member, all such members at once: `more(members)` returns the
+    words of the given indices, listed in increasing order."""
+    keys = list(words)
+    groups, charge, bit = [list(range(len(keys)))], 0, 63
+    while any(len(group) > 1 for group in groups):
+        if bit < 0:
+            tied = sorted(i for group in groups if len(group) > 1 for i in group)
+            for i, word in zip(tied, more(tied)):
+                keys[i] = word
+            bit = 63
+        split = []
+        for group in groups:
+            if len(group) > 1:
+                charge += len(group)
+                zeros = [i for i in group if not keys[i] >> bit & 1]
+                ones = [i for i in group if keys[i] >> bit & 1]
+                split.extend(part for part in (zeros, ones) if part)
+            else:
+                split.append(group)
+        groups, bit = split, bit - 1
+    return [group[0] for group in groups], charge
+
+
+def _words(source: BitSource, count: int) -> list[int]:
+    """The 64-bit words of one getrandbits(64 count) value, lowest first."""
+    raw = source._rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    return [int.from_bytes(raw[i : i + 8], "little") for i in range(0, len(raw), 8)]
+
+
 def _permutation(n: int, source: BitSource) -> np.ndarray:
-    """Fisher-Yates shuffle: index i swaps with j, a draw of i.bit_length()
-    bits repeated until it is at most i."""
-    getrandbits = source._rng.getrandbits
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        width = i.bit_length()
-        while True:
-            source.ledger.record("shared", "ec_permutation", width)
-            j = getrandbits(width)
-            if j <= i:
-                break
-        perm[i], perm[j] = perm[j], perm[i]
-    return np.array(perm, dtype=np.int64)
+    """A shuffle by lazy radix partition of n random 64-bit keys, charging
+    (shared, ec_permutation) every bit it reads; n < 2 reads nothing."""
+    if n < 2:
+        return np.arange(n)
+    order, charge = _radix_order(_words(source, n), lambda tied: _words(source, len(tied)))
+    source.ledger.record("shared", "ec_permutation", charge)
+    return np.array(order, dtype=np.int64)
 
 
 def cascade_reference(

@@ -715,17 +715,17 @@ def _output_digest(csv_path):
 
 GOLDEN_CLI_DIGESTS = {
     "empty_session": "de6260e23b91a6fc8229a9545fa67c8797d35153c1d8c21c5a29377f16134b29",
-    "example": "696cf8479990d369370bea916a6586262fc1e67b3b6b95411666ae7cf05d97b7",
-    "intercept_per_block": "640d2f43f75b73830347ae420c8fead206cef42103c6d5018c275bf516bec18b",
-    "per_qubit": "d665c84339ca9085afff930db6136102d4f9fcb1d446b7e2a867b08c7bda89a0",
-    "unitary_delayed": "bb35251eaa25e7a1027aa6dc107e520ac2bccacc7ff48fb62930242ed3a9f345",
-    "unitary_immediate": "d4165bfe9face4584604726f521f74f734c6712d4ba8cd2c67e3a7c536eff5e9",
+    "example": "440f3cc1709dd9fa3eeefe90a9451a7d859fdafa0495b575d7147d814bd91170",
+    "intercept_per_block": "83597c8863e79023249cf93b46c6a220498d7e096393d6169aaca089009e3550",
+    "per_qubit": "a4ed1b2e4d7a733b44984179189c39f5f604cd7d83d58fec29d21b599964e5f3",
+    "unitary_delayed": "94f7a31651f65cd697507573256da6ac72ea11e68a95853055b3f894b55bb562",
+    "unitary_immediate": "ee3e940fcb9e61adeb1219eb149a4b0fef742c9a1504bebc1c5aee862594767c",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CLI_DIGESTS))
 def test_run_outputs_match_golden_digests(name, tmp_path):
     """Fixed `blockqkd run` invocations reproduce the digests recorded for
-    package 0.3.0. A refactor of the command must leave them as they are."""
+    package 0.4.0. A refactor of the command must leave them as they are."""
     assert main(_golden_argv(name, tmp_path)) == 0
     assert _output_digest(tmp_path / "out.csv") == GOLDEN_CLI_DIGESTS[name]

@@ -364,7 +364,7 @@ def _disclosed(length, qber, seed):
 
 
 @pytest.mark.parametrize(
-    "length, qber, seed", [(2000, 0.05, 0), (4000, 0.03, 6), (8000, 0.02, 27), (60000, 0.02, 0)]
+    "length, qber, seed", [(2000, 0.05, 1), (4000, 0.03, 2), (8000, 0.02, 27), (60000, 0.02, 13)]
 )
 def test_leak_rank_below_its_upper_bound_matches_reference(length, qber, seed):
     # these keys' parities fall short of joins + c - (passes - 2), so the
@@ -379,7 +379,7 @@ def test_leak_rank_below_its_upper_bound_matches_reference(length, qber, seed):
 def test_leak_rank_matches_reference_on_a_disconnected_graph():
     # at QBER 0.1 many bits are isolated in both passes 0 and 1, and the
     # graph of their atoms falls apart into dozens of components
-    orders, segments, reported = _disclosed(6000, 0.1, 5)
+    orders, segments, reported = _disclosed(6000, 0.1, 0)
     bound, components = upper_bound(orders, segments)
     expected = leak_rank_reference(orders, segments)
     assert components > 1

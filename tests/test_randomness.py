@@ -1,6 +1,9 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from blockqkd.randomness import (
     stream_words,
 )
 from bernoulli_reference import bernoulli, bernoulli_digits, bernoulli_draw
-from cascade_reference import _permutation
+from cascade_reference import _permutation, _radix_order
 
 
 def test_draw_zero_bits_leaves_ledger_unchanged():
@@ -366,33 +369,142 @@ def test_sampled_reaches_the_top_of_one_word():
 @example(seed=12, n=42_400)
 @settings(max_examples=60, deadline=None)
 def test_shuffled_matches_the_reference_shuffle(seed, n):
-    """shuffled against the reference Fisher-Yates loop, one ledger record
-    per attempt: same permutation, ledger and generator state."""
+    """shuffled against the reference radix partition, reading its keys
+    one bit at a time: same permutation, ledger and generator state."""
     source, reference = BitSource(seed), BitSource(seed)
     assert (
-        source.shuffled("shared", "ec_permutation", list(range(n)))
+        source.shuffled("shared", "ec_permutation", n).tolist()
         == _permutation(n, reference).tolist()
     )
     assert source.ledger.counts == reference.ledger.counts
     assert source._rng.getstate() == reference._rng.getstate()
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=5000))
-@example(seed=17, n=42_400)  # about one block1000_clean sifted key
-@settings(max_examples=40, deadline=None)
-def test_shuffles_of_one_list_match_shuffles_of_fresh_lists(seed, n):
-    """Three shuffles of one list, as Cascade's passes take them, against
-    three of fresh lists: same permutations, ledger and generator state,
-    and the shared list left as it was."""
-    shared, fresh = BitSource(seed), BitSource(seed)
-    indices = list(range(n))
-    for _ in range(3):
-        assert shared.shuffled("shared", "ec_permutation", indices) == fresh.shuffled(
-            "shared", "ec_permutation", list(range(n))
-        )
-        assert indices == list(range(n))
-    assert shared.ledger.counts == fresh.ledger.counts
-    assert shared._rng.getstate() == fresh._rng.getstate()
+def test_shuffled_pins_a_known_answer():
+    # the keys are CPython's Mersenne Twister words as getrandbits lays them
+    # out; a change to that layout moves every post-processing digest
+    source = BitSource(7)
+    order = source.shuffled("shared", "ec_permutation", 10)
+    assert order.tolist() == [2, 8, 4, 7, 1, 9, 5, 3, 6, 0]
+    assert source.ledger.counts == {("shared", "ec_permutation"): 40}
+
+
+TOP = 2**64 - 1
+TIE_PRONE = [0, 1, 2**62, 2**63 - 1, 2**63, TOP]
+
+
+class _Planted:
+    """Planted next words for tied keys, one list per call, logging the
+    indices each call asks for; passed as `more` to both _trie_order (a
+    mask, answered with a uint64 array) and the reference (a list)."""
+
+    def __init__(self, rounds):
+        self.rounds, self.asked = iter(rounds), []
+
+    def __call__(self, tied):
+        mask = isinstance(tied, np.ndarray)
+        indices = np.flatnonzero(tied).tolist() if mask else tied
+        self.asked.append(indices)
+        words = next(self.rounds)[: len(indices)]
+        return np.array(words, dtype=np.uint64) if mask else words
+
+
+@pytest.mark.parametrize(
+    "words, rounds",
+    [
+        ([5, 5, 9, 5], [[7, 3, 7], [1, 0]]),  # three equal keys, two tie again
+        ([TOP - 1, TOP, 0, 1], []),  # two pairs equal to depth 63
+        ([2**63, 2**63 + 1, 2**63, 2**63], [[TOP, TOP - 1, 0]]),  # ties by a depth-63 key
+        ([TOP, TOP], [[0, 0], [2**63, 2**63 - 1]]),  # a pair tied over two words
+    ],
+)
+def test_trie_order_breaks_planted_ties_as_the_reference_does(words, rounds):
+    planted, reference = _Planted(rounds), _Planted(rounds)
+    order, charge = randomness._trie_order(np.array(words, dtype=np.uint64), planted)
+    assert (order.tolist(), charge) == _radix_order(words, reference)
+    assert planted.asked == reference.asked
+    assert len(planted.asked) == len(rounds)
+
+
+@given(
+    st.lists(st.sampled_from(TIE_PRONE), min_size=2, max_size=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100)
+def test_trie_order_matches_the_reference_on_tied_keys(words, seed):
+    """Keys from six values, so most tie, and so do the next words each
+    round reads, drawn from the same six values for both."""
+
+    def rounds():
+        rng = random.Random(seed)
+        while True:
+            yield [rng.choice(TIE_PRONE) for _ in words]
+
+    planted, reference = _Planted(rounds()), _Planted(rounds())
+    order, charge = randomness._trie_order(np.array(words, dtype=np.uint64), planted)
+    assert (order.tolist(), charge) == _radix_order(words, reference)
+    assert planted.asked == reference.asked
+
+
+class _PlantedGenerator:
+    """A stand-in for random.Random whose getrandbits(k) returns the next
+    planted value and logs k."""
+
+    def __init__(self, values):
+        self.values, self.widths = iter(values), []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return next(self.values)
+
+
+def test_shuffled_reads_one_more_word_per_tied_key():
+    # keys 5, 5, 9, 5 (word i of one value, lowest first), then 7, 3, 7 for
+    # indices 0, 1 and 3, then 1, 0 for indices 0 and 3, still tied
+    def value(words):
+        return sum(word << 64 * i for i, word in enumerate(words))
+
+    planted = [value([5, 5, 9, 5]), value([7, 3, 7]), value([1, 0])]
+    source, reference = BitSource(0), BitSource(0)
+    source._rng, reference._rng = _PlantedGenerator(planted), _PlantedGenerator(planted)
+    order = source.shuffled("shared", "ec_permutation", 4)
+    assert order.tolist() == _permutation(4, reference).tolist() == [1, 3, 0, 2]
+    assert source.ledger.counts == reference.ledger.counts
+    assert source._rng.widths == reference._rng.widths == [256, 192, 128]
+
+
+def test_shuffled_orders_of_four_are_uniform():
+    counts = Counter(
+        tuple(BitSource(seed).shuffled("shared", "ec_permutation", 4).tolist())
+        for seed in range(24_000)
+    )
+    expected = 24_000 / 24
+    chi2 = sum((counts[order] - expected) ** 2 / expected for order in permutations(range(4)))
+    assert chi2 < 57.07  # the chi-square quantile at 1 - 1e-4, 23 degrees of freedom
+
+
+def _expected_charge(n):
+    """D(n), the expected path length of the binary trie of n uniform keys:
+    every key reads the root's bit, and k of them go left with probability
+    C(n, k) / 2^n, so D(n) (1 - 2^(1-n)) = n + 2^-n sum_{k=1}^{n-1} C(n, k)
+    (D(k) + D(n-k)), with D(0) = D(1) = 0."""
+    depth = [Fraction(0), Fraction(0)]
+    for m in range(2, n + 1):
+        splits = sum(comb(m, k) * (depth[k] + depth[m - k]) for k in range(1, m))
+        depth.append((m + Fraction(splits, 2**m)) / (1 - Fraction(2, 2**m)))
+    return depth[n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_shuffled_charges_the_expected_trie_path_length(n):
+    charges = []
+    for seed in range(4000):
+        source = BitSource(seed)
+        source.shuffled("shared", "ec_permutation", n)
+        charges.append(source.ledger.total())
+    charges = np.array(charges, dtype=np.float64)
+    error = charges.std(ddof=1) / np.sqrt(len(charges))
+    assert abs(charges.mean() - float(_expected_charge(n))) < 4 * error
 
 
 @pytest.mark.parametrize("n, k", [(5, 6), (0, 1), (5, -1), (2**32 + 1, 1), (2**32 + 1, 0)])
