@@ -6,7 +6,8 @@ block and one per-qubit baseline at the same seed and raw-qubit count,
 then prints Alice's exact quantum-phase bit counts and the block/baseline
 ratios. Alice's quantum-phase ratio is (n+1)/(2n) and Bob's is 1/n, both
 exact rationals, and both are asserted; the table shows them converging
-to 1/2 and 0 as n grows.
+to 1/2 and 0 as n grows. The last column is the block session's whole
+ledger per raw qubit, its QBER sample and Bob's measurements included.
 """
 
 import argparse
@@ -35,7 +36,7 @@ def main() -> int:
 
     header = (
         f"{'n':>6} {'raw qubits':>11} {'alice block':>12} {'alice/qubit':>12} "
-        f"{'ratio':>12} {'exact':>12} {'bob ratio':>10}"
+        f"{'ratio':>12} {'exact':>12} {'bob ratio':>10} {'ledger/qubit':>13}"
     )
     print(header)
     print("-" * len(header))
@@ -61,7 +62,8 @@ def main() -> int:
             f"{baseline.consumption.quantum_phase_alice:>12} "
             f"{float(alice_ratio):>12.6f} "
             f"{f'{alice_ratio.numerator}/{alice_ratio.denominator}':>12} "
-            f"{float(ratios.quantum_phase_bob):>10.6f}"
+            f"{float(ratios.quantum_phase_bob):>10.6f} "
+            f"{block.ledger.total() / block.raw_qubits:>13.4f}"
         )
         rows.append(
             (
@@ -71,6 +73,7 @@ def main() -> int:
                 baseline.consumption.quantum_phase_alice,
                 float(alice_ratio),
                 float(ratios.quantum_phase_bob),
+                block.ledger.total() / block.raw_qubits,
             )
         )
     print(
@@ -79,7 +82,7 @@ def main() -> int:
     )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("n,raw_qubits,alice_block_bits,alice_baseline_bits,alice_ratio,bob_ratio\n")
+            fh.write("n,raw_qubits,alice_block_bits,alice_baseline_bits,alice_ratio,bob_ratio,ledger_bits_per_qubit\n")
             for row in rows:
                 fh.write(",".join(repr(v) for v in row) + "\n")
         print(f"wrote {args.csv}")

@@ -171,10 +171,12 @@ def estimate_qber(
 ) -> tuple[float, np.ndarray]:
     """Disclose a uniform random sample of positions and compare them.
 
-    Sample size is round(sample_fraction * length), at least 1; selection
-    randomness is charged to (shared, sampling). Returns the error rate on
-    the sample and its positions, sorted, as int32. The disclosed indices
-    must be excluded from any key material used afterwards.
+    Sample size k is round(sample_fraction * length), at least 1: the
+    positions of the k smallest of `length` random keys (`BitSource.sampled`),
+    whose split from the rest is charged to (shared, sampling), about 2 bits
+    per sifted bit whatever the fraction. Returns the error rate on the
+    sample and its positions, sorted, as int32. The disclosed indices must
+    be excluded from any key material used afterwards.
     """
     length = len(alice_key)
     if length != len(bob_key):
@@ -184,8 +186,7 @@ def estimate_qber(
             f"key of {length} bits is too short to sample at fraction {sample_fraction}"
         )
     k = max(1, round(sample_fraction * length))
-    sample = source.sampled("shared", "sampling", length, k)
-    disclosed = np.sort(np.array(sample, dtype=np.int32))
+    disclosed = np.sort(source.sampled("shared", "sampling", length, k).astype(np.int32))
     mismatches = int(np.count_nonzero(alice_key[disclosed] != bob_key[disclosed]))
     return mismatches / k, disclosed
 

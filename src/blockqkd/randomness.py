@@ -7,16 +7,14 @@ an estimate. A session draws from one keyed Philox stream per kind of draw
 64-bit words and `stream_bits` its bits, each addressed by its position, so
 every draw of a session is an array operation. A Bernoulli(p) trial reads
 one word (`knuth_yao`). Post-processing draws from :class:`BitSource`, a
-seeded Mersenne Twister, and its primitives are bit-exact:
+seeded Mersenne Twister. Both of its samplers sort n random 64-bit keys
+(`_trie_order`) and charge, in one ledger record, the bits a lazy reader
+of the keys reads, top bit first (Knuth & Yao, 1976):
 
-- A uniform value below a bound b draws ceil(log2 b) bits and rejects
-  out-of-range values, re-drawing until accepted; every drawn bit is
-  counted, rejected or not. A bound of 1 draws nothing.
-- ``sampled(n, k)`` draws k distinct indices of range(n) on those draws:
-  the first k steps of a Fisher-Yates shuffle from the bottom, each index
-  drawn and swapped in one loop, charged in one ledger record.
-- ``shuffled(n)`` is the order that sorts n random 64-bit keys, charged
-  in one ledger record the bits a lazy reader of the keys needs to find it.
+- ``shuffled(n)`` is the keys' order, charged what it takes to order them
+  all: each key's depth in their trie.
+- ``sampled(n, k)`` is the k smallest keys' indices, charged what it takes
+  to split them from the rest: 2n bits expected for 0 < k < n.
 """
 
 from __future__ import annotations
@@ -96,43 +94,39 @@ class BitSource:
         raw = self._rng.getrandbits(count).to_bytes(step, "big")
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[8 * step - count :]
 
-    def sampled(self, party: str, stage: str, n: int, k: int) -> list[int]:
-        """k distinct indices of range(n), uniform, in draw order: the first
-        k steps of a Fisher-Yates shuffle from the bottom, index i swapping
-        with i + r for r uniform below n - i, drawn and swapped in one loop.
-        Only displaced entries are stored, so memory is O(k) whatever n.
-        Every bit drawn goes to the ledger in one record (none when no bit
-        was drawn). Unless 0 <= k <= n <= 2**32, raises ValueError before
-        anything is drawn.
-        """
+    def sampled(self, party: str, stage: str, n: int, k: int) -> np.ndarray:
+        """k distinct indices of range(n), uniform: those of the k smallest of
+        n random keys, drawn as `shuffled` draws them, in key order. One record
+        charges the bits a lazy reader reads to split them from the rest: per
+        key, one more than its longest common prefix with the nearest key
+        across the cut. k = 0 or k = n draws nothing and returns range(k).
+        Unless 0 <= k <= n <= 2**32, raises ValueError before anything is
+        drawn."""
         if not 0 <= k <= n <= 1 << 32:
             raise ValueError(f"need 0 <= k <= n <= 2**32, not n={n}, k={k}")
-        getrandbits, moved, sample, drawn, start = self._rng.getrandbits, {}, [], 0, 0
-        for width in range(max(n - 1, 0).bit_length(), -1, -1):  # the steps of each width
-            stop = min(k, n - (1 << width >> 1))  # steps whose bound - 1 has `width` bits
-            attempts = stop - start
-            for i in range(start, stop):
-                while (r := getrandbits(width)) >= n - i:
-                    attempts += 1
-                j = i + r
-                sample.append(moved.get(j, j))
-                moved[j] = moved.get(i, i)
-            drawn += width * attempts
-            start = stop
-        if drawn:
-            self.ledger.record(party, stage, drawn)
-        return sample
+        if k in (0, n):
+            return np.arange(k)
+        order, common = self._order(n)
+        below = np.minimum.accumulate(common[k - 1 :: -1])  # key k-1, k-2, ... to key k
+        above = np.minimum.accumulate(common[k - 1 :])  # key k, k+1, ... to key k-1
+        self.ledger.record(party, stage, n + int(below.sum()) + int(above.sum()))
+        return order[:k]
 
     def shuffled(self, party: str, stage: str, n: int) -> np.ndarray:
         """A uniform permutation of range(n): the order of n random 64-bit keys,
         the words of one getrandbits(64 n) value from the bottom, tied keys each
-        reading a word more in index order, charged in one record as `_trie_order`
-        reads them. n < 2 draws nothing."""
+        reading a word more in index order. One record charges the bits a lazy
+        reader reads to order them: per key, one more than its longest common
+        prefix with a sorted neighbour. n < 2 draws nothing."""
         if n < 2:
             return np.arange(n)
-        order, drawn = _trie_order(self._words(n), lambda tied: self._words(int(tied.sum())))
-        self.ledger.record(party, stage, drawn)
+        order, common = self._order(n)  # the ends' keys have one neighbour each
+        ends = int(common[0]) + int(common[-1])
+        self.ledger.record(party, stage, n + ends + int(np.maximum(common[:-1], common[1:]).sum()))
         return order
+
+    def _order(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        return _trie_order(self._words(n), lambda tied: self._words(int(tied.sum())))
 
     def _words(self, n: int) -> np.ndarray:
         return np.frombuffer(self._rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
@@ -164,12 +158,10 @@ def _bit_length(words: np.ndarray) -> np.ndarray:
     return np.where(high > 0, high + 32, low)
 
 
-def _trie_order(words: np.ndarray, more) -> tuple[np.ndarray, int]:
-    """The order that sorts the keys `words`, and the bits a lazy reader
-    reads to find it, splitting each group of two or more keys on their next
-    bit, top bit first: per key, one more than its longest common prefix
-    with a sorted neighbour. Tied keys read on: `more(mask)` returns the
-    next words of the indices under `mask`, until no two keys tie."""
+def _trie_order(words: np.ndarray, more) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the keys `words`, and each sorted neighbour
+    pair's longest common prefix. Tied keys read on: `more(mask)` returns
+    the next words of the indices under `mask`, until no two keys tie."""
     levels, order = [words], np.argsort(words)
     while True:
         common, same = 0, True  # per sorted neighbour pair
@@ -178,9 +170,8 @@ def _trie_order(words: np.ndarray, more) -> tuple[np.ndarray, int]:
             differ = keys[1:] ^ keys[:-1]
             common = common + np.where(same, 64 - _bit_length(differ), 0)
             same = same & (differ == 0)
-        if not same.any():  # the ends' keys have one neighbour each
-            ends = int(common[0]) + int(common[-1])
-            return order, len(words) + ends + int(np.maximum(common[:-1], common[1:]).sum())
+        if not same.any():
+            return order, common
         tied = np.zeros(len(words), dtype=bool)
         tied[order[1:][same]] = tied[order[:-1][same]] = True
         levels.append(np.zeros_like(words))

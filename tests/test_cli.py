@@ -715,17 +715,17 @@ def _output_digest(csv_path):
 
 GOLDEN_CLI_DIGESTS = {
     "empty_session": "de6260e23b91a6fc8229a9545fa67c8797d35153c1d8c21c5a29377f16134b29",
-    "example": "440f3cc1709dd9fa3eeefe90a9451a7d859fdafa0495b575d7147d814bd91170",
-    "intercept_per_block": "83597c8863e79023249cf93b46c6a220498d7e096393d6169aaca089009e3550",
-    "per_qubit": "a4ed1b2e4d7a733b44984179189c39f5f604cd7d83d58fec29d21b599964e5f3",
-    "unitary_delayed": "94f7a31651f65cd697507573256da6ac72ea11e68a95853055b3f894b55bb562",
-    "unitary_immediate": "ee3e940fcb9e61adeb1219eb149a4b0fef742c9a1504bebc1c5aee862594767c",
+    "example": "0d1b0cffff611d2613c0b42f2c776767b7619b55de22ae325efb145c24ca12f0",
+    "intercept_per_block": "6842348ac1fe3a4df83dcfb899fc0deb2c6134ca0cc29a65f1a1dde7b89b6d98",
+    "per_qubit": "164058a269dd8d2de7a3ac6e7b60890effd430f2c1f8d7b33e307063af041ca5",
+    "unitary_delayed": "54548de5408d248defb6d4f0c42e065c573de5059580c077a9997c4b0772baf2",
+    "unitary_immediate": "f815a922b545ada612c3940f24810d6e6b55b0485db6eb55171387905155b38d",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CLI_DIGESTS))
 def test_run_outputs_match_golden_digests(name, tmp_path):
     """Fixed `blockqkd run` invocations reproduce the digests recorded for
-    package 0.4.0. A refactor of the command must leave them as they are."""
+    package 0.5.0. A refactor of the command must leave them as they are."""
     assert main(_golden_argv(name, tmp_path)) == 0
     assert _output_digest(tmp_path / "out.csv") == GOLDEN_CLI_DIGESTS[name]

@@ -384,21 +384,21 @@ GOLDEN_SESSIONS = {
     ),
 }
 GOLDEN_DIGESTS = {
-    "per_block-none": "f636a68cac20f97f5ac48ff36da01866f6870e81587f64269370d25780dc96ad",
-    "per_qubit-none": "4369e7d7a3a3220f00a97b7ad17bf631cca4a5c1875ab6b6265d414572671c85",
-    "per_block-intercept_qubit": "481c0bec913cd0181396e2d25b15a73e0e94aa4def1d334486b54953852196da",
-    "per_qubit-intercept_qubit": "c1117cb5ae278dae5f43d43d9418e8020cd4e749a174ef04136edb26a48f792d",
-    "per_block-intercept_block": "b6735e2a0420a9a237259201fbd9d248e480d91a3a1fd67158f3f1311ce0f5fb",
-    "per_qubit-intercept_block": "7e0c8d638cce9781a09e6d013dc6ea3cbab0fe4d2e120c5341420e839fd3712f",
-    "unitary-delayed": "e6c245b87e60c82a19f81a5b86949a86ebb67265300920275993bb24560aa952",
-    "unitary-immediate": "1c7c454fefc82f00c037c9b603185ed4aaadf6577860f6faff58832e5885aaa0",
-    "forced-shared-basis": "1aff090c12c683593dc4be4855acf61bcf29a7e576c9d3b3b4429715638208c4",
+    "per_block-none": "4733a9a19c3adeeef206bb1a3ce3a6da6f2cde54e1f825e306b03989e819d901",
+    "per_qubit-none": "5b2189505ab18d1e0d329221d54edf99ff1f05530e85bf92a1b6e35eab1ccf0c",
+    "per_block-intercept_qubit": "d2580bedaeb308665e73d926eb36ff857ebd5b702efe893e119df1d7cdcecee4",
+    "per_qubit-intercept_qubit": "0df3bdd447967dcceca2243ed9bf8915799019726a07af6ba3ecf05351a149cf",
+    "per_block-intercept_block": "2ace99b6effb36b65f6013ea45a41f31564008d0a962841b6294ab427843792e",
+    "per_qubit-intercept_block": "4b11709616ed9545605a0109526ad0a5c582b71ee2ce817c1b24c768a0e5158b",
+    "unitary-delayed": "64f2badb3fb885b35022b3329a896813207766a975f0aa71edc07e442b240e6b",
+    "unitary-immediate": "7d9218d553e8a6560bd92687380548f73df1f387294327904c72e241fdcc2cb3",
+    "forced-shared-basis": "2213f89d73806b895ab3bd2927174244bb9d33ee575db4da6876dd144208f2fa",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SESSIONS))
 def test_session_outputs_match_golden_digests(name):
-    """Fixed sessions reproduce the digests recorded for package 0.3.0.
+    """Fixed sessions reproduce the digests recorded for package 0.5.0.
 
     The digest covers both sifted keys (dtype and bytes), kept_blocks, the
     disclosed indices, Eve's codes decoded by eve_tuples (by repr, so the

@@ -20,7 +20,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ),
         (
             ["randomness_savings.py", "--blocks", "5"],
-            "n raw qubits alice block alice/qubit ratio exact bob ratio",
+            "n raw qubits alice block alice/qubit ratio exact bob ratio ledger/qubit",
         ),
         (
             ["leak_rank_scaling.py", "--sifted", "2000"],
