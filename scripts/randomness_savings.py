@@ -53,6 +53,7 @@ def main() -> int:
             )
         )
         ratios = consumption_ratio(block.consumption, baseline.consumption)
+        whole = block.ledger.total() / block.raw_qubits
         alice_ratio = ratios.quantum_phase_alice
         assert alice_ratio == Fraction(n + 1, 2 * n)
         assert ratios.quantum_phase_bob == Fraction(1, n)
@@ -63,7 +64,7 @@ def main() -> int:
             f"{float(alice_ratio):>12.6f} "
             f"{f'{alice_ratio.numerator}/{alice_ratio.denominator}':>12} "
             f"{float(ratios.quantum_phase_bob):>10.6f} "
-            f"{block.ledger.total() / block.raw_qubits:>13.4f}"
+            f"{whole:>13.4f}"
         )
         rows.append(
             (
@@ -73,7 +74,7 @@ def main() -> int:
                 baseline.consumption.quantum_phase_alice,
                 float(alice_ratio),
                 float(ratios.quantum_phase_bob),
-                block.ledger.total() / block.raw_qubits,
+                whole,
             )
         )
     print(

@@ -120,8 +120,8 @@ class BitSource:
         prefix with a sorted neighbour. n < 2 draws nothing."""
         if n < 2:
             return np.arange(n)
-        order, common = self._order(n)  # the ends' keys have one neighbour each
-        ends = int(common[0]) + int(common[-1])
+        order, common = self._order(n)
+        ends = int(common[0]) + int(common[-1])  # the ends' keys have one neighbour each
         self.ledger.record(party, stage, n + ends + int(np.maximum(common[:-1], common[1:]).sum()))
         return order
 
